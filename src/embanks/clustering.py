@@ -312,8 +312,7 @@ def build_cluster_graph(g: DataGraph, clustering: Clustering,
     k = clustering.cluster_count
     mapping = clustering.node_mapping
     buckets: dict[tuple[int, int], list[int]] = {}
-    starts = np.repeat(np.arange(g.node_count, dtype=np.int64),
-                       np.diff(g.adjacency_offset))
+    starts = g.slot_source
     for j in range(g.slot_count):
         cu = int(mapping[starts[j]])
         cv = int(mapping[g.adjacent_nodes[j]])
@@ -329,7 +328,6 @@ def build_cluster_graph(g: DataGraph, clustering: Clustering,
     m = len(pairs)
     adjacent = np.zeros(m, dtype=np.int64)
     weight = np.zeros(m, dtype=np.float32)
-    priority = np.zeros(m, dtype=np.float32)
     direction = np.zeros(m, dtype=bool)
     pair_slot = np.zeros(m, dtype=np.int64)
     min_crossing = np.zeros(m, dtype=np.float32)
@@ -363,7 +361,6 @@ def build_cluster_graph(g: DataGraph, clustering: Clustering,
         adjacency_offset=offset,
         adjacent_nodes=adjacent,
         edge_weight=weight,
-        edge_priority=priority,
         edge_direction=direction,
         pair_slot=pair_slot,
     )

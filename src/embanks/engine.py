@@ -102,11 +102,11 @@ def build_store(store_dir: str | Path, algorithm: str = "close1",
                 seed: int = 0) -> dict:
     """Cluster the stored tuple graph and write the full cluster store."""
     store_dir = Path(store_dir)
-    g, meta = read_tuple_graph(store_dir / TUPLES_FILE)
+    g, _ = read_tuple_graph(store_dir / TUPLES_FILE)
     clustering = run_clustering(g, algorithm, max_size, seed)
     cluster_graph = build_cluster_graph(g, clustering, wcfg)
     metadata = compute_cluster_metadata(g, clustering)
-    write_store(store_dir, g, clustering, cluster_graph, metadata, meta)
+    write_store(store_dir, g, clustering, cluster_graph, metadata)
     return {
         "nodes": g.node_count,
         "links": g.slot_count // 2,

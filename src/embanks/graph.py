@@ -92,13 +92,18 @@ class DataGraph:
     adjacency_offset: np.ndarray  # int64 [n + 1]
     adjacent_nodes: np.ndarray  # int64 [m]
     edge_weight: np.ndarray     # float32 [m]
-    edge_priority: np.ndarray   # float32 [m]
     edge_direction: np.ndarray  # bool [m], True = forward
     pair_slot: np.ndarray       # int64 [m]
 
     @property
     def slot_count(self) -> int:
         return int(len(self.adjacent_nodes))
+
+    @property
+    def slot_source(self) -> np.ndarray:
+        """Owning node of every slot (int64 [m]), derived from the offsets."""
+        return np.repeat(np.arange(self.node_count, dtype=np.int64),
+                         np.diff(self.adjacency_offset))
 
     def slots(self, node: int) -> range:
         return range(int(self.adjacency_offset[node]),
@@ -119,20 +124,18 @@ class DataGraph:
             yield int(self.adjacent_nodes[j]), float(self.edge_weight[self.pair_slot[j]])
 
     def links(self):
-        """Yield each stored link once as (u, v, w_fwd, w_bwd, p_fwd, p_bwd).
+        """Yield each stored link once as (u, v, w_fwd, w_bwd).
 
         ``u -> v`` is the foreign-key direction.
         """
-        starts = np.repeat(np.arange(self.node_count, dtype=np.int64),
-                           np.diff(self.adjacency_offset))
+        starts = self.slot_source
         for j in range(self.slot_count):
             if not self.edge_direction[j]:
                 continue
             u = int(starts[j])
             v = int(self.adjacent_nodes[j])
             b = int(self.pair_slot[j])
-            yield (u, v, float(self.edge_weight[j]), float(self.edge_weight[b]),
-                   float(self.edge_priority[j]), float(self.edge_priority[b]))
+            yield u, v, float(self.edge_weight[j]), float(self.edge_weight[b])
 
     def validate(self) -> None:
         """Check the structural invariants, raising GraphError on breach."""
@@ -144,7 +147,6 @@ class DataGraph:
             raise GraphError("adjacency_offset must end at the slot count")
         m = self.slot_count
         for arr, name in ((self.edge_weight, "edge_weight"),
-                          (self.edge_priority, "edge_priority"),
                           (self.edge_direction, "edge_direction"),
                           (self.pair_slot, "pair_slot")):
             if len(arr) != m:
@@ -154,8 +156,7 @@ class DataGraph:
             raise GraphError("adjacency target out of range")
         if np.any(self.edge_weight <= 0):
             raise GraphError("edge weights must be positive")
-        starts = np.repeat(np.arange(self.node_count, dtype=np.int64),
-                           np.diff(self.adjacency_offset))
+        starts = self.slot_source
         for j in range(m):
             b = int(self.pair_slot[j])
             if b < 0 or b >= m or int(self.pair_slot[b]) != j:
@@ -174,8 +175,8 @@ class GraphBuilder:
     def __init__(self) -> None:
         self._prestige: list[float] = []
         self._types: list[int] = []
-        # (u, v, w_fwd, w_bwd, p_fwd, p_bwd) with u -> v the FK direction
-        self._links: list[tuple[int, int, float, float, float, float]] = []
+        # (u, v, w_fwd, w_bwd) with u -> v the FK direction
+        self._links: list[tuple[int, int, float, float]] = []
 
     def add_node(self, prestige: float = 0.0, node_type: int = 0) -> int:
         self._prestige.append(prestige)
@@ -183,16 +184,15 @@ class GraphBuilder:
         return len(self._prestige) - 1
 
     def add_link(self, u: int, v: int, forward_weight: float,
-                 backward_weight: float,
-                 forward_priority: float = 0.0,
-                 backward_priority: float = 0.0) -> None:
+                 backward_weight: float) -> None:
         n = len(self._prestige)
         if not (0 <= u < n and 0 <= v < n):
             raise GraphError(f"link ({u}, {v}) references an unknown node")
+        if not (math.isfinite(forward_weight) and math.isfinite(backward_weight)):
+            raise GraphError("link weights must be finite")
         if forward_weight <= 0 or backward_weight <= 0:
             raise GraphError("link weights must be positive")
-        self._links.append((u, v, forward_weight, backward_weight,
-                            forward_priority, backward_priority))
+        self._links.append((u, v, forward_weight, backward_weight))
 
     def set_prestige(self, node: int, value: float) -> None:
         self._prestige[node] = value
@@ -209,19 +209,16 @@ class GraphBuilder:
         fill = offset[:-1].copy()
         adjacent = np.zeros(m, dtype=np.int64)
         weight = np.zeros(m, dtype=np.float32)
-        priority = np.zeros(m, dtype=np.float32)
         direction = np.zeros(m, dtype=bool)
         pair = np.zeros(m, dtype=np.int64)
-        for u, v, wf, wb, pf, pb in self._links:
+        for u, v, wf, wb in self._links:
             jf = int(fill[u]); fill[u] += 1
             jb = int(fill[v]); fill[v] += 1
             adjacent[jf] = v
             weight[jf] = wf
-            priority[jf] = pf
             direction[jf] = True
             adjacent[jb] = u
             weight[jb] = wb
-            priority[jb] = pb
             direction[jb] = False
             pair[jf] = jb
             pair[jb] = jf
@@ -232,7 +229,6 @@ class GraphBuilder:
             adjacency_offset=offset,
             adjacent_nodes=adjacent,
             edge_weight=weight,
-            edge_priority=priority,
             edge_direction=direction,
             pair_slot=pair,
         )
@@ -274,8 +270,7 @@ def assign_backward_weights(g: DataGraph,
     Mutates and returns ``g``.
     """
     indeg = np.zeros(g.node_count, dtype=np.int64)
-    starts = np.repeat(np.arange(g.node_count, dtype=np.int64),
-                       np.diff(g.adjacency_offset))
+    starts = g.slot_source
     for j in range(g.slot_count):
         if not g.edge_direction[j]:
             indeg[starts[j]] += 1
@@ -329,6 +324,9 @@ def parse_schema(path: str | Path) -> IngestSpec:
                 fks.append(ForeignKey(src[0], src[1], dst[0], dst[1]))
             elif kind == "default_weight":
                 default = float(parts[1])
+                if not (math.isfinite(default) and default > 0):
+                    raise IngestError(f"{path}:{lineno}: default_weight must be "
+                                      f"finite and positive, got {parts[1]!r}")
             else:
                 raise IngestError(f"{path}:{lineno}: unknown directive {kind!r}")
         except (IndexError, ValueError) as exc:
@@ -477,7 +475,7 @@ def prune_transitive(g: DataGraph, spec: IngestSpec) -> tuple[DataGraph, np.ndar
         remap = np.arange(g.node_count, dtype=np.int64)
         return g, remap
 
-    # Mutable link records [u, v, w_uv, w_vu, p_uv, p_vu]; incidence per node.
+    # Mutable link records [u, v, w_uv, w_vu]; incidence per node.
     links: list[list[float] | None] = [list(l) for l in g.links()]
     incident: list[set[int]] = [set() for _ in range(g.node_count)]
     for li, l in enumerate(links):
@@ -505,7 +503,7 @@ def prune_transitive(g: DataGraph, spec: IngestSpec) -> tuple[DataGraph, np.ndar
             links[li][3] = min(links[li][3], bwd)
             return
         li = len(links)
-        links.append([float(lo), float(hi), fwd, bwd, 0.0, 0.0])
+        links.append([float(lo), float(hi), fwd, bwd])
         composed[(lo, hi)] = li
         incident[lo].add(li)
         incident[hi].add(li)
@@ -550,8 +548,7 @@ def prune_transitive(g: DataGraph, spec: IngestSpec) -> tuple[DataGraph, np.ndar
         if remap[u] < 0 or remap[v] < 0:
             continue
         builder.add_link(int(remap[u]), int(remap[v]),
-                         float(np.float32(l[2])), float(np.float32(l[3])),
-                         float(l[4]), float(l[5]))
+                         float(np.float32(l[2])), float(np.float32(l[3])))
     return builder.build(), remap
 
 

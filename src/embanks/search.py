@@ -132,8 +132,7 @@ def init_activation(ks: KeywordSets, prestige: np.ndarray,
 
 
 def spread_activation(state: ActivationState, source: int,
-                      neighbors: list[tuple[int, float]],
-                      direction: str = "in") -> SpreadRecord:
+                      neighbors: list[tuple[int, float]]) -> SpreadRecord:
     """Push a fraction mu of the source's activation to its neighbors.
 
     The source's held activation stays put; of the mass it forwards, each
@@ -459,7 +458,7 @@ def bidirectional_search(g: DataGraph, ks: KeywordSets,
             queue = deque((u, i) for i in range(w) if d[u, i] < INF)
             propagate(queue)
             neighbors = list(g.in_edges(u))
-            record = spread_activation(act, u, neighbors, "in")
+            record = spread_activation(act, u, neighbors)
             for x, _ in record.offered:
                 if not in_done[x]:
                     push_in(x)
@@ -484,7 +483,7 @@ def bidirectional_search(g: DataGraph, ks: KeywordSets,
                         improved.append((v, i))
             propagate(improved)
             neighbors = [(y, wt) for _, y, wt in g.out_edges(v)]
-            record = spread_activation(act, v, neighbors, "out")
+            record = spread_activation(act, v, neighbors)
             for y, _ in record.offered:
                 if not out_done[y]:
                     push_out(y)

@@ -1,16 +1,22 @@
 """On-disk store: one compressed cluster-level graph plus one file per cluster.
 
-Layout under a store directory::
+Layout under a store directory (format 2)::
 
     graph.emb       cluster graph, clustering arrays, per-cluster metadata
-    clusters/*.clu  member nodes and edges of each cluster
+    clusters/*.clu  one cluster: its members with their prestige and type,
+                    and its intra and boundary links, each with both
+                    direction weights
     index.kwi       keyword index over the original nodes (optional)
-    tuples.emb      the ingested tuple graph (kept for clustering and
-                    baseline runs)
+    tuples.emb      the ingested tuple graph with node texts and keys
+                    (kept for clustering and baseline runs)
 
-All integers are little-endian and ids fit 32 bits; weights are 32-bit
-floats.  Every file begins with a four-byte magic and a format version and
-ends with a CRC32 of everything before it.
+A graph stores per slot only its target, weight, direction bit and partner
+slot.  All integers are little-endian and ids fit 32 bits; weights are
+32-bit floats; strings carry a 32-bit byte length.  Every file begins with
+a four-byte magic and the format version and ends with a CRC32 of
+everything before it.  A file of any other version is rejected, so a store
+written by an older release must be rebuilt with ``ingest`` and then
+``cluster``.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import numpy as np
 
 from .clustering import (ClusterGraph, ClusterMetadata, Clustering,
                          WeightConfig)
-from .graph import BYTES_PER_EDGE, BYTES_PER_NODE, DataGraph, GraphBuilder, NodeMeta
+from .graph import DataGraph, GraphBuilder, NodeMeta, estimate_memory
 from .keywords import KeywordIndex
 
 GRAPH_FILE = "graph.emb"
@@ -36,7 +42,7 @@ MAGIC_GRAPH = b"EMBK"
 MAGIC_TUPLES = b"EMBT"
 MAGIC_CLUSTER = b"EMBC"
 MAGIC_INDEX = b"EMBI"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _EDGE_COMBINER_IDS = {"inverse-sum": 0, "harmonic-mean": 1, "min": 2}
 _PRESTIGE_COMBINER_IDS = {"sum": 0, "max": 1, "avg": 2}
@@ -154,7 +160,6 @@ def _write_graph_arrays(w: _Writer, g: DataGraph) -> None:
     w.arr(g.adjacency_offset, "<u4")
     w.arr(g.adjacent_nodes, "<u4")
     w.arr(g.edge_weight, "<f4")
-    w.arr(g.edge_priority, "<f4")
     w.bits(g.edge_direction)
     w.arr(g.pair_slot, "<u4")
 
@@ -167,7 +172,6 @@ def _read_graph_arrays(r: _Reader, n: int, m: int) -> DataGraph:
         adjacency_offset=r.arr(n + 1, "<u4").astype(np.int64),
         adjacent_nodes=r.arr(m, "<u4").astype(np.int64),
         edge_weight=r.arr(m, "<f4"),
-        edge_priority=r.arr(m, "<f4"),
         edge_direction=r.bits(m),
         pair_slot=r.arr(m, "<u4").astype(np.int64),
     )
@@ -299,17 +303,13 @@ class ClusterPayload:
     members: np.ndarray      # int64, global node ids
     prestige: np.ndarray     # float32
     node_type: np.ndarray    # uint16
-    text_offset: np.ndarray  # int64, into the tuple text blob
-    text_len: np.ndarray     # int64
     intra_src: np.ndarray    # int64, local member index
     intra_dst: np.ndarray
     intra_w: np.ndarray      # float32 [ln, 2] forward/backward
-    intra_p: np.ndarray      # float32 [ln, 2]
     bound_src: np.ndarray    # int64, local member index
     bound_dst: np.ndarray    # int64, global node id
     bound_cluster: np.ndarray  # int64, cluster of the target
     bound_w: np.ndarray      # float32 [lb, 2]
-    bound_p: np.ndarray      # float32 [lb, 2]
 
     @property
     def member_count(self) -> int:
@@ -332,17 +332,13 @@ def write_cluster(path: str | Path, payload: ClusterPayload) -> int:
     w.arr(payload.members, "<u4")
     w.arr(payload.prestige, "<f4")
     w.arr(payload.node_type, "<u2")
-    w.arr(payload.text_offset, "<u4")
-    w.arr(payload.text_len, "<u4")
     w.arr(payload.intra_src, "<u4")
     w.arr(payload.intra_dst, "<u4")
     w.arr(payload.intra_w, "<f4")
-    w.arr(payload.intra_p, "<f4")
     w.arr(payload.bound_src, "<u4")
     w.arr(payload.bound_dst, "<u4")
     w.arr(payload.bound_cluster, "<u4")
     w.arr(payload.bound_w, "<f4")
-    w.arr(payload.bound_p, "<f4")
     return w.finish(Path(path))
 
 
@@ -357,31 +353,20 @@ def read_cluster(path: str | Path) -> ClusterPayload:
         members=r.arr(nm, "<u4").astype(np.int64),
         prestige=r.arr(nm, "<f4"),
         node_type=r.arr(nm, "<u2"),
-        text_offset=r.arr(nm, "<u4").astype(np.int64),
-        text_len=r.arr(nm, "<u4").astype(np.int64),
         intra_src=r.arr(ln, "<u4").astype(np.int64),
         intra_dst=r.arr(ln, "<u4").astype(np.int64),
         intra_w=r.arr(2 * ln, "<f4").reshape(ln, 2),
-        intra_p=r.arr(2 * ln, "<f4").reshape(ln, 2),
         bound_src=r.arr(lb, "<u4").astype(np.int64),
         bound_dst=r.arr(lb, "<u4").astype(np.int64),
         bound_cluster=r.arr(lb, "<u4").astype(np.int64),
         bound_w=r.arr(2 * lb, "<f4").reshape(lb, 2),
-        bound_p=r.arr(2 * lb, "<f4").reshape(lb, 2),
     )
     r.done()
     return payload
 
 
-def text_blob_offsets(meta: NodeMeta) -> np.ndarray:
-    """Byte offsets of each node's text inside the utf-8 text blob."""
-    offsets = np.zeros(len(meta) + 1, dtype=np.int64)
-    np.cumsum([len(t.encode("utf-8")) for t in meta.node_text], out=offsets[1:])
-    return offsets
-
-
-def make_cluster_payload(g: DataGraph, clustering: Clustering, cluster_id: int,
-                         text_offsets: np.ndarray | None = None) -> ClusterPayload:
+def make_cluster_payload(g: DataGraph, clustering: Clustering,
+                         cluster_id: int) -> ClusterPayload:
     """Slice one cluster out of the tuple graph.
 
     Every link whose foreign-key source node lives in this cluster is
@@ -390,12 +375,6 @@ def make_cluster_payload(g: DataGraph, clustering: Clustering, cluster_id: int,
     """
     members = clustering.members(cluster_id)
     local = {int(n): i for i, n in enumerate(members)}
-    text_offset = np.zeros(len(members), dtype=np.int64)
-    text_len = np.zeros(len(members), dtype=np.int64)
-    if text_offsets is not None:
-        for i, n in enumerate(members):
-            text_offset[i] = text_offsets[int(n)]
-            text_len[i] = text_offsets[int(n) + 1] - text_offsets[int(n)]
     intra: list[tuple] = []
     bound: list[tuple] = []
     for u in members:
@@ -405,8 +384,7 @@ def make_cluster_payload(g: DataGraph, clustering: Clustering, cluster_id: int,
                 continue
             v = int(g.adjacent_nodes[j])
             b = int(g.pair_slot[j])
-            record = (float(g.edge_weight[j]), float(g.edge_weight[b]),
-                      float(g.edge_priority[j]), float(g.edge_priority[b]))
+            record = (float(g.edge_weight[j]), float(g.edge_weight[b]))
             if int(clustering.node_mapping[v]) == cluster_id:
                 intra.append((local[u], local[v]) + record)
             else:
@@ -417,17 +395,13 @@ def make_cluster_payload(g: DataGraph, clustering: Clustering, cluster_id: int,
         members=np.asarray(members, dtype=np.int64),
         prestige=np.asarray([g.prestige[int(n)] for n in members], dtype=np.float32),
         node_type=np.asarray([g.node_type[int(n)] for n in members], dtype=np.uint16),
-        text_offset=text_offset,
-        text_len=text_len,
         intra_src=np.asarray([r[0] for r in intra], dtype=np.int64),
         intra_dst=np.asarray([r[1] for r in intra], dtype=np.int64),
         intra_w=np.asarray([r[2:4] for r in intra], dtype=np.float32).reshape(ln, 2),
-        intra_p=np.asarray([r[4:6] for r in intra], dtype=np.float32).reshape(ln, 2),
         bound_src=np.asarray([r[0] for r in bound], dtype=np.int64),
         bound_dst=np.asarray([r[1] for r in bound], dtype=np.int64),
         bound_cluster=np.asarray([r[2] for r in bound], dtype=np.int64),
         bound_w=np.asarray([r[3:5] for r in bound], dtype=np.float32).reshape(lb, 2),
-        bound_p=np.asarray([r[5:7] for r in bound], dtype=np.float32).reshape(lb, 2),
     )
 
 
@@ -459,9 +433,7 @@ def write_keyword_index(path: str | Path, index: KeywordIndex) -> int:
     terms = index.terms()
     w.u32(len(terms))
     for term in terms:
-        data = term.encode("utf-8")
-        w.u16(len(data))
-        w.raw(data)
+        w.string(term)
         postings = index.postings[term]
         w.u32(len(postings))
         w.arr(np.asarray(postings, dtype=np.int64), "<u4")
@@ -473,7 +445,7 @@ def read_keyword_index(path: str | Path) -> KeywordIndex:
     count = r.u32()
     postings: dict[str, list[int]] = {}
     for _ in range(count):
-        term = r.raw(r.u16()).decode("utf-8")
+        term = r.string()
         postings[term] = r.arr(r.u32(), "<u4").astype(np.int64).tolist()
     r.done()
     return KeywordIndex({t: [int(x) for x in p] for t, p in postings.items()})
@@ -482,17 +454,15 @@ def read_keyword_index(path: str | Path) -> KeywordIndex:
 # --- store assembly and expansion ----------------------------------------------
 
 def write_store(store_dir: str | Path, g: DataGraph, clustering: Clustering,
-                cluster_graph: ClusterGraph, metadata: ClusterMetadata,
-                meta: NodeMeta | None = None) -> None:
+                cluster_graph: ClusterGraph, metadata: ClusterMetadata) -> None:
     """Write graph.emb and every cluster file for a finished clustering."""
     store_dir = Path(store_dir)
     k = clustering.cluster_count
     intra = np.zeros(k, dtype=np.int64)
     crossing = np.zeros(k, dtype=np.int64)
-    offsets = text_blob_offsets(meta) if meta is not None else None
     writer = ClusterStoreWriter(store_dir, k)
     for c in range(k):
-        payload = make_cluster_payload(g, clustering, c, offsets)
+        payload = make_cluster_payload(g, clustering, c)
         intra[c] = len(payload.intra_src)
         writer.write(payload)
     for u, v, *_ in g.links():
@@ -513,9 +483,6 @@ class ExpandedGraph:
     global_ids: np.ndarray          # int64, local -> original node id
     global_to_local: dict[int, int]
     clusters: tuple[int, ...]
-
-    def to_global(self, local: int) -> int:
-        return int(self.global_ids[local])
 
 
 @dataclass
@@ -569,13 +536,12 @@ class ClusterStore:
                       - self.header.clustering.cluster_offset[cluster_id])
         slots = 2 * int(self.header.intra_links[cluster_id]) \
             + 2 * int(self.header.crossing_links[cluster_id])
-        return BYTES_PER_NODE * members + BYTES_PER_EDGE * slots
+        return estimate_memory(members, slots)
 
     def min_crossing_map(self) -> dict[tuple[int, int], float]:
         cg = self.cluster_graph
         out: dict[tuple[int, int], float] = {}
-        starts = np.repeat(np.arange(cg.graph.node_count, dtype=np.int64),
-                           np.diff(cg.graph.adjacency_offset))
+        starts = cg.graph.slot_source
         for j in range(cg.graph.slot_count):
             out[(int(starts[j]), int(cg.graph.adjacent_nodes[j]))] = \
                 float(cg.min_crossing[j])
@@ -613,15 +579,13 @@ def expand_clusters(store: ClusterStore, cluster_ids) -> ExpandedGraph:
             u = local[int(payload.members[payload.intra_src[i]])]
             v = local[int(payload.members[payload.intra_dst[i]])]
             builder.add_link(u, v,
-                             float(payload.intra_w[i, 0]), float(payload.intra_w[i, 1]),
-                             float(payload.intra_p[i, 0]), float(payload.intra_p[i, 1]))
+                             float(payload.intra_w[i, 0]), float(payload.intra_w[i, 1]))
         for i in range(len(payload.bound_src)):
             if int(payload.bound_cluster[i]) not in wanted:
                 continue
             u = local[int(payload.members[payload.bound_src[i]])]
             v = local[int(payload.bound_dst[i])]
             builder.add_link(u, v,
-                             float(payload.bound_w[i, 0]), float(payload.bound_w[i, 1]),
-                             float(payload.bound_p[i, 0]), float(payload.bound_p[i, 1]))
+                             float(payload.bound_w[i, 0]), float(payload.bound_w[i, 1]))
     return ExpandedGraph(builder.build(), np.asarray(global_ids, dtype=np.int64),
                          local, ids)

@@ -205,7 +205,7 @@ def test_cluster_graph_matches_bucket_oracle(rng):
         assert cg.graph.node_count == cl.cluster_count
 
         buckets = {}
-        for u, v, wf, wb, _, _ in g.links():
+        for u, v, wf, wb in g.links():
             cu, cv = int(cl.node_mapping[u]), int(cl.node_mapping[v])
             if cu == cv:
                 continue
@@ -262,7 +262,7 @@ def test_identity_cluster_graph_reproduces_input(rng):
         cg = build_cluster_graph(g, identity_clustering(n))
         assert cg.graph.node_count == g.node_count
         buckets = {}
-        for u, v, wf, wb, _, _ in g.links():
+        for u, v, wf, wb in g.links():
             buckets.setdefault((u, v), []).append(wf)
             buckets.setdefault((v, u), []).append(wb)
         seen = set()

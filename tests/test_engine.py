@@ -170,7 +170,7 @@ def test_answers_remap_to_original_nodes(rng, tmp_path):
     assert result.answers == sorted(result.answers,
                                     key=lambda a: a.sort_key())
     links = {}
-    for u, v, wf, wb, _, _ in g.links():
+    for u, v, wf, wb in g.links():
         links.setdefault((u, v), set()).add(wf)
         links.setdefault((v, u), set()).add(wb)
     for a in result.answers:

@@ -55,16 +55,31 @@ def test_degree_balanced_node_is_half_span():
 
 
 def test_pair_slots_are_an_involution(rng):
-    for _ in range(10):
-        g = random_graph(rng, rng.randint(2, 25))
+    edgeless = 0
+    for trial in range(14):
+        # the last four graphs skip the spanning tree, so nodes can be edgeless
+        g = random_graph(rng, rng.randint(2, 25), connected=trial < 10)
         g.validate()
+        edgeless += int(np.count_nonzero(np.diff(g.adjacency_offset) == 0))
         owner = np.repeat(np.arange(g.node_count), np.diff(g.adjacency_offset))
+        assert np.array_equal(g.slot_source, owner)
         for j in range(g.slot_count):
             b = int(g.pair_slot[j])
             assert int(g.pair_slot[b]) == j
             assert bool(g.edge_direction[j]) != bool(g.edge_direction[b])
             assert int(g.adjacent_nodes[j]) == int(owner[b])
             assert int(g.adjacent_nodes[b]) == int(owner[j])
+    assert edgeless > 0
+
+
+def test_add_link_rejects_bad_weights():
+    b = GraphBuilder()
+    u, v = b.add_node(), b.add_node()
+    for wf, wb in ((math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
+                   (1.0, 0.0), (-1.0, 1.0)):
+        with pytest.raises(GraphError):
+            b.add_link(u, v, wf, wb)
+    assert b.build().slot_count == 0
 
 
 def test_validate_rejects_broken_pairing(rng):
@@ -104,7 +119,7 @@ def test_backward_weights_formula(rng):
             indeg[v] += 1
         # the backward slot of link u -> v points at u, so u's fk in-degree
         # sets its cost
-        for u, v, w_fwd, w_bwd, _, _ in g.links():
+        for u, v, w_fwd, w_bwd in g.links():
             assert w_fwd == 1.0
             expected = np.float32(max(math.log1p(indeg[u]), default))
             assert np.float32(w_bwd) == expected
@@ -199,6 +214,9 @@ def test_parse_schema_errors(tmp_path):
         parse("grable a\n")  # unknown directive
     with pytest.raises(IngestError):
         parse("table a\ndefault_weight heavy\n")  # non-numeric
+    for bad in ("nan", "inf", "-inf", "0", "-1.5"):
+        with pytest.raises(IngestError, match="s.txt:2"):
+            parse(f"table a\ndefault_weight {bad}\n")
 
     spec = parse("table a text=x,y prestige=p\ndefault_weight 2.5\n")
     assert spec.tables[0].text_columns == ("x", "y")
@@ -310,8 +328,7 @@ def test_prune_keeps_textual_relations_intact(rng):
     g = random_graph(rng, 12)
     pruned, remap = prune_transitive(g, _spec_with_textless(1, set()))
     assert pruned.node_count == g.node_count
-    assert sorted((u, v, wf, wb) for u, v, wf, wb, _, _ in pruned.links()) == \
-           sorted((u, v, wf, wb) for u, v, wf, wb, _, _ in g.links())
+    assert sorted(pruned.links()) == sorted(g.links())
     assert list(remap) == list(range(g.node_count))
 
 

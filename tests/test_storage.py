@@ -1,6 +1,7 @@
 """On-disk formats: round trips, corruption detection, store expansion."""
 
 import random
+import zlib
 from collections import Counter
 
 import numpy as np
@@ -15,10 +16,9 @@ from embanks.storage import (ClusterStore, ClusterStoreWriter, StorageError,
                              cluster_file_name, expand_clusters,
                              make_cluster_payload, read_cluster,
                              read_compressed_graph, read_keyword_index,
-                             read_tuple_graph, text_blob_offsets,
-                             write_cluster, write_compressed_graph,
-                             write_keyword_index, write_store,
-                             write_tuple_graph, StoreHeader)
+                             read_tuple_graph, write_cluster,
+                             write_compressed_graph, write_keyword_index,
+                             write_store, write_tuple_graph, StoreHeader)
 from embanks.graph import BYTES_PER_EDGE, BYTES_PER_NODE
 
 from conftest import random_graph
@@ -37,20 +37,19 @@ def random_meta(rng, n):
 
 def link_multiset(g, ids=None):
     out = Counter()
-    for u, v, wf, wb, pf, pb in g.links():
+    for u, v, wf, wb in g.links():
         gu = u if ids is None else int(ids[u])
         gv = v if ids is None else int(ids[v])
-        out[(gu, gv, wf, wb, pf, pb)] += 1
+        out[(gu, gv, wf, wb)] += 1
     return out
 
 
-def built_store(rng, tmp_path, n=24, with_meta=False):
+def built_store(rng, tmp_path, n=24):
     g = random_graph(rng, n, extra_links=rng.randint(2, n))
     cl = grown_clustering(rng, "close1", g, 4)
     cg = build_cluster_graph(g, cl)
     meta = compute_cluster_metadata(g, cl)
-    nm = random_meta(rng, n) if with_meta else None
-    write_store(tmp_path, g, cl, cg, meta, nm)
+    write_store(tmp_path, g, cl, cg, meta)
     return g, cl, ClusterStore.open(tmp_path)
 
 
@@ -62,8 +61,8 @@ def test_tuple_graph_round_trip(rng, tmp_path):
     g2, meta2 = read_tuple_graph(p1)
     assert g2.node_count == g.node_count
     for name in ("prestige", "node_type", "adjacency_offset",
-                 "adjacent_nodes", "edge_weight", "edge_priority",
-                 "edge_direction", "pair_slot"):
+                 "adjacent_nodes", "edge_weight", "edge_direction",
+                 "pair_slot"):
         assert np.array_equal(getattr(g2, name), getattr(g, name)), name
     assert meta2.relation_names == meta.relation_names
     assert np.array_equal(meta2.node_relation, meta.node_relation)
@@ -105,40 +104,26 @@ def test_compressed_graph_round_trip(rng, tmp_path):
 def test_cluster_payload_round_trip(rng, tmp_path):
     g = random_graph(rng, 18, extra_links=9)
     cl = random_clustering(rng, 18, 5)
-    meta = random_meta(rng, 18)
-    offsets = text_blob_offsets(meta)
     p1, p2 = tmp_path / "a.clu", tmp_path / "b.clu"
     for c in range(cl.cluster_count):
-        payload = make_cluster_payload(g, cl, c, offsets)
+        payload = make_cluster_payload(g, cl, c)
         assert np.all(payload.bound_cluster != c)
         write_cluster(p1, payload)
         back = read_cluster(p1)
         assert back.cluster_id == c
-        for name in ("members", "prestige", "node_type", "text_offset",
-                     "text_len", "intra_src", "intra_dst", "intra_w",
-                     "intra_p", "bound_src", "bound_dst", "bound_cluster",
-                     "bound_w", "bound_p"):
+        for name in ("members", "prestige", "node_type", "intra_src",
+                     "intra_dst", "intra_w", "bound_src", "bound_dst",
+                     "bound_cluster", "bound_w"):
             assert np.array_equal(getattr(back, name), getattr(payload, name)), name
         write_cluster(p2, back)
         assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_payload_text_slices_match_blob(rng):
-    g = random_graph(rng, 10, extra_links=3)
-    meta = random_meta(rng, 10)
-    offsets = text_blob_offsets(meta)
-    blob = "".join(meta.node_text).encode("utf-8")
-    cl = random_clustering(rng, 10, 4)
-    for c in range(cl.cluster_count):
-        payload = make_cluster_payload(g, cl, c, offsets)
-        for i, n in enumerate(payload.members):
-            lo = int(payload.text_offset[i])
-            hi = lo + int(payload.text_len[i])
-            assert blob[lo:hi].decode("utf-8") == meta.node_text[int(n)]
-
-
 def test_keyword_index_round_trip(tmp_path):
-    index = KeywordIndex({"apple": [0, 2, 9], "pear": [1], "zx81": [3, 4]})
+    # a term longer than 65,535 bytes needs the 32-bit string length
+    long_term = "x" * 70_000
+    index = KeywordIndex({"apple": [0, 2, 9], "pear": [1], "zx81": [3, 4],
+                          long_term: [5]})
     p1, p2 = tmp_path / "a.kwi", tmp_path / "b.kwi"
     write_keyword_index(p1, index)
     back = read_keyword_index(p1)
@@ -181,11 +166,13 @@ def test_corruption_detection(rng, tmp_path):
     with pytest.raises(StorageFormatError):
         read_tuple_graph(path)
 
-    versioned = bytearray(raw)
-    versioned[4] = 99
-    path.write_bytes(versioned)
-    with pytest.raises(StorageFormatError):
-        read_tuple_graph(path)
+    for version in (1, 99):
+        versioned = bytearray(raw)
+        versioned[4] = version
+        body = bytes(versioned[:-4])
+        path.write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))
+        with pytest.raises(StorageFormatError, match="unsupported version"):
+            read_tuple_graph(path)
 
 
 def test_store_writer_enforces_ascending_ids(rng, tmp_path):
@@ -224,9 +211,9 @@ def test_expand_subset_keeps_internal_links_only(rng, tmp_path):
     members = {int(n) for c in picked for n in cl.members(c)}
     assert sorted(int(x) for x in exp.global_ids) == sorted(members)
     expected = Counter()
-    for u, v, wf, wb, pf, pb in g.links():
+    for u, v, wf, wb in g.links():
         if int(cl.node_mapping[u]) in wanted and int(cl.node_mapping[v]) in wanted:
-            expected[(u, v, wf, wb, pf, pb)] += 1
+            expected[(u, v, wf, wb)] += 1
     assert link_multiset(exp.graph, exp.global_ids) == expected
 
 
@@ -269,7 +256,7 @@ def test_cluster_cost_accounting(rng, tmp_path):
 def test_min_crossing_map_matches_links(rng, tmp_path):
     g, cl, store = built_store(rng, tmp_path)
     buckets = {}
-    for u, v, wf, wb, _, _ in g.links():
+    for u, v, wf, wb in g.links():
         cu, cv = int(cl.node_mapping[u]), int(cl.node_mapping[v])
         if cu != cv:
             buckets.setdefault((cu, cv), []).append(wf)
