@@ -22,9 +22,10 @@ from .keywords import KeywordIndex, build_index
 from .scoring import AnswerTree, ScoreConfig, ScoredAnswer, is_acceptable
 from .search import (COMBOS_ALL, KeywordSets, SearchConfig, SearchStats,
                      backward_search, bidirectional_search)
-from .storage import (INDEX_FILE, TUPLES_FILE, ClusterStore, ExpandedGraph,
-                      expand_clusters, read_tuple_graph, write_keyword_index,
-                      write_store, write_tuple_graph)
+from .storage import (CLUSTERS_FILE, GRAPH_FILE, INDEX_FILE, TUPLES_FILE,
+                      ClusterStore, ExpandedGraph, expand_clusters,
+                      read_tuple_graph, write_keyword_index, write_store,
+                      write_tuple_graph)
 
 ALGORITHMS = {
     "backward": backward_search,
@@ -78,11 +79,13 @@ class QueryResult:
 def ingest_to_store(schema_path: str | Path, data_dir: str | Path,
                     store_dir: str | Path,
                     prune: bool = True) -> tuple[DataGraph, NodeMeta, list[str]]:
-    """Load the tables and write the tuple graph and keyword index."""
+    """Write the tuple graph and keyword index, deleting any older cluster store."""
     spec = parse_schema(schema_path)
     g, meta, warnings = build_graph(spec, data_dir, prune=prune)
     store_dir = Path(store_dir)
     store_dir.mkdir(parents=True, exist_ok=True)
+    for name in (GRAPH_FILE, CLUSTERS_FILE):
+        (store_dir / name).unlink(missing_ok=True)
     write_tuple_graph(store_dir / TUPLES_FILE, g, meta)
     write_keyword_index(store_dir / INDEX_FILE, build_index(meta))
     return g, meta, warnings

@@ -154,8 +154,8 @@ class DataGraph:
         if m and (np.min(self.adjacent_nodes) < 0
                   or np.max(self.adjacent_nodes) >= self.node_count):
             raise GraphError("adjacency target out of range")
-        if np.any(self.edge_weight <= 0):
-            raise GraphError("edge weights must be positive")
+        if not np.all(np.isfinite(self.edge_weight) & (self.edge_weight > 0)):
+            raise GraphError("edge weights must be finite and positive")
         starts = self.slot_source
         for j in range(m):
             b = int(self.pair_slot[j])

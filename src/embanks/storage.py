@@ -1,22 +1,23 @@
-"""On-disk store: one compressed cluster-level graph plus one file per cluster.
+"""On-disk store: one compressed cluster-level graph plus one packed cluster file.
 
-Layout under a store directory (format 2)::
+Layout under a store directory (format 3)::
 
-    graph.emb       cluster graph, clustering arrays, per-cluster metadata
-    clusters/*.clu  one cluster: its members with their prestige and type,
-                    and its intra and boundary links, each with both
-                    direction weights
+    graph.emb       cluster graph, clustering arrays, per-cluster metadata,
+                    and each cluster record's byte offset and CRC32
+    clusters.emb    the cluster records in id order: a cluster's members with
+                    their prestige and type, and its intra and boundary
+                    links, each with both direction weights
     index.kwi       keyword index over the original nodes (optional)
     tuples.emb      the ingested tuple graph with node texts and keys
                     (kept for clustering and baseline runs)
 
 A graph stores per slot only its target, weight, direction bit and partner
 slot.  All integers are little-endian and ids fit 32 bits; weights are
-32-bit floats; strings carry a 32-bit byte length.  Every file begins with
-a four-byte magic and the format version and ends with a CRC32 of
-everything before it.  A file of any other version is rejected, so a store
-written by an older release must be rebuilt with ``ingest`` and then
-``cluster``.
+32-bit floats; strings carry a 32-bit byte length.  Every file and every
+cluster record begins with a four-byte magic and the format version and
+ends with a CRC32 of everything before it; graph.emb also fixes the length
+and record CRCs of clusters.emb.  Any other version is rejected, so a store
+written by an older release must be rebuilt with ``ingest`` then ``cluster``.
 """
 
 from __future__ import annotations
@@ -36,13 +37,13 @@ from .keywords import KeywordIndex
 GRAPH_FILE = "graph.emb"
 TUPLES_FILE = "tuples.emb"
 INDEX_FILE = "index.kwi"
-CLUSTER_DIR = "clusters"
+CLUSTERS_FILE = "clusters.emb"
 
 MAGIC_GRAPH = b"EMBK"
 MAGIC_TUPLES = b"EMBT"
 MAGIC_CLUSTER = b"EMBC"
 MAGIC_INDEX = b"EMBI"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 _EDGE_COMBINER_IDS = {"inverse-sum": 0, "harmonic-mean": 1, "min": 2}
 _PRESTIGE_COMBINER_IDS = {"sum": 0, "max": 1, "avg": 2}
@@ -56,10 +57,6 @@ class StorageError(Exception):
 
 class StorageFormatError(StorageError):
     """A file failed magic, version, checksum, or bounds validation."""
-
-
-class StorageOrderError(StorageError):
-    """Cluster files must be written in ascending id order within a build."""
 
 
 class _Writer:
@@ -89,9 +86,12 @@ class _Writer:
         self.u32(len(data))
         self.raw(data)
 
-    def finish(self, path: Path) -> int:
+    def blob(self) -> bytes:
         body = b"".join(self._parts)
-        blob = body + zlib.crc32(body).to_bytes(4, "little")
+        return body + zlib.crc32(body).to_bytes(4, "little")
+
+    def finish(self, path: Path) -> int:
+        blob = self.blob()
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "wb") as fh:
             fh.write(blob)
@@ -100,30 +100,35 @@ class _Writer:
         return len(blob)
 
 
+def _read_bytes(path: Path, start: int = 0, size: int = -1) -> bytes:
+    try:
+        with open(path, "rb") as fh:
+            fh.seek(start)
+            return fh.read(size)
+    except OSError as exc:
+        raise StorageError(f"{path}: {exc}") from exc
+
+
 class _Reader:
-    def __init__(self, path: Path, magic: bytes) -> None:
-        self.path = path
-        try:
-            blob = path.read_bytes()
-        except OSError as exc:
-            raise StorageError(f"{path}: {exc}") from exc
+    def __init__(self, blob: bytes, magic: bytes, name: str) -> None:
+        self.name = name
         if len(blob) < 12:
-            raise StorageFormatError(f"{path}: truncated file")
+            raise StorageFormatError(f"{name}: truncated file")
         body, crc = blob[:-4], int.from_bytes(blob[-4:], "little")
         if zlib.crc32(body) != crc:
-            raise StorageFormatError(f"{path}: checksum mismatch")
+            raise StorageFormatError(f"{name}: checksum mismatch")
         self._body = body
         self._pos = 0
         got = self.raw(4)
         if got != magic:
-            raise StorageFormatError(f"{path}: bad magic {got!r}")
+            raise StorageFormatError(f"{name}: bad magic {got!r}")
         version = self.u32()
         if version != FORMAT_VERSION:
-            raise StorageFormatError(f"{path}: unsupported version {version}")
+            raise StorageFormatError(f"{name}: unsupported version {version}")
 
     def raw(self, n: int) -> bytes:
         if self._pos + n > len(self._body):
-            raise StorageFormatError(f"{self.path}: truncated file")
+            raise StorageFormatError(f"{self.name}: truncated file")
         out = self._body[self._pos:self._pos + n]
         self._pos += n
         return out
@@ -150,7 +155,7 @@ class _Reader:
 
     def done(self) -> None:
         if self._pos != len(self._body):
-            raise StorageFormatError(f"{self.path}: {len(self._body) - self._pos} "
+            raise StorageFormatError(f"{self.name}: {len(self._body) - self._pos} "
                                      "trailing bytes")
 
 
@@ -200,7 +205,7 @@ def write_tuple_graph(path: str | Path, g: DataGraph, meta: NodeMeta) -> int:
 
 
 def read_tuple_graph(path: str | Path) -> tuple[DataGraph, NodeMeta]:
-    r = _Reader(Path(path), MAGIC_TUPLES)
+    r = _Reader(_read_bytes(Path(path)), MAGIC_TUPLES, str(path))
     n = r.u32()
     m = r.u32()
     relations = r.u32()
@@ -226,6 +231,8 @@ class StoreHeader:
     metadata: ClusterMetadata
     intra_links: np.ndarray     # per cluster, link records inside it
     crossing_links: np.ndarray  # per cluster, crossing links incident to it
+    record_offset: np.ndarray   # [k + 1] byte offsets of the records in clusters.emb
+    record_crc: np.ndarray      # [k] CRC32 trailer of each record
 
 
 def write_compressed_graph(path: str | Path, header: StoreHeader) -> int:
@@ -251,11 +258,13 @@ def write_compressed_graph(path: str | Path, header: StoreHeader) -> int:
     w.arr(header.metadata.min_in_out, "<f4")
     w.arr(header.intra_links, "<u4")
     w.arr(header.crossing_links, "<u4")
+    w.arr(header.record_offset, "<u8")
+    w.arr(header.record_crc, "<u4")
     return w.finish(Path(path))
 
 
 def read_compressed_graph(path: str | Path) -> StoreHeader:
-    r = _Reader(Path(path), MAGIC_GRAPH)
+    r = _Reader(_read_bytes(Path(path)), MAGIC_GRAPH, str(path))
     k = r.u32()
     m = r.u32()
     n = r.u32()
@@ -279,14 +288,16 @@ def read_compressed_graph(path: str | Path) -> StoreHeader:
     )
     intra = r.arr(k, "<u4").astype(np.int64)
     crossing = r.arr(k, "<u4").astype(np.int64)
+    offset = r.arr(k + 1, "<u8").astype(np.int64)
+    crc = r.arr(k, "<u4").astype(np.int64)
     r.done()
     wcfg = WeightConfig(_EDGE_COMBINER_NAMES[edge_comb],
                         _PRESTIGE_COMBINER_NAMES[prestige_comb])
     return StoreHeader(ClusterGraph(graph, min_crossing, wcfg),
-                       clustering, metadata, intra, crossing)
+                       clustering, metadata, intra, crossing, offset, crc)
 
 
-# --- per-cluster files --------------------------------------------------------
+# --- cluster records --------------------------------------------------------
 
 @dataclass
 class ClusterPayload:
@@ -294,7 +305,7 @@ class ClusterPayload:
 
     Edges are stored as whole links (both direction weights in one record).
     ``intra`` links join two members; ``boundary`` links lead from a member
-    to a node in another cluster and live only in the file of the cluster
+    to a node in another cluster and live only in the record of the cluster
     owning the link's foreign-key source, so a reader joining two clusters
     restores the opposite direction itself.
     """
@@ -311,17 +322,8 @@ class ClusterPayload:
     bound_cluster: np.ndarray  # int64, cluster of the target
     bound_w: np.ndarray      # float32 [lb, 2]
 
-    @property
-    def member_count(self) -> int:
-        return len(self.members)
 
-
-def cluster_file_name(cluster_id: int, cluster_count: int) -> str:
-    width = max(4, len(str(cluster_count)))
-    return f"{cluster_id:0{width}d}.clu"
-
-
-def write_cluster(path: str | Path, payload: ClusterPayload) -> int:
+def write_cluster(payload: ClusterPayload) -> bytes:
     w = _Writer()
     w.raw(MAGIC_CLUSTER)
     w.u32(FORMAT_VERSION)
@@ -339,11 +341,11 @@ def write_cluster(path: str | Path, payload: ClusterPayload) -> int:
     w.arr(payload.bound_dst, "<u4")
     w.arr(payload.bound_cluster, "<u4")
     w.arr(payload.bound_w, "<f4")
-    return w.finish(Path(path))
+    return w.blob()
 
 
-def read_cluster(path: str | Path) -> ClusterPayload:
-    r = _Reader(Path(path), MAGIC_CLUSTER)
+def read_cluster(record: bytes, name: str = "cluster record") -> ClusterPayload:
+    r = _Reader(record, MAGIC_CLUSTER, name)
     cid = r.u32()
     nm = r.u32()
     ln = r.u32()
@@ -405,25 +407,6 @@ def make_cluster_payload(g: DataGraph, clustering: Clustering,
     )
 
 
-class ClusterStoreWriter:
-    """Writes cluster files for one build, enforcing ascending id order."""
-
-    def __init__(self, store_dir: str | Path, cluster_count: int) -> None:
-        self.dir = Path(store_dir) / CLUSTER_DIR
-        self.dir.mkdir(parents=True, exist_ok=True)
-        self.cluster_count = cluster_count
-        self._last = -1
-
-    def write(self, payload: ClusterPayload) -> int:
-        if payload.cluster_id <= self._last:
-            raise StorageOrderError(
-                f"cluster {payload.cluster_id} written after {self._last}; "
-                "ids must ascend within a build")
-        self._last = payload.cluster_id
-        name = cluster_file_name(payload.cluster_id, self.cluster_count)
-        return write_cluster(self.dir / name, payload)
-
-
 # --- keyword index ------------------------------------------------------------
 
 def write_keyword_index(path: str | Path, index: KeywordIndex) -> int:
@@ -441,7 +424,7 @@ def write_keyword_index(path: str | Path, index: KeywordIndex) -> int:
 
 
 def read_keyword_index(path: str | Path) -> KeywordIndex:
-    r = _Reader(Path(path), MAGIC_INDEX)
+    r = _Reader(_read_bytes(Path(path)), MAGIC_INDEX, str(path))
     count = r.u32()
     postings: dict[str, list[int]] = {}
     for _ in range(count):
@@ -455,29 +438,34 @@ def read_keyword_index(path: str | Path) -> KeywordIndex:
 
 def write_store(store_dir: str | Path, g: DataGraph, clustering: Clustering,
                 cluster_graph: ClusterGraph, metadata: ClusterMetadata) -> None:
-    """Write graph.emb and every cluster file for a finished clustering."""
+    """Write clusters.emb, then graph.emb, for a finished clustering."""
     store_dir = Path(store_dir)
+    store_dir.mkdir(parents=True, exist_ok=True)
     k = clustering.cluster_count
     intra = np.zeros(k, dtype=np.int64)
     crossing = np.zeros(k, dtype=np.int64)
-    writer = ClusterStoreWriter(store_dir, k)
-    for c in range(k):
-        payload = make_cluster_payload(g, clustering, c)
-        intra[c] = len(payload.intra_src)
-        writer.write(payload)
-    for u, v, *_ in g.links():
-        cu = int(clustering.node_mapping[u])
-        cv = int(clustering.node_mapping[v])
-        if cu != cv:
-            crossing[cu] += 1
-            crossing[cv] += 1
-    header = StoreHeader(cluster_graph, clustering, metadata, intra, crossing)
+    offset = np.zeros(k + 1, dtype=np.int64)
+    crc = np.zeros(k, dtype=np.int64)
+    with open(store_dir / CLUSTERS_FILE, "wb") as fh:
+        for c in range(k):
+            payload = make_cluster_payload(g, clustering, c)
+            intra[c] = len(payload.intra_src)
+            crossing[c] += len(payload.bound_src)
+            np.add.at(crossing, payload.bound_cluster, 1)
+            record = write_cluster(payload)
+            fh.write(record)
+            offset[c + 1] = offset[c] + len(record)
+            crc[c] = int.from_bytes(record[-4:], "little")
+        fh.flush()
+        os.fsync(fh.fileno())
+    header = StoreHeader(cluster_graph, clustering, metadata, intra, crossing,
+                         offset, crc)
     write_compressed_graph(store_dir / GRAPH_FILE, header)
 
 
 @dataclass
 class ExpandedGraph:
-    """A node-level subgraph rebuilt from cluster files."""
+    """A node-level subgraph rebuilt from cluster records."""
 
     graph: DataGraph
     global_ids: np.ndarray          # int64, local -> original node id
@@ -499,7 +487,15 @@ class ClusterStore:
     @classmethod
     def open(cls, store_dir: str | Path) -> ClusterStore:
         store_dir = Path(store_dir)
-        return cls(store_dir, read_compressed_graph(store_dir / GRAPH_FILE))
+        header = read_compressed_graph(store_dir / GRAPH_FILE)
+        path = store_dir / CLUSTERS_FILE
+        try:
+            size = path.stat().st_size
+        except OSError as exc:
+            raise StorageError(f"{path}: {exc}") from exc
+        if size != header.record_offset[-1]:
+            raise StorageFormatError(f"{path}: length differs from {GRAPH_FILE}")
+        return cls(store_dir, header)
 
     @property
     def cluster_graph(self) -> ClusterGraph:
@@ -510,23 +506,24 @@ class ClusterStore:
         return self.header.clustering
 
     @property
-    def metadata(self) -> ClusterMetadata:
-        return self.header.metadata
-
-    @property
     def cluster_count(self) -> int:
         return self.clustering.cluster_count
 
     def read_cluster(self, cluster_id: int) -> ClusterPayload:
         if cluster_id in self._cache:
             return self._cache[cluster_id]
-        name = cluster_file_name(cluster_id, self.cluster_count)
-        path = self.dir / CLUSTER_DIR / name
-        payload = read_cluster(path)
+        path = self.dir / CLUSTERS_FILE
+        start, end = self.header.record_offset[cluster_id:cluster_id + 2].tolist()
+        record = _read_bytes(path, start, end - start)
+        name = f"{path} cluster {cluster_id}"
+        crc = int.from_bytes(record[-4:], "little")
+        if crc != self.header.record_crc[cluster_id]:
+            raise StorageFormatError(f"{name}: CRC differs from {GRAPH_FILE}")
+        payload = read_cluster(record, name)
         if payload.cluster_id != cluster_id:
-            raise StorageFormatError(f"{path}: holds cluster {payload.cluster_id}")
+            raise StorageFormatError(f"{name}: holds cluster {payload.cluster_id}")
         self.clusters_read += 1
-        self.bytes_read += path.stat().st_size
+        self.bytes_read += len(record)
         self._cache[cluster_id] = payload
         return payload
 
@@ -552,14 +549,11 @@ class ClusterStore:
             self._index = read_keyword_index(self.dir / INDEX_FILE)
         return self._index
 
-    def tuple_graph(self) -> tuple[DataGraph, NodeMeta]:
-        return read_tuple_graph(self.dir / TUPLES_FILE)
-
 
 def expand_clusters(store: ClusterStore, cluster_ids) -> ExpandedGraph:
     """Materialize the subgraph induced by the given clusters.
 
-    Intra links come straight from each file; boundary links are included
+    Intra links come straight from each record; boundary links are included
     only when both endpoints' clusters are requested, and the stored record
     provides the weights of both directions.
     """

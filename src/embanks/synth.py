@@ -163,7 +163,8 @@ def generate_synthetic(spec: SynthSpec, out_dir: str | Path) -> dict:
     _write_tsv(out / "writes.tsv", ["id", "author", "paper"], writes)
     _write_tsv(out / "cites.tsv", ["id", "src", "dst"], cites)
 
-    queries = [" ".join(high_pair(0)), " ".join(high_pair(1))]
+    words = {w for _, title in papers for w in title.split()}
+    queries = [" ".join(p) for p in (high_pair(0), high_pair(1)) if set(p) <= words]
     queries += [" ".join(low_pair(i)) for i in range(min(2, n_pairs))]
     (out / "queries.txt").write_text("\n".join(queries) + "\n", encoding="utf-8")
 

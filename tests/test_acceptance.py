@@ -31,8 +31,8 @@ from embanks.scoring import ScoreConfig
 from embanks.search import (COMBOS_BEST, KeywordSets, NoMatchError,
                             SearchConfig, backward_search, init_activation,
                             spread_activation)
-from embanks.storage import (INDEX_FILE, TUPLES_FILE, ClusterStore,
-                             expand_clusters, read_cluster,
+from embanks.storage import (CLUSTERS_FILE, INDEX_FILE, TUPLES_FILE,
+                             ClusterStore, expand_clusters, read_cluster,
                              read_compressed_graph, read_keyword_index,
                              read_tuple_graph, write_cluster,
                              write_compressed_graph, write_keyword_index,
@@ -266,10 +266,14 @@ def test_criterion_07_storage_round_trip(tmp_path):
         assert (scratch / "i.kwi").read_bytes() == \
             (d / INDEX_FILE).read_bytes()
 
-        for f in sorted((d / "clusters").iterdir()):
-            payload = read_cluster(f)
-            write_cluster(scratch / "c.clu", payload)
-            assert (scratch / "c.clu").read_bytes() == f.read_bytes()
+        packed = (d / CLUSTERS_FILE).read_bytes()
+        offset = header.record_offset
+        assert len(packed) == offset[-1]
+        for c in range(header.clustering.cluster_count):
+            record = packed[offset[c]:offset[c + 1]]
+            payload = read_cluster(record)
+            assert payload.cluster_id == c
+            assert write_cluster(payload) == record
 
         sub = expand_clusters(store, range(store.clustering.cluster_count))
         assert sub.graph.node_count == g.node_count

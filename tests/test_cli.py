@@ -1,6 +1,7 @@
 """Command line driver: pipeline wiring, output shape, determinism."""
 
 import json
+import shutil
 
 import pytest
 
@@ -106,6 +107,45 @@ def test_missing_store_errors(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["query", "--store", str(tmp_path / "nope"), "x"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def _query_fails(store, capsys):
+    capsys.readouterr()
+    assert cli.main(["query", "--store", str(store), " ".join(low_pair(0))]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
+
+
+def test_reingest_needs_cluster_before_query(corpus, tmp_path, capsys):
+    _, store = corpus
+    copy = tmp_path / "store"
+    shutil.copytree(store, copy)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"papers": 8, "authors": 4, "writes": 10,
+                                "cites": 4, "rare_pairs": 2, "seed": 2}))
+    data = tmp_path / "data"
+    assert cli.main(["synth", "--spec", str(spec), "--out", str(data)]) == 0
+    assert cli.main(["ingest", "--schema", str(data / "schema.txt"),
+                     "--data", str(data), "--out", str(copy)]) == 0
+    assert "graph.emb" in _query_fails(copy, capsys)
+    assert cli.main(["cluster", "--store", str(copy), "--size", "5"]) == 0
+    capsys.readouterr()
+    assert cli.main(["query", "--store", str(copy), " ".join(low_pair(0))]) == 0
+    assert capsys.readouterr().out.startswith("1\t")
+
+
+def test_foreign_or_resized_cluster_file_errors(corpus, tmp_path, capsys):
+    _, store = corpus
+    mine, other = tmp_path / "mine", tmp_path / "other"
+    shutil.copytree(store, mine)
+    shutil.copytree(store, other)
+    assert cli.main(["cluster", "--store", str(other), "--size", "4"]) == 0
+    good = (mine / "clusters.emb").read_bytes()
+    for data in ((other / "clusters.emb").read_bytes(), good[:-1],
+                 good + b"\x00"):
+        (mine / "clusters.emb").write_bytes(data)
+        assert "clusters.emb" in _query_fails(mine, capsys)
 
 
 def test_bad_synth_spec_errors(tmp_path, capsys):

@@ -15,6 +15,7 @@ from embanks.keywords import build_index
 from embanks.scoring import AnswerTree, ScoredAnswer
 from embanks.search import NoMatchError, SearchConfig, backward_search
 from embanks.storage import (INDEX_FILE, TUPLES_FILE, ClusterStore,
+                             StorageError, expand_clusters,
                              write_keyword_index, write_tuple_graph)
 
 from conftest import random_graph
@@ -212,9 +213,18 @@ def test_build_store_summary(rng, tmp_path):
     assert summary["links"] == g.slot_count // 2
     assert summary["clusters"] == store.cluster_count
     assert summary["algorithm"] == "close1"
-    assert (tmp_path / "clusters").exists()
-    files = sorted((tmp_path / "clusters").iterdir())
-    assert len(files) == summary["clusters"]
+    four = ["clusters.emb", "graph.emb", "index.kwi", "tuples.emb"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == four
+    # re-clustering into fewer clusters leaves no stale cluster data
+    fewer = build_store(tmp_path, "close1", 15)
+    assert fewer["clusters"] < summary["clusters"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == four
+    store = ClusterStore.open(tmp_path)
+    assert (tmp_path / "clusters.emb").stat().st_size == \
+        store.header.record_offset[-1]
+    sub = expand_clusters(store, range(store.cluster_count))
+    assert sub.graph.node_count == g.node_count
+    assert sub.graph.slot_count == g.slot_count
 
 
 def test_compare_precision_report():
@@ -258,3 +268,9 @@ def test_ingest_to_store_end_to_end(rng, tmp_path):
     names = [meta.node_text[n] for n in top.tree.nodes]
     assert any("alice" in t for t in names)
     assert any("paris" in t for t in names)
+    # re-ingesting drops the cluster store built from the old tuples
+    ingest_to_store(data / "schema.txt", data, store_dir)
+    assert sorted(p.name for p in store_dir.iterdir()) == \
+        ["index.kwi", "tuples.emb"]
+    with pytest.raises(StorageError):
+        ClusterStore.open(store_dir)

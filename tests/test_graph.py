@@ -90,10 +90,11 @@ def test_validate_rejects_broken_pairing(rng):
 
 
 def test_validate_rejects_nonpositive_weight(rng):
-    g = random_graph(rng, 8)
-    g.edge_weight[3] = 0.0
-    with pytest.raises(GraphError):
-        g.validate()
+    for bad in (0.0, float("nan"), float("inf")):
+        g = random_graph(rng, 8)
+        g.edge_weight[3] = bad
+        with pytest.raises(GraphError):
+            g.validate()
 
 
 def test_backward_weights_formula(rng):

@@ -7,13 +7,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from embanks.clustering import (WeightConfig, build_cluster_graph,
-                                compute_cluster_metadata)
+from embanks.clustering import (WeightConfig, _from_member_lists,
+                                build_cluster_graph, compute_cluster_metadata)
 from embanks.graph import NodeMeta
 from embanks.keywords import KeywordIndex
-from embanks.storage import (ClusterStore, ClusterStoreWriter, StorageError,
-                             StorageFormatError, StorageOrderError,
-                             cluster_file_name, expand_clusters,
+from embanks.storage import (CLUSTERS_FILE, ClusterStore, StorageError,
+                             StorageFormatError, expand_clusters,
                              make_cluster_payload, read_cluster,
                              read_compressed_graph, read_keyword_index,
                              read_tuple_graph, write_cluster,
@@ -44,9 +43,11 @@ def link_multiset(g, ids=None):
     return out
 
 
-def built_store(rng, tmp_path, n=24):
-    g = random_graph(rng, n, extra_links=rng.randint(2, n))
-    cl = grown_clustering(rng, "close1", g, 4)
+def built_store(rng, tmp_path, n=24, cl=None, g=None):
+    if g is None:
+        g = random_graph(rng, n, extra_links=rng.randint(2, n))
+    if cl is None:
+        cl = grown_clustering(rng, "close1", g, 4)
     cg = build_cluster_graph(g, cl)
     meta = compute_cluster_metadata(g, cl)
     write_store(tmp_path, g, cl, cg, meta)
@@ -80,7 +81,9 @@ def test_compressed_graph_round_trip(rng, tmp_path):
     k = cl.cluster_count
     header = StoreHeader(cg, cl, meta,
                          np.arange(k, dtype=np.int64),
-                         np.arange(k, dtype=np.int64) * 2)
+                         np.arange(k, dtype=np.int64) * 2,
+                         np.arange(k + 1, dtype=np.int64) * (1 << 33),
+                         np.arange(k, dtype=np.int64) + 0xFFFF0000)
     p1, p2 = tmp_path / "a.emb", tmp_path / "b.emb"
     write_compressed_graph(p1, header)
     h2 = read_compressed_graph(p1)
@@ -97,26 +100,26 @@ def test_compressed_graph_round_trip(rng, tmp_path):
     assert np.allclose(h2.metadata.diameter, meta.diameter, rtol=1e-6)
     assert np.array_equal(h2.intra_links, header.intra_links)
     assert np.array_equal(h2.crossing_links, header.crossing_links)
+    assert np.array_equal(h2.record_offset, header.record_offset)
+    assert np.array_equal(h2.record_crc, header.record_crc)
     write_compressed_graph(p2, h2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_cluster_payload_round_trip(rng, tmp_path):
+def test_cluster_payload_round_trip(rng):
     g = random_graph(rng, 18, extra_links=9)
     cl = random_clustering(rng, 18, 5)
-    p1, p2 = tmp_path / "a.clu", tmp_path / "b.clu"
     for c in range(cl.cluster_count):
         payload = make_cluster_payload(g, cl, c)
         assert np.all(payload.bound_cluster != c)
-        write_cluster(p1, payload)
-        back = read_cluster(p1)
+        record = write_cluster(payload)
+        back = read_cluster(record)
         assert back.cluster_id == c
         for name in ("members", "prestige", "node_type", "intra_src",
                      "intra_dst", "intra_w", "bound_src", "bound_dst",
                      "bound_cluster", "bound_w"):
             assert np.array_equal(getattr(back, name), getattr(payload, name)), name
-        write_cluster(p2, back)
-        assert p1.read_bytes() == p2.read_bytes()
+        assert write_cluster(back) == record
 
 
 def test_keyword_index_round_trip(tmp_path):
@@ -130,13 +133,6 @@ def test_keyword_index_round_trip(tmp_path):
     assert back.postings == index.postings
     write_keyword_index(p2, back)
     assert p1.read_bytes() == p2.read_bytes()
-
-
-def test_cluster_file_name_widths():
-    assert cluster_file_name(7, 900) == "0007.clu"
-    assert cluster_file_name(7, 12345) == "00007.clu"
-    assert cluster_file_name(0, 4) == "0000.clu"
-    assert cluster_file_name(123, 10000) == "00123.clu"
 
 
 def test_corruption_detection(rng, tmp_path):
@@ -166,25 +162,70 @@ def test_corruption_detection(rng, tmp_path):
     with pytest.raises(StorageFormatError):
         read_tuple_graph(path)
 
-    for version in (1, 99):
-        versioned = bytearray(raw)
+    def restamped(blob, version):
+        versioned = bytearray(blob)
         versioned[4] = version
         body = bytes(versioned[:-4])
-        path.write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))
+        return body + zlib.crc32(body).to_bytes(4, "little")
+
+    path.write_bytes(restamped(raw, 3))
+    read_tuple_graph(path)
+    for version in (1, 2, 4, 99):
+        path.write_bytes(restamped(raw, version))
         with pytest.raises(StorageFormatError, match="unsupported version"):
             read_tuple_graph(path)
 
+    record = write_cluster(make_cluster_payload(g, random_clustering(rng, 12, 4), 0))
+    read_cluster(restamped(record, 3))
+    for version in (1, 2, 4, 99):
+        with pytest.raises(StorageFormatError, match="unsupported version"):
+            read_cluster(restamped(record, version))
 
-def test_store_writer_enforces_ascending_ids(rng, tmp_path):
-    g = random_graph(rng, 8, extra_links=2)
-    cl = random_clustering(rng, 8, 3)
-    writer = ClusterStoreWriter(tmp_path, cl.cluster_count)
-    writer.write(make_cluster_payload(g, cl, 1))
-    with pytest.raises(StorageOrderError):
-        writer.write(make_cluster_payload(g, cl, 0))
-    with pytest.raises(StorageOrderError):
-        writer.write(make_cluster_payload(g, cl, 1))
-    writer.write(make_cluster_payload(g, cl, 2))
+
+def first_failure(store_dir):
+    """'open', the first cluster whose read fails, or None if all read."""
+    try:
+        store = ClusterStore.open(store_dir)
+    except StorageFormatError:
+        return "open"
+    for c in range(store.cluster_count):
+        try:
+            store.read_cluster(c)
+        except StorageFormatError:
+            return c
+    return None
+
+
+def test_foreign_or_damaged_cluster_file_is_rejected(rng, tmp_path):
+    g, cl, store = built_store(rng, tmp_path / "a", n=30)
+    k = cl.cluster_count
+    good = (tmp_path / "a" / CLUSTERS_FILE).read_bytes()
+    assert first_failure(tmp_path / "a") is None
+
+    # other builds of the same graph: a coarser clustering, and the same
+    # partition with its ids reversed, which packs to the same length
+    built_store(rng, tmp_path / "b", g=g,
+                cl=grown_clustering(rng, "close1", g, 3))
+    reversed_ids = _from_member_lists(
+        [cl.members(c).tolist() for c in reversed(range(k))],
+        cl.node_count, cl.max_cluster_size)
+    built_store(rng, tmp_path / "c", g=g, cl=reversed_ids)
+    other = (tmp_path / "b" / CLUSTERS_FILE).read_bytes()
+    same_length = (tmp_path / "c" / CLUSTERS_FILE).read_bytes()
+    assert len(other) != len(good)
+    assert len(same_length) == len(good) and same_length != good
+
+    target = tmp_path / "a" / CLUSTERS_FILE
+    offset = store.header.record_offset
+    cases = [(other, "open"), (same_length, 0),
+             (good[:-1], "open"), (good + b"\x00", "open")]
+    for c in range(k):
+        flipped = bytearray(good)
+        flipped[rng.randrange(int(offset[c]), int(offset[c + 1]))] ^= 0x10
+        cases.append((bytes(flipped), c))
+    for data, expected in cases:
+        target.write_bytes(data)
+        assert first_failure(tmp_path / "a") == expected
 
 
 def test_expand_all_clusters_restores_graph(rng, tmp_path):
@@ -220,10 +261,8 @@ def test_expand_subset_keeps_internal_links_only(rng, tmp_path):
 def test_store_read_stats_and_cache(rng, tmp_path):
     g, cl, store = built_store(rng, tmp_path)
     first = store.read_cluster(0)
-    size = (tmp_path / "clusters" /
-            cluster_file_name(0, cl.cluster_count)).stat().st_size
     assert store.clusters_read == 1
-    assert store.bytes_read == size
+    assert store.bytes_read == len(write_cluster(first))
     again = store.read_cluster(0)
     assert again is first
     assert store.clusters_read == 1

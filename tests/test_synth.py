@@ -42,6 +42,25 @@ def test_counts_and_summary(tmp_path):
     assert queries[2] == " ".join(low_pair(0))
 
 
+@pytest.mark.parametrize("spec, left_out", [
+    (SMALL, None),
+    # no title of this corpus says "query"
+    (SynthSpec(papers=60, authors=20, writes=90, cites=30, rare_pairs=3,
+               seed=5), " ".join(high_pair(0))),
+])
+def test_queries_use_only_corpus_words(tmp_path, spec, left_out):
+    generate_synthetic(spec, tmp_path)
+    words = set()
+    for name in ("paper.tsv", "author.tsv"):
+        for line in (tmp_path / name).read_text().splitlines()[1:]:
+            words.update(line.split("\t")[1].split())
+    queries = (tmp_path / "queries.txt").read_text().splitlines()
+    assert " ".join(low_pair(0)) in queries
+    assert left_out not in queries
+    for query in queries:
+        assert set(query.split()) <= words, query
+
+
 def test_ingest_counts(tmp_path):
     generate_synthetic(SMALL, tmp_path / "data")
     g, _, warnings = ingest_to_store(tmp_path / "data" / "schema.txt",
