@@ -203,6 +203,11 @@ class OutputHeap:
     def emitted(self) -> list[ScoredAnswer]:
         return list(self._emitted)
 
+    @property
+    def emitted_count(self) -> int:
+        """``len(emitted)`` without copying the list."""
+        return len(self._emitted)
+
     def push(self, answer: ScoredAnswer) -> list[ScoredAnswer]:
         heapq.heappush(self._heap, (answer.sort_key(), self._seq, answer))
         self._seq += 1

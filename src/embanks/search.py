@@ -158,29 +158,45 @@ def spread_activation(state: ActivationState, source: int,
 # --- answer assembly ------------------------------------------------------
 
 def _tight_path(g: DataGraph, dist: dict[int, float],
+                succ: dict[int, tuple[int, float]],
                 start: int) -> list[tuple[int, int, float]]:
-    """Walk from ``start`` to the distance-0 node along tight edges.
+    """Walk from settled ``start`` to the distance-0 node along tight edges.
 
-    At every step the successor is the smallest-id out-neighbor whose
-    distance plus the edge weight exactly reproduces the current distance,
-    which makes the extracted path the lexicographically smallest of the
-    minimum-cost ones.
+    At every step the successor is the smallest-id out-neighbor ``v`` whose
+    distance plus the edge weight ``w`` exactly reproduces the current
+    distance, which makes the extracted path the lexicographically smallest
+    of the minimum-cost ones.
+
+    ``succ`` is the iterator's tight-successor table: it maps a node to its
+    ``(v, w)`` and is filled the first time a walk passes through the node,
+    so each node's out-edges are scanned at most once per iterator and a
+    path costs its length.  Reusing an entry is exact.  Every node on the
+    walk is settled, so its distance is final.  A tight successor has
+    ``dist[v] < dist[x]`` because ``w > 0``, so it was settled before
+    ``x``; a node reached later has a final distance of at least
+    ``dist[x]`` and can never become tight for ``x``.  The candidate set,
+    and with it the smallest id, is therefore fixed once ``x`` is settled.
+    Both this argument and the walk's termination need ``w + dist[v]`` to
+    exceed ``dist[v]`` in floating point, i.e. weights that are not
+    negligible against the distances.
     """
     edges: list[tuple[int, int, float]] = []
     x = start
     while dist[x] > 0.0:
-        best: tuple[int, float] | None = None
-        dx = dist[x]
-        for _, v, w in g.out_edges(x):
-            dv = dist.get(v)
-            if dv is None or w + dv != dx:
-                continue
-            if best is None or v < best[0]:
-                best = (v, w)
-        if best is None:  # cannot happen for settled nodes
-            raise RuntimeError(f"no tight successor at node {x}")
-        edges.append((x, best[0], best[1]))
-        x = best[0]
+        step = succ.get(x)
+        if step is None:
+            dx = dist[x]
+            for _, v, w in g.out_edges(x):
+                dv = dist.get(v)
+                if dv is None or w + dv != dx:
+                    continue
+                if step is None or v < step[0]:
+                    step = (v, w)
+            if step is None:  # cannot happen for settled nodes
+                raise RuntimeError(f"no tight successor at node {x}")
+            succ[x] = step
+        edges.append((x, step[0], step[1]))
+        x = step[0]
     return edges
 
 
@@ -264,8 +280,9 @@ def backward_search(g: DataGraph, ks: KeywordSets,
     Iterators advance globally by smallest tentative distance.  Whenever a
     node has been settled by at least one iterator per term, each fresh
     combination of arrived iterators yields an answer tree made of the
-    lexicographically canonical shortest paths from that root.  Runs until
-    the frontier is exhausted or the output bound releases ``cfg.k``
+    lexicographically canonical shortest paths from that root, read from
+    each iterator's tight-successor table (see ``_tight_path``).  Runs
+    until the frontier is exhausted or the output bound releases ``cfg.k``
     answers.
     """
     cfg = cfg or SearchConfig()
@@ -278,6 +295,7 @@ def backward_search(g: DataGraph, ks: KeywordSets,
     nsets = len(ks.sets)
     dist: list[dict[int, float]] = [dict() for _ in sources]
     settled: list[set[int]] = [set() for _ in sources]
+    succ: list[dict[int, tuple[int, float]]] = [dict() for _ in sources]
     heap: list[tuple[float, int, int]] = []
     for it, n in enumerate(sources):
         dist[it][n] = 0.0
@@ -309,8 +327,9 @@ def backward_search(g: DataGraph, ks: KeywordSets,
                 if combo in seen:
                     continue
                 seen.add(combo)
-                paths = [_tight_path(g, dist[c], x) for c in combo]
-                tree = _union_tree(x, paths, tuple(sources[c] for c in combo))
+                paths = {c: _tight_path(g, dist[c], succ[c], x) for c in set(combo)}
+                tree = _union_tree(x, list(paths.values()),
+                                   tuple(sources[c] for c in combo))
                 if tree is None or root_is_redundant(tree, ks):
                     continue
                 key = tree.identity_key()
@@ -319,7 +338,7 @@ def backward_search(g: DataGraph, ks: KeywordSets,
                 answer = score_tree(tree, g.prestige, cfg.score)
                 candidates[key] = answer
                 out.push(answer)
-        if len(out.emitted) >= cfg.k:
+        if out.emitted_count >= cfg.k:
             break
 
         for y, w_in in g.in_edges(x):
@@ -491,7 +510,7 @@ def bidirectional_search(g: DataGraph, ks: KeywordSets,
             r = pending_roots.popleft()
             if not emitted_roots[r]:
                 emit(r)
-        if len(out.emitted) >= cfg.k:
+        if out.emitted_count >= cfg.k:
             break
 
     stats.nodes_explored = int(np.count_nonzero(in_done) + np.count_nonzero(out_done))

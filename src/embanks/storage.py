@@ -429,9 +429,9 @@ def read_keyword_index(path: str | Path) -> KeywordIndex:
     postings: dict[str, list[int]] = {}
     for _ in range(count):
         term = r.string()
-        postings[term] = r.arr(r.u32(), "<u4").astype(np.int64).tolist()
+        postings[term] = r.arr(r.u32(), "<u4").tolist()
     r.done()
-    return KeywordIndex({t: [int(x) for x in p] for t, p in postings.items()})
+    return KeywordIndex(postings)
 
 
 # --- store assembly and expansion ----------------------------------------------

@@ -5,16 +5,17 @@ import random
 import numpy as np
 import pytest
 
-from embanks.graph import GraphBuilder
+from embanks.graph import DataGraph, GraphBuilder
 from embanks.scoring import EDGE_RECIPROCAL_SUM, ScoreConfig, score_tree
 from embanks.search import (COMBOS_ALL, COMBOS_BEST, ActivationState,
                             KeywordSets, NoMatchError, SearchConfig,
                             backward_search, bidirectional_search,
-                            init_activation, spread_activation,
-                            steiner_minimality_filter)
+                            _tight_path, init_activation,
+                            spread_activation, steiner_minimality_filter)
 
 from conftest import random_graph, random_keyword_sets
-from oracles import exhaustive_answers
+from oracles import (canonical_path, dijkstra_oracle, exhaustive_answers,
+                     graph_adjacency)
 
 REST_TOL = 1e-9
 
@@ -200,6 +201,76 @@ def test_early_termination_saves_exploration():
     _, full = backward_search(g, ks, SearchConfig(
         k=10 ** 6, score=ScoreConfig(edge_variant=EDGE_RECIPROCAL_SUM)))
     assert stats.nodes_explored < full.nodes_explored
+
+
+def test_answer_paths_scan_each_node_once_per_iterator(monkeypatch):
+    """Roots that share a high-degree node on their paths do not rescan it.
+
+    Thirty leaves hang off ``h2``, which joins ``h``, the neighbour of every
+    keyword node; ``kab`` matches both terms, so combination ``(kab, kab)``
+    occurs.  Walking every root's paths afresh would scan ``h2`` hundreds
+    of times; the tight-successor tables scan a node at most once per
+    iterator.
+    """
+    b = GraphBuilder()
+    ka, kb, kab, h, h2 = (b.add_node(1.0) for _ in range(5))
+    for k in (ka, kb, kab):
+        b.add_link(h, k, 1.0, 1.0)
+    b.add_link(h2, h, 1.0, 1.0)
+    for _ in range(30):
+        b.add_link(b.add_node(1.0), h2, 1.0, 1.0)
+    g = b.build()
+    ks = KeywordSets(["a", "b"], [frozenset({ka, kab}), frozenset({kb, kab})])
+    n_iterators = len(ks.sets[0] | ks.sets[1])
+
+    scans = {}
+    original = DataGraph.out_edges
+
+    def counting(self, node):
+        scans[node] = scans.get(node, 0) + 1
+        return original(self, node)
+
+    monkeypatch.setattr(DataGraph, "out_edges", counting)
+    answers, stats = backward_search(g, ks, SearchConfig(k=10 ** 6))
+    assert answers
+    assert stats.nodes_explored == n_iterators * g.node_count  # all settled
+    assert max(scans.values()) <= n_iterators
+    assert sum(scans.values()) <= stats.nodes_explored
+    assert scans[h2] >= 1
+
+
+def test_tied_paths_sharing_a_tail_take_the_smallest_id():
+    """Two roots reach ``s``, which has two equal-cost routes to ``k``.
+
+    Both answers must go through the smaller-id branch ``lo``, exactly as
+    the brute-force canonical path does.
+    """
+    b = GraphBuilder()
+    k, lo, hi, s, r1, r2, k2 = (b.add_node(1.0) for _ in range(7))
+    b.add_link(lo, k, 1.0, 1.0)
+    b.add_link(hi, k, 1.0, 1.0)
+    b.add_link(s, hi, 1.0, 1.0)
+    b.add_link(s, lo, 1.0, 1.0)
+    for r in (r1, r2):
+        b.add_link(r, s, 1.0, 1.0)
+        b.add_link(r, k2, 1.0, 1.0)
+    g = b.build()
+    ks = KeywordSets(["a", "b"], [frozenset({k}), frozenset({k2})])
+    answers, _ = backward_search(g, ks, SearchConfig(k=10 ** 6))
+    trees = {a.tree.root: set(a.tree.edges) for a in answers}
+
+    reverse = {}
+    for u, out in graph_adjacency(g).items():
+        for v, w in out:
+            reverse.setdefault(v, []).append((u, w))
+    dist = dijkstra_oracle(reverse, k)
+    shared = {}
+    for r in (r1, r2):
+        fresh = canonical_path(g, r, k)[2]
+        assert tuple(_tight_path(g, dist, shared, r)) == fresh
+        assert (s, lo, 1.0) in fresh
+        assert set(fresh) <= trees[r]
+        assert (s, hi, 1.0) not in trees[r]
 
 
 # --- activation -------------------------------------------------------------

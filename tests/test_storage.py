@@ -10,7 +10,7 @@ import pytest
 from embanks.clustering import (WeightConfig, _from_member_lists,
                                 build_cluster_graph, compute_cluster_metadata)
 from embanks.graph import NodeMeta
-from embanks.keywords import KeywordIndex
+from embanks.keywords import KeywordIndex, build_index
 from embanks.storage import (CLUSTERS_FILE, ClusterStore, StorageError,
                              StorageFormatError, expand_clusters,
                              make_cluster_payload, read_cluster,
@@ -133,6 +133,15 @@ def test_keyword_index_round_trip(tmp_path):
     assert back.postings == index.postings
     write_keyword_index(p2, back)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_keyword_index_round_trips_build_index(rng, tmp_path):
+    meta = random_meta(rng, 40)
+    index = build_index(meta, include_relation_names=True)
+    write_keyword_index(tmp_path / "i.kwi", index)
+    back = read_keyword_index(tmp_path / "i.kwi")
+    assert back.postings == index.postings
+    assert all(type(x) is int for p in back.postings.values() for x in p)
 
 
 def test_corruption_detection(rng, tmp_path):
