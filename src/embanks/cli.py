@@ -129,8 +129,9 @@ def cmd_compare(args) -> int:
         terms = tokenize(line)
         try:
             result = two_phase_query(store, terms, cfg)
-            reference, _ = single_phase_query(g, index, terms, args.algo2,
-                                              SearchConfig(k=args.k))
+            reference, _ = single_phase_query(
+                g, index, terms, args.algo2,
+                SearchConfig(k=args.k, combos=args.combos))
         except NoMatchError as exc:
             print(f"{' '.join(terms)}\tno-match={exc.term}")
             continue

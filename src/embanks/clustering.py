@@ -287,15 +287,9 @@ CLUSTER_ALGORITHMS = {
 
 @dataclass
 class ClusterGraph:
-    """Contracted graph plus per-superedge bookkeeping.
-
-    ``min_crossing[j]`` is the cheapest member edge behind superedge slot
-    ``j``; the combined weight in ``graph.edge_weight[j]`` can sit below
-    every member edge, so cost bounds use the minimum instead.
-    """
+    """Contracted graph plus the combiners that merged its weights."""
 
     graph: DataGraph
-    min_crossing: np.ndarray  # float32 [superedge slots]
     wcfg: WeightConfig
 
 
@@ -330,7 +324,6 @@ def build_cluster_graph(g: DataGraph, clustering: Clustering,
     weight = np.zeros(m, dtype=np.float32)
     direction = np.zeros(m, dtype=bool)
     pair_slot = np.zeros(m, dtype=np.int64)
-    min_crossing = np.zeros(m, dtype=np.float32)
     slot_of: dict[tuple[int, int], int] = {}
     fill = offset[:-1].copy()
     for cu, cv in pairs:
@@ -340,7 +333,6 @@ def build_cluster_graph(g: DataGraph, clustering: Clustering,
         slots = buckets[(cu, cv)]
         weight[j] = np.float32(combine_edge_weights(
             [float(g.edge_weight[s]) for s in slots], wcfg.edge_combiner))
-        min_crossing[j] = np.float32(min(float(g.edge_weight[s]) for s in slots))
     for cu, cv in pairs:
         j = slot_of[(cu, cv)]
         pair_slot[j] = slot_of[(cv, cu)]
@@ -364,7 +356,24 @@ def build_cluster_graph(g: DataGraph, clustering: Clustering,
         edge_direction=direction,
         pair_slot=pair_slot,
     )
-    return ClusterGraph(graph, min_crossing, wcfg)
+    return ClusterGraph(graph, wcfg)
+
+
+def min_crossing_weights(g: DataGraph, clustering: Clustering
+                         ) -> dict[tuple[int, int], float]:
+    """Cheapest member edge behind each superedge, by ordered cluster pair.
+
+    A combined superedge weight can sit below every member edge behind
+    it, so ``answer_cost_bounds`` charges this minimum instead.
+    """
+    mapping = clustering.node_mapping
+    out: dict[tuple[int, int], float] = {}
+    for cu, cv, w in zip(mapping[g.slot_source].tolist(),
+                         mapping[g.adjacent_nodes].tolist(),
+                         g.edge_weight.tolist()):
+        if cu != cv and w < out.get((cu, cv), math.inf):
+            out[(cu, cv)] = w
+    return out
 
 
 @dataclass
@@ -444,8 +453,9 @@ def answer_cost_bounds(answer: AnswerTree, meta: ClusterMetadata,
 
     The lower bound charges every non-keyword, non-root cluster its
     cheapest pass-through cost; any expansion must enter and leave those.
-    The upper bound pays the cheapest member edge for every superedge plus
-    each cluster's diameter for the internal stitching.
+    The upper bound pays the cheapest member edge for every superedge
+    (``min_crossing``, from ``min_crossing_weights``; the superedge weight
+    when omitted) plus each cluster's diameter for the internal stitching.
     """
     lower = 0.0
     for c in answer.nodes:

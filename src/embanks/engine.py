@@ -15,8 +15,9 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+# compute_cluster_metadata is unused here; bench/spans.py wraps it by this name.
 from .clustering import (CLUSTER_ALGORITHMS, ClusteringError, WeightConfig,
-                         build_cluster_graph, compute_cluster_metadata)
+                         build_cluster_graph, compute_cluster_metadata)  # noqa: F401
 from .graph import DataGraph, NodeMeta, build_graph, parse_schema
 from .keywords import KeywordIndex, build_index
 from .scoring import AnswerTree, ScoreConfig, ScoredAnswer, is_acceptable
@@ -108,8 +109,7 @@ def build_store(store_dir: str | Path, algorithm: str = "close1",
     g, _ = read_tuple_graph(store_dir / TUPLES_FILE)
     clustering = run_clustering(g, algorithm, max_size, seed)
     cluster_graph = build_cluster_graph(g, clustering, wcfg)
-    metadata = compute_cluster_metadata(g, clustering)
-    write_store(store_dir, g, clustering, cluster_graph, metadata)
+    write_store(store_dir, g, clustering, cluster_graph)
     return {
         "nodes": g.node_count,
         "links": g.slot_count // 2,

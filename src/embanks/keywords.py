@@ -5,8 +5,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .graph import NodeMeta
 
 TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -54,14 +52,3 @@ def build_index(meta: NodeMeta, include_relation_names: bool = False) -> Keyword
             for term in tokenize(name):
                 acc.setdefault(term, set()).add(node)
     return KeywordIndex({term: sorted(nodes) for term, nodes in sorted(acc.items())})
-
-
-def project_to_clusters(index: KeywordIndex, node_mapping: np.ndarray) -> KeywordIndex:
-    """Map a node-level index through node->cluster assignment.
-
-    Posting lists become the deduplicated, sorted image under the mapping.
-    """
-    projected: dict[str, list[int]] = {}
-    for term, nodes in index.postings.items():
-        projected[term] = sorted({int(node_mapping[n]) for n in nodes})
-    return KeywordIndex(projected)

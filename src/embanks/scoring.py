@@ -27,14 +27,12 @@ class ScoreConfig:
     ``E * N ** nw``.  ``edge_variant`` selects how the summed edge weight
     becomes a score in (0, 1]: ``as-written`` uses 1 / (1 + 1 / sum) and so
     rewards heavier trees; ``reciprocal-sum`` uses 1 / (1 + sum) and rewards
-    lighter ones.  ``good_fraction`` is the slack, as a fraction of the best
-    score, inside which an answer still counts as good.
+    lighter ones.
     """
 
     node_weight: float = 0.2
     combine: str = ADDITIVE
     edge_variant: str = EDGE_AS_WRITTEN
-    good_fraction: float = 0.05
 
 
 @dataclass(frozen=True)
@@ -157,15 +155,6 @@ def score_tree(tree: AnswerTree, prestige: np.ndarray, cfg: ScoreConfig) -> Scor
     return ScoredAnswer(tree, n, e, tree_score(n, e, cfg))
 
 
-def answer_quality(score: float, best_score: float) -> float:
-    """Distance from the best answer's score; 0 is best, larger is worse."""
-    return best_score - score
-
-
-def is_good(score: float, best_score: float, cfg: ScoreConfig) -> bool:
-    return answer_quality(score, best_score) <= cfg.good_fraction * abs(best_score)
-
-
 def is_acceptable(tree: AnswerTree, baseline: list[ScoredAnswer]) -> bool:
     """No bigger than the largest answer a trusted baseline produced.
 
@@ -192,7 +181,7 @@ class OutputHeap:
     def __init__(self) -> None:
         self._heap: list[tuple] = []
         self._bound = float("inf")
-        self._emitted: list[ScoredAnswer] = []
+        self._emitted_count = 0
         self._seq = 0
 
     @property
@@ -200,13 +189,9 @@ class OutputHeap:
         return self._bound
 
     @property
-    def emitted(self) -> list[ScoredAnswer]:
-        return list(self._emitted)
-
-    @property
     def emitted_count(self) -> int:
-        """``len(emitted)`` without copying the list."""
-        return len(self._emitted)
+        """Answers released so far."""
+        return self._emitted_count
 
     def push(self, answer: ScoredAnswer) -> list[ScoredAnswer]:
         heapq.heappush(self._heap, (answer.sort_key(), self._seq, answer))
@@ -217,14 +202,9 @@ class OutputHeap:
         self._bound = min(self._bound, bound)
         return self._release()
 
-    def drain(self) -> list[ScoredAnswer]:
-        """Emit everything left, best first."""
-        self._bound = float("-inf")
-        return self._release()
-
     def _release(self) -> list[ScoredAnswer]:
         out: list[ScoredAnswer] = []
         while self._heap and self._heap[0][2].score >= self._bound:
             out.append(heapq.heappop(self._heap)[2])
-        self._emitted.extend(out)
+        self._emitted_count += len(out)
         return out

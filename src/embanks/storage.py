@@ -1,8 +1,8 @@
 """On-disk store: one compressed cluster-level graph plus one packed cluster file.
 
-Layout under a store directory (format 3)::
+Layout under a store directory (format 4)::
 
-    graph.emb       cluster graph, clustering arrays, per-cluster metadata,
+    graph.emb       cluster graph, clustering arrays, per-cluster link counts,
                     and each cluster record's byte offset and CRC32
     clusters.emb    the cluster records in id order: a cluster's members with
                     their prestige and type, and its intra and boundary
@@ -14,10 +14,13 @@ Layout under a store directory (format 3)::
 A graph stores per slot only its target, weight, direction bit and partner
 slot.  All integers are little-endian and ids fit 32 bits; weights are
 32-bit floats; strings carry a 32-bit byte length.  Every file and every
-cluster record begins with a four-byte magic and the format version and
-ends with a CRC32 of everything before it; graph.emb also fixes the length
-and record CRCs of clusters.emb.  Any other version is rejected, so a store
-written by an older release must be rebuilt with ``ingest`` then ``cluster``.
+cluster record begins with a four-byte magic and a version and ends with a
+CRC32 of everything before it; graph.emb also fixes the length and record
+CRCs of clusters.emb.  Files carry the format version; cluster records keep
+version 3, their layout since format 3.  Any other version is rejected, so
+a store written by an older release must be rebuilt with ``ingest`` then
+``cluster``.  Cluster cost bounds are not stored: ``clustering`` derives
+them from the tuple graph and the clustering when they are needed.
 """
 
 from __future__ import annotations
@@ -29,8 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .clustering import (ClusterGraph, ClusterMetadata, Clustering,
-                         WeightConfig)
+from .clustering import ClusterGraph, Clustering, WeightConfig
 from .graph import DataGraph, GraphBuilder, NodeMeta, estimate_memory
 from .keywords import KeywordIndex
 
@@ -43,7 +45,8 @@ MAGIC_GRAPH = b"EMBK"
 MAGIC_TUPLES = b"EMBT"
 MAGIC_CLUSTER = b"EMBC"
 MAGIC_INDEX = b"EMBI"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
+RECORD_VERSION = 3
 
 _EDGE_COMBINER_IDS = {"inverse-sum": 0, "harmonic-mean": 1, "min": 2}
 _PRESTIGE_COMBINER_IDS = {"sum": 0, "max": 1, "avg": 2}
@@ -110,7 +113,8 @@ def _read_bytes(path: Path, start: int = 0, size: int = -1) -> bytes:
 
 
 class _Reader:
-    def __init__(self, blob: bytes, magic: bytes, name: str) -> None:
+    def __init__(self, blob: bytes, magic: bytes, name: str,
+                 expected_version: int = FORMAT_VERSION) -> None:
         self.name = name
         if len(blob) < 12:
             raise StorageFormatError(f"{name}: truncated file")
@@ -123,7 +127,7 @@ class _Reader:
         if got != magic:
             raise StorageFormatError(f"{name}: bad magic {got!r}")
         version = self.u32()
-        if version != FORMAT_VERSION:
+        if version != expected_version:
             raise StorageFormatError(f"{name}: unsupported version {version}")
 
     def raw(self, n: int) -> bytes:
@@ -228,7 +232,6 @@ def read_tuple_graph(path: str | Path) -> tuple[DataGraph, NodeMeta]:
 class StoreHeader:
     cluster_graph: ClusterGraph
     clustering: Clustering
-    metadata: ClusterMetadata
     intra_links: np.ndarray     # per cluster, link records inside it
     crossing_links: np.ndarray  # per cluster, crossing links incident to it
     record_offset: np.ndarray   # [k + 1] byte offsets of the records in clusters.emb
@@ -250,12 +253,9 @@ def write_compressed_graph(path: str | Path, header: StoreHeader) -> int:
     w.u8(_PRESTIGE_COMBINER_IDS[cg.wcfg.prestige_combiner])
     w.u16(0)
     _write_graph_arrays(w, cg.graph)
-    w.arr(cg.min_crossing, "<f4")
     w.arr(cl.node_mapping, "<u4")
     w.arr(cl.node_order, "<u4")
     w.arr(cl.cluster_offset, "<u4")
-    w.arr(header.metadata.diameter, "<f4")
-    w.arr(header.metadata.min_in_out, "<f4")
     w.arr(header.intra_links, "<u4")
     w.arr(header.crossing_links, "<u4")
     w.arr(header.record_offset, "<u8")
@@ -275,16 +275,11 @@ def read_compressed_graph(path: str | Path) -> StoreHeader:
     if edge_comb not in _EDGE_COMBINER_NAMES or prestige_comb not in _PRESTIGE_COMBINER_NAMES:
         raise StorageFormatError(f"{path}: unknown combiner ids")
     graph = _read_graph_arrays(r, k, m)
-    min_crossing = r.arr(m, "<f4")
     clustering = Clustering(
         node_mapping=r.arr(n, "<u4").astype(np.int64),
         node_order=r.arr(n, "<u4").astype(np.int64),
         cluster_offset=r.arr(k + 1, "<u4").astype(np.int64),
         max_cluster_size=max_size,
-    )
-    metadata = ClusterMetadata(
-        diameter=r.arr(k, "<f4").astype(np.float64),
-        min_in_out=r.arr(k, "<f4").astype(np.float64),
     )
     intra = r.arr(k, "<u4").astype(np.int64)
     crossing = r.arr(k, "<u4").astype(np.int64)
@@ -293,8 +288,8 @@ def read_compressed_graph(path: str | Path) -> StoreHeader:
     r.done()
     wcfg = WeightConfig(_EDGE_COMBINER_NAMES[edge_comb],
                         _PRESTIGE_COMBINER_NAMES[prestige_comb])
-    return StoreHeader(ClusterGraph(graph, min_crossing, wcfg),
-                       clustering, metadata, intra, crossing, offset, crc)
+    return StoreHeader(ClusterGraph(graph, wcfg), clustering, intra, crossing,
+                       offset, crc)
 
 
 # --- cluster records --------------------------------------------------------
@@ -326,7 +321,7 @@ class ClusterPayload:
 def write_cluster(payload: ClusterPayload) -> bytes:
     w = _Writer()
     w.raw(MAGIC_CLUSTER)
-    w.u32(FORMAT_VERSION)
+    w.u32(RECORD_VERSION)
     w.u32(payload.cluster_id)
     w.u32(len(payload.members))
     w.u32(len(payload.intra_src))
@@ -345,7 +340,7 @@ def write_cluster(payload: ClusterPayload) -> bytes:
 
 
 def read_cluster(record: bytes, name: str = "cluster record") -> ClusterPayload:
-    r = _Reader(record, MAGIC_CLUSTER, name)
+    r = _Reader(record, MAGIC_CLUSTER, name, RECORD_VERSION)
     cid = r.u32()
     nm = r.u32()
     ln = r.u32()
@@ -437,7 +432,7 @@ def read_keyword_index(path: str | Path) -> KeywordIndex:
 # --- store assembly and expansion ----------------------------------------------
 
 def write_store(store_dir: str | Path, g: DataGraph, clustering: Clustering,
-                cluster_graph: ClusterGraph, metadata: ClusterMetadata) -> None:
+                cluster_graph: ClusterGraph) -> None:
     """Write clusters.emb, then graph.emb, for a finished clustering."""
     store_dir = Path(store_dir)
     store_dir.mkdir(parents=True, exist_ok=True)
@@ -458,8 +453,7 @@ def write_store(store_dir: str | Path, g: DataGraph, clustering: Clustering,
             crc[c] = int.from_bytes(record[-4:], "little")
         fh.flush()
         os.fsync(fh.fileno())
-    header = StoreHeader(cluster_graph, clustering, metadata, intra, crossing,
-                         offset, crc)
+    header = StoreHeader(cluster_graph, clustering, intra, crossing, offset, crc)
     write_compressed_graph(store_dir / GRAPH_FILE, header)
 
 
@@ -534,15 +528,6 @@ class ClusterStore:
         slots = 2 * int(self.header.intra_links[cluster_id]) \
             + 2 * int(self.header.crossing_links[cluster_id])
         return estimate_memory(members, slots)
-
-    def min_crossing_map(self) -> dict[tuple[int, int], float]:
-        cg = self.cluster_graph
-        out: dict[tuple[int, int], float] = {}
-        starts = cg.graph.slot_source
-        for j in range(cg.graph.slot_count):
-            out[(int(starts[j]), int(cg.graph.adjacent_nodes[j]))] = \
-                float(cg.min_crossing[j])
-        return out
 
     def keyword_index(self) -> KeywordIndex:
         if self._index is None:

@@ -21,7 +21,8 @@ from embanks.clustering import (EDGE_HARMONIC_MEAN, EDGE_INVERSE_SUM,
                                 EDGE_MIN, PRESTIGE_AVG, PRESTIGE_SUM,
                                 answer_cost_bounds, build_cluster_graph,
                                 cluster_close_to_1, combine_edge_weights,
-                                combine_prestige, compute_cluster_metadata)
+                                combine_prestige, compute_cluster_metadata,
+                                min_crossing_weights)
 from embanks.engine import (EngineConfig, build_store, compare_precision,
                             ingest_to_store, single_phase_query,
                             two_phase_query)
@@ -183,10 +184,7 @@ def test_criterion_05_cost_bounds_bracket_expanded_optimum():
         ks_cl = KeywordSets(list(ks.terms), cluster_sets)
         answers, _ = backward_search(cg.graph, ks_cl,
                                      SearchConfig(k=5, steiner_filter=False))
-        crossing = {}
-        for cu in range(cg.graph.node_count):
-            for j, cv, _ in cg.graph.out_edges(cu):
-                crossing[(cu, cv)] = float(cg.min_crossing[j])
+        crossing = min_crossing_weights(g, cl)
         kw_clusters = set().union(*cluster_sets)
         instances += 1
         for ans in answers:

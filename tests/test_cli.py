@@ -94,6 +94,24 @@ def test_compare_reports_each_query(corpus, capsys):
         assert "overlap=" in line or "no-match=" in line
 
 
+@pytest.mark.parametrize("combos", ["all", "best"])
+def test_compare_reference_follows_combos(corpus, monkeypatch, combos):
+    data, store = corpus
+    seen = []
+    real = cli.single_phase_query
+
+    def recording(g, index, terms, algorithm, cfg):
+        seen.append(cfg)
+        return real(g, index, terms, algorithm, cfg)
+
+    monkeypatch.setattr(cli, "single_phase_query", recording)
+    assert cli.main(["compare", "--store", str(store), "--data", str(data),
+                     "--queries", str(data / "queries.txt"), "--k", "4",
+                     "--combos", combos]) == 0
+    assert seen
+    assert all(cfg.combos == combos and cfg.k == 4 for cfg in seen)
+
+
 def test_no_match_exits_one(corpus, capsys):
     _, store = corpus
     capsys.readouterr()

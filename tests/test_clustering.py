@@ -13,7 +13,7 @@ from embanks.clustering import (CLUSTER_ALGORITHMS, Clustering,
                                 cluster_close_to_1, cluster_connection_naive,
                                 cluster_greedy_minimum, combine_edge_weights,
                                 combine_prestige, compute_cluster_metadata,
-                                identity_clustering)
+                                identity_clustering, min_crossing_weights)
 from embanks.graph import GraphBuilder
 from embanks.scoring import AnswerTree
 from embanks.search import KeywordSets, SearchConfig, backward_search
@@ -214,15 +214,17 @@ def test_cluster_graph_matches_bucket_oracle(rng):
 
         got = {}
         for cu in range(cg.graph.node_count):
-            for j, cv, w in cg.graph.out_edges(cu):
+            for _, cv, w in cg.graph.out_edges(cu):
                 assert (cu, cv) not in got, "duplicate superedge"
-                got[(cu, cv)] = (j, w)
+                got[(cu, cv)] = w
         assert set(got) == set(buckets)
+        crossing = min_crossing_weights(g, cl)
+        assert set(crossing) == set(buckets)
         for pair, ws in buckets.items():
-            j, w = got[pair]
+            w = got[pair]
             expected = combine_edge_weights(ws, wcfg.edge_combiner)
             assert math.isclose(w, expected, rel_tol=1e-5), (pair, w, expected)
-            assert cg.min_crossing[j] == np.float32(min(ws))
+            assert crossing[pair] == np.float32(min(ws))
         for c in range(cl.cluster_count):
             expected = combine_prestige(
                 [float(g.prestige[x]) for x in cl.members(c)],
@@ -260,6 +262,7 @@ def test_identity_cluster_graph_reproduces_input(rng):
         n = rng.randint(2, 20)
         g = random_graph(rng, n, extra_links=rng.randint(0, n))
         cg = build_cluster_graph(g, identity_clustering(n))
+        crossing = min_crossing_weights(g, identity_clustering(n))
         assert cg.graph.node_count == g.node_count
         buckets = {}
         for u, v, wf, wb in g.links():
@@ -268,11 +271,11 @@ def test_identity_cluster_graph_reproduces_input(rng):
         seen = set()
         for u in range(n):
             assert cg.graph.prestige[u] == g.prestige[u]
-            for j, v, w in cg.graph.out_edges(u):
+            for _, v, w in cg.graph.out_edges(u):
                 assert (u, v) not in seen
                 seen.add((u, v))
                 ws = buckets[(u, v)]
-                assert cg.min_crossing[j] == np.float32(min(ws))
+                assert crossing[(u, v)] == np.float32(min(ws))
                 if len(ws) == 1:
                     assert w == np.float32(ws[0])
                 else:
@@ -371,10 +374,7 @@ def test_bounds_sandwich_brute_force(rng):
         ks_cl = KeywordSets(list(ks.terms), cluster_sets)
         answers, _ = backward_search(cg.graph, ks_cl,
                                      SearchConfig(k=5, steiner_filter=False))
-        crossing = {}
-        for cu in range(cg.graph.node_count):
-            for j, cv, _ in cg.graph.out_edges(cu):
-                crossing[(cu, cv)] = float(cg.min_crossing[j])
+        crossing = min_crossing_weights(g, cl)
         kw_clusters = set().union(*cluster_sets)
         for ans in answers:
             lower, upper = answer_cost_bounds(ans.tree, meta, kw_clusters,

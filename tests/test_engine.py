@@ -5,6 +5,8 @@ import random
 import numpy as np
 import pytest
 
+import embanks
+from embanks import engine
 from embanks.engine import (EngineConfig, PrecisionReport, _budget_fill,
                             build_store, compare_precision, gamma_trigger,
                             ingest_to_store, refetch_candidates,
@@ -207,7 +209,7 @@ def test_single_cluster_store(rng, tmp_path):
         assert result.answers
 
 
-def test_build_store_summary(rng, tmp_path):
+def test_build_store_summary(rng, tmp_path, monkeypatch):
     g, _, summary, store = make_store(rng, tmp_path, n=30, max_size=5)
     assert summary["nodes"] == g.node_count
     assert summary["links"] == g.slot_count // 2
@@ -215,6 +217,11 @@ def test_build_store_summary(rng, tmp_path):
     assert summary["algorithm"] == "close1"
     four = ["clusters.emb", "graph.emb", "index.kwi", "tuples.emb"]
     assert sorted(p.name for p in tmp_path.iterdir()) == four
+    # the store holds no cost bounds, so the build never computes them
+    def unexpected(*_):
+        raise AssertionError("build_store computed cluster metadata")
+
+    monkeypatch.setattr(engine, "compute_cluster_metadata", unexpected)
     # re-clustering into fewer clusters leaves no stale cluster data
     fewer = build_store(tmp_path, "close1", 15)
     assert fewer["clusters"] < summary["clusters"]
@@ -225,6 +232,11 @@ def test_build_store_summary(rng, tmp_path):
     sub = expand_clusters(store, range(store.cluster_count))
     assert sub.graph.node_count == g.node_count
     assert sub.graph.slot_count == g.slot_count
+
+
+def test_package_exports_resolve():
+    assert len(set(embanks.__all__)) == len(embanks.__all__)
+    assert [name for name in embanks.__all__ if not hasattr(embanks, name)] == []
 
 
 def test_compare_precision_report():

@@ -3,8 +3,7 @@
 import numpy as np
 
 from embanks.graph import NodeMeta
-from embanks.keywords import (KeywordIndex, build_index, project_to_clusters,
-                              tokenize)
+from embanks.keywords import build_index, tokenize
 
 
 def test_tokenize_alnum_runs():
@@ -57,19 +56,3 @@ def test_relation_names_flag():
     assert with_names.lookup("paper") == [0]
     assert with_names.lookup("author") == [1, 2]
     assert with_names.lookup("x") == [0]
-
-
-def test_project_to_clusters(rng):
-    for _ in range(10):
-        n = rng.randint(1, 40)
-        k = rng.randint(1, 8)
-        mapping = np.asarray([rng.randrange(k) for _ in range(n)])
-        postings = {}
-        for term in "abc":
-            size = rng.randint(0, n)
-            if size:
-                postings[term] = sorted(rng.sample(range(n), size))
-        projected = project_to_clusters(KeywordIndex(postings), mapping)
-        for term, nodes in postings.items():
-            expect = sorted({int(mapping[x]) for x in nodes})
-            assert projected.lookup(term) == expect

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from embanks.clustering import (WeightConfig, _from_member_lists,
-                                build_cluster_graph, compute_cluster_metadata)
+                                build_cluster_graph, min_crossing_weights)
 from embanks.graph import NodeMeta
 from embanks.keywords import KeywordIndex, build_index
 from embanks.storage import (CLUSTERS_FILE, ClusterStore, StorageError,
@@ -48,9 +48,7 @@ def built_store(rng, tmp_path, n=24, cl=None, g=None):
         g = random_graph(rng, n, extra_links=rng.randint(2, n))
     if cl is None:
         cl = grown_clustering(rng, "close1", g, 4)
-    cg = build_cluster_graph(g, cl)
-    meta = compute_cluster_metadata(g, cl)
-    write_store(tmp_path, g, cl, cg, meta)
+    write_store(tmp_path, g, cl, build_cluster_graph(g, cl))
     return g, cl, ClusterStore.open(tmp_path)
 
 
@@ -77,18 +75,23 @@ def test_compressed_graph_round_trip(rng, tmp_path):
     g = random_graph(rng, 30, extra_links=12)
     cl = random_clustering(rng, 30, 5)
     cg = build_cluster_graph(g, cl, WeightConfig("min", "avg"))
-    meta = compute_cluster_metadata(g, cl)
     k = cl.cluster_count
-    header = StoreHeader(cg, cl, meta,
+    m = cg.graph.slot_count
+    header = StoreHeader(cg, cl,
                          np.arange(k, dtype=np.int64),
                          np.arange(k, dtype=np.int64) * 2,
                          np.arange(k + 1, dtype=np.int64) * (1 << 33),
                          np.arange(k, dtype=np.int64) + 0xFFFF0000)
     p1, p2 = tmp_path / "a.emb", tmp_path / "b.emb"
     write_compressed_graph(p1, header)
+    # header, arrays and CRC only: no per-cluster or per-superedge cost bounds
+    graph_arrays = 6 * k + 4 * (k + 1) + 12 * m + (m + 7) // 8
+    clustering_arrays = 8 * cl.node_count + 4 * (k + 1)
+    record_arrays = 8 * k + 8 * (k + 1) + 4 * k
+    assert p1.stat().st_size == \
+        28 + graph_arrays + clustering_arrays + record_arrays + 4
     h2 = read_compressed_graph(p1)
     assert h2.cluster_graph.wcfg == cg.wcfg
-    assert np.array_equal(h2.cluster_graph.min_crossing, cg.min_crossing)
     assert np.array_equal(h2.cluster_graph.graph.adjacent_nodes,
                           cg.graph.adjacent_nodes)
     assert np.array_equal(h2.cluster_graph.graph.edge_weight,
@@ -97,7 +100,6 @@ def test_compressed_graph_round_trip(rng, tmp_path):
     assert np.array_equal(h2.clustering.node_order, cl.node_order)
     assert np.array_equal(h2.clustering.cluster_offset, cl.cluster_offset)
     assert h2.clustering.max_cluster_size == cl.max_cluster_size
-    assert np.allclose(h2.metadata.diameter, meta.diameter, rtol=1e-6)
     assert np.array_equal(h2.intra_links, header.intra_links)
     assert np.array_equal(h2.crossing_links, header.crossing_links)
     assert np.array_equal(h2.record_offset, header.record_offset)
@@ -177,9 +179,9 @@ def test_corruption_detection(rng, tmp_path):
         body = bytes(versioned[:-4])
         return body + zlib.crc32(body).to_bytes(4, "little")
 
-    path.write_bytes(restamped(raw, 3))
+    path.write_bytes(restamped(raw, 4))
     read_tuple_graph(path)
-    for version in (1, 2, 4, 99):
+    for version in (1, 2, 3, 99):
         path.write_bytes(restamped(raw, version))
         with pytest.raises(StorageFormatError, match="unsupported version"):
             read_tuple_graph(path)
@@ -309,7 +311,7 @@ def test_min_crossing_map_matches_links(rng, tmp_path):
         if cu != cv:
             buckets.setdefault((cu, cv), []).append(wf)
             buckets.setdefault((cv, cu), []).append(wb)
-    got = store.min_crossing_map()
+    got = min_crossing_weights(g, store.clustering)
     assert set(got) == set(buckets)
     for pair, ws in buckets.items():
         assert got[pair] == float(np.float32(min(ws)))
