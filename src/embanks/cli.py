@@ -86,8 +86,9 @@ def _engine_config(args) -> EngineConfig:
 
 
 def cmd_query(args) -> int:
+    cfg = _engine_config(args)
     store = ClusterStore.open(args.store)
-    result = two_phase_query(store, _terms(args.terms), _engine_config(args))
+    result = two_phase_query(store, _terms(args.terms), cfg)
     _print_answers(result.answers)
     if args.stats:
         _print_stats("phase1", result.phase1_stats)
@@ -108,10 +109,10 @@ def _load_baseline(args):
 
 
 def cmd_baseline(args) -> int:
+    cfg = SearchConfig(k=args.k, combos=args.combos)
     g, index = _load_baseline(args)
-    answers, stats = single_phase_query(
-        g, index, _terms(args.terms), args.algo,
-        SearchConfig(k=args.k, combos=args.combos))
+    answers, stats = single_phase_query(g, index, _terms(args.terms),
+                                        args.algo, cfg)
     _print_answers(answers)
     if args.stats:
         _print_stats("search", stats)
@@ -119,9 +120,9 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    cfg = _engine_config(args)
     store = ClusterStore.open(args.store)
     g, index = _load_baseline(args)
-    cfg = _engine_config(args)
     for line in Path(args.queries).read_text(encoding="utf-8").splitlines():
         line = line.strip()
         if not line or line.startswith("#"):

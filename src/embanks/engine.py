@@ -54,6 +54,13 @@ class EngineConfig:
     combos: str = COMBOS_ALL
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.k < 1:
+            raise ValueError(f"k must be at least 1, got {self.k}")
+        if self.phase1_limit < 1:
+            raise ValueError(
+                f"phase-1 limit must be at least 1, got {self.phase1_limit}")
+
     def phase1_search(self) -> SearchConfig:
         base = SearchConfig(k=self.k, score=self.score,
                             attenuation=self.attenuation, combos=self.combos)

@@ -71,6 +71,10 @@ class SearchConfig:
     attenuation: float = 0.5
     combos: str = COMBOS_ALL
 
+    def __post_init__(self) -> None:
+        if self.k < 1:
+            raise ValueError(f"k must be at least 1, got {self.k}")
+
     def for_phase1(self, limit: int) -> SearchConfig:
         return replace(self, k=limit, steiner_filter=False)
 
@@ -99,36 +103,47 @@ class SearchStats:
 
 @dataclass
 class ActivationState:
-    """Per (node, term) activation, combined by maximum."""
+    """Per (node, term) activation, combined by maximum.
 
-    a: np.ndarray  # float64 [n, terms]
+    ``a`` is flat: node ``x``'s activation for term ``i`` is
+    ``a[x * terms + i]``.
+    """
+
+    a: list[float]
+    terms: int
     mu: float = 0.5
+
+    def row(self, node: int) -> list[float]:
+        base = node * self.terms
+        return self.a[base:base + self.terms]
 
 
 @dataclass
 class SpreadRecord:
     """Accounting for one spread step, per term component."""
 
-    received: np.ndarray
-    retained: np.ndarray
-    offered: list[tuple[int, np.ndarray]]
+    received: list[float]
+    retained: list[float]
+    offered: list[tuple[int, list[float]]]
 
-    def distributed(self) -> np.ndarray:
-        total = np.zeros_like(self.received)
+    def distributed(self) -> list[float]:
+        total = [0.0] * len(self.received)
         for _, offer in self.offered:
-            total += offer
+            for i, o in enumerate(offer):
+                total[i] += o
         return total
 
 
 def init_activation(ks: KeywordSets, prestige: np.ndarray,
                     mu: float = 0.5) -> ActivationState:
     """Each keyword node starts with its prestige split across its set."""
-    a = np.zeros((len(prestige), len(ks.sets)), dtype=np.float64)
+    w = len(ks.sets)
+    a = [0.0] * (len(prestige) * w)
     for i, s in enumerate(ks.sets):
         size = len(s)
         for u in s:
-            a[u, i] = float(prestige[u]) / size
-    return ActivationState(a, mu)
+            a[u * w + i] = float(prestige[u]) / size
+    return ActivationState(a, w, mu)
 
 
 def spread_activation(state: ActivationState, source: int,
@@ -141,18 +156,51 @@ def spread_activation(state: ActivationState, source: int,
     activation.  Returns the conservation record for the step: retained
     plus distributed equals received.
     """
-    received = state.a[source].copy()
+    received = state.row(source)
     if not neighbors:
-        return SpreadRecord(received, received.copy(), [])
-    inv = [1.0 / w for _, w in neighbors]
+        return SpreadRecord(received, list(received), [])
+    a, w, mu = state.a, state.terms, state.mu
+    inv = [1.0 / wt for _, wt in neighbors]
     total_inv = sum(inv)
-    retained = (1.0 - state.mu) * received
-    offered: list[tuple[int, np.ndarray]] = []
+    retained = [(1.0 - mu) * r for r in received]
+    offered: list[tuple[int, list[float]]] = []
     for (node, _), share in zip(neighbors, inv):
-        offer = state.mu * received * (share / total_inv)
+        offer = [mu * r * (share / total_inv) for r in received]
         offered.append((node, offer))
-        np.maximum(state.a[node], offer, out=state.a[node])
+        base = node * w
+        for i, o in enumerate(offer):
+            if o > a[base + i]:
+                a[base + i] = o
     return SpreadRecord(received, retained, offered)
+
+
+def _activation_total(a: list[float], base: int, w: int) -> float:
+    """``np.sum(a[base:base + w])``, summed in numpy's order.
+
+    numpy adds fewer than 8 terms one by one and more in 8 interleaved
+    partial sums (pairwise summation, blocks of up to 128), so heap
+    priorities, and with them the exploration order, match the ones an
+    array row would give bit for bit.
+    """
+    if w < 8:
+        t = 0.0
+        for j in range(base, base + w):
+            t += a[j]
+        return t
+    if w > 128:
+        half = w // 2
+        half -= half % 8
+        return (_activation_total(a, base, half)
+                + _activation_total(a, base + half, w - half))
+    r = a[base:base + 8]
+    full = w - w % 8
+    for j in range(base + 8, base + full, 8):
+        for m in range(8):
+            r[m] += a[j + m]
+    t = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for j in range(base + full, base + w):
+        t += a[j]
+    return t
 
 
 # --- answer assembly ------------------------------------------------------
@@ -226,12 +274,20 @@ def root_is_redundant(tree: AnswerTree, ks: KeywordSets) -> bool:
     return all(any(n in s for n in rest) for s in ks.sets)
 
 
-def steiner_minimality_filter(answers: list[ScoredAnswer]) -> list[ScoredAnswer]:
-    """Drop answers whose node set strictly contains another answer's."""
+def steiner_minimality_filter(answers: list[ScoredAnswer],
+                              k: int | None = None) -> list[ScoredAnswer]:
+    """Drop answers whose node set strictly contains another answer's.
+
+    With ``k``, stop once ``k`` answers are kept.  Whether an answer is
+    kept depends only on the whole input list, never on what was kept
+    before it, so the result is the full filter's first ``k``.
+    """
     node_sets = [a.tree.nodes for a in answers]
     by_size = sorted(range(len(answers)), key=lambda i: len(node_sets[i]))
     keep = []
     for i, a in enumerate(answers):
+        if len(keep) == k:
+            break
         si = node_sets[i]
         dominated = False
         for j in by_size:
@@ -250,7 +306,7 @@ def _finalize(candidates: dict, ks: KeywordSets, cfg: SearchConfig,
               stats: SearchStats) -> list[ScoredAnswer]:
     answers = sorted(candidates.values(), key=ScoredAnswer.sort_key)
     if cfg.steiner_filter:
-        answers = steiner_minimality_filter(answers)
+        answers = steiner_minimality_filter(answers, cfg.k)
     top = answers[:cfg.k]
     stats.answers_emitted = len(top)
     return top
@@ -377,57 +433,65 @@ def bidirectional_search(g: DataGraph, ks: KeywordSets,
 
     n, w = g.node_count, len(ks.sets)
     INF = float("inf")
-    d = np.full((n, w), INF, dtype=np.float64)
-    succ = np.full((n, w), -1, dtype=np.int64)
-    succ_w = np.zeros((n, w), dtype=np.float64)
-    missing = np.full(n, w, dtype=np.int64)
+    # Per (node, term) tables are flat lists indexed x * w + i: plain
+    # Python floats and ints are several times cheaper to read and write
+    # one at a time than numpy scalars, and hold the same float64 values.
+    d = [INF] * (n * w)
+    succ = [-1] * (n * w)
+    succ_w = [0.0] * (n * w)
+    missing = [w] * n
     for i, s in enumerate(ks.sets):
         for u in s:
-            if d[u, i] == INF:
+            if d[u * w + i] == INF:
                 missing[u] -= 1
-            d[u, i] = 0.0
+            d[u * w + i] = 0.0
 
     act = init_activation(ks, g.prestige, cfg.attenuation)
     in_heap: list[tuple[float, int]] = []
     out_heap: list[tuple[float, int]] = []
-    in_pushed = np.zeros(n, dtype=bool)
-    out_pushed = np.zeros(n, dtype=bool)
-    in_done = np.zeros(n, dtype=bool)
-    out_done = np.zeros(n, dtype=bool)
-    is_root = np.zeros(n, dtype=bool)
-    emitted_roots = np.zeros(n, dtype=bool)
+    in_pushed = [False] * n
+    out_pushed = [False] * n
+    in_done = [False] * n
+    out_done = [False] * n
+    is_root = [False] * n
+    emitted_roots = [False] * n
     pending_roots: deque[int] = deque()
 
     def push_in(node: int) -> None:
         if not in_pushed[node]:
             in_pushed[node] = True
             stats.nodes_touched += 1
-        heapq.heappush(in_heap, (-float(np.sum(act.a[node])), node))
+        heapq.heappush(in_heap, (-_activation_total(act.a, node * w, w), node))
 
     def push_out(node: int) -> None:
         if not out_pushed[node]:
             out_pushed[node] = True
             stats.nodes_touched += 1
-        heapq.heappush(out_heap, (-float(np.sum(act.a[node])), node))
+        heapq.heappush(out_heap, (-_activation_total(act.a, node * w, w), node))
 
     for u in sorted(set().union(*ks.sets)):
         push_in(u)
+
+    def lower(x: int, i: int, cand: float, via: int, w_via: float) -> None:
+        """Record ``cand`` as x's distance to term i, reached through ``via``."""
+        j = x * w + i
+        if d[j] == INF:
+            missing[x] -= 1
+            if missing[x] == 0 and is_root[x] and not emitted_roots[x]:
+                pending_roots.append(x)
+        d[j] = cand
+        succ[j] = via
+        succ_w[j] = w_via
 
     def propagate(queue: deque[tuple[int, int]]) -> None:
         """Repair shortest-known distances after improvements at the queued nodes."""
         while queue:
             q, i = queue.popleft()
-            base = d[q, i]
+            base = d[q * w + i]
             for x, w_xq in g.in_edges(q):
                 cand = w_xq + base
-                if cand < d[x, i]:
-                    if d[x, i] == INF:
-                        missing[x] -= 1
-                        if missing[x] == 0 and is_root[x] and not emitted_roots[x]:
-                            pending_roots.append(x)
-                    d[x, i] = cand
-                    succ[x, i] = q
-                    succ_w[x, i] = w_xq
+                if cand < d[x * w + i]:
+                    lower(x, i, cand, q, w_xq)
                     queue.append((x, i))
 
     def build_root_tree(r: int) -> AnswerTree | None:
@@ -436,9 +500,9 @@ def bidirectional_search(g: DataGraph, ks: KeywordSets,
         for i in range(w):
             path: list[tuple[int, int, float]] = []
             x = r
-            while d[x, i] > 0.0:
-                s = int(succ[x, i])
-                path.append((x, s, float(succ_w[x, i])))
+            while d[x * w + i] > 0.0:
+                s = succ[x * w + i]
+                path.append((x, s, succ_w[x * w + i]))
                 x = s
             paths.append(path)
             kw_nodes.append(x)
@@ -474,10 +538,8 @@ def bidirectional_search(g: DataGraph, ks: KeywordSets,
             push_out(u)
             if missing[u] == 0 and not emitted_roots[u]:
                 pending_roots.append(u)
-            queue = deque((u, i) for i in range(w) if d[u, i] < INF)
-            propagate(queue)
-            neighbors = list(g.in_edges(u))
-            record = spread_activation(act, u, neighbors)
+            propagate(deque((u, i) for i in range(w) if d[u * w + i] < INF))
+            record = spread_activation(act, u, list(g.in_edges(u)))
             for x, _ in record.offered:
                 if not in_done[x]:
                     push_in(x)
@@ -487,21 +549,15 @@ def bidirectional_search(g: DataGraph, ks: KeywordSets,
                 continue
             out_done[v] = True
             stats.nodes_explored += 1
+            neighbors = [(y, wt) for _, y, wt in g.out_edges(v)]
             improved = deque()
-            for _, y, w_vy in g.out_edges(v):
+            for y, w_vy in neighbors:
                 for i in range(w):
-                    cand = w_vy + d[y, i]
-                    if cand < d[v, i]:
-                        if d[v, i] == INF:
-                            missing[v] -= 1
-                            if missing[v] == 0 and is_root[v] and not emitted_roots[v]:
-                                pending_roots.append(v)
-                        d[v, i] = cand
-                        succ[v, i] = y
-                        succ_w[v, i] = w_vy
+                    cand = w_vy + d[y * w + i]
+                    if cand < d[v * w + i]:
+                        lower(v, i, cand, y, w_vy)
                         improved.append((v, i))
             propagate(improved)
-            neighbors = [(y, wt) for _, y, wt in g.out_edges(v)]
             record = spread_activation(act, v, neighbors)
             for y, _ in record.offered:
                 if not out_done[y]:
@@ -513,7 +569,6 @@ def bidirectional_search(g: DataGraph, ks: KeywordSets,
         if out.emitted_count >= cfg.k:
             break
 
-    stats.nodes_explored = int(np.count_nonzero(in_done) + np.count_nonzero(out_done))
     answers = _finalize(candidates, ks, cfg, stats)
     stats.elapsed = time.perf_counter() - started
     return answers, stats

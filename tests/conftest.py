@@ -5,6 +5,7 @@ a few of them are exactly representable in float32 and float64 alike;
 tests can then assert exact float equality where the contracts promise it.
 """
 
+import hashlib
 import random
 
 import numpy as np
@@ -44,6 +45,12 @@ def random_keyword_sets(rng: random.Random, n: int, nsets: int,
         size = rng.randint(1, min(max_size, n))
         sets.append(frozenset(rng.sample(range(n), size)))
     return KeywordSets([f"t{i}" for i in range(nsets)], sets)
+
+
+def answers_digest(answers) -> str:
+    """A short digest of every answer's identity key and score, in order."""
+    rows = [(a.tree.identity_key(), a.score) for a in answers]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
 
 
 @pytest.fixture

@@ -225,11 +225,12 @@ def test_criterion_06_activation_conservation():
         for _ in range(2500):
             node = rng.randrange(n)
             neighbors = [(v, w) for _, v, w in g.out_edges(node)]
-            before = state.a.copy()
+            before = np.array(state.a)
             rec = spread_activation(state, node, neighbors)
-            drift = np.abs(rec.retained + rec.distributed() - rec.received)
+            drift = np.abs(np.add(rec.retained, rec.distributed())
+                           - np.array(rec.received))
             assert drift.max(initial=0.0) <= 1e-9
-            assert np.all(state.a >= before)
+            assert np.all(np.array(state.a) >= before)
             steps += 1
     assert steps >= 100_000
     print(f"criterion 6: PASS ({steps} spread steps conserve activation)")

@@ -121,6 +121,28 @@ def test_no_match_exits_one(corpus, capsys):
     assert "no match" in captured.err
 
 
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("query", "--k", "0"), ("query", "--k", "-3"),
+    ("query", "--limit", "0"), ("query", "--limit", "-1"),
+    ("compare", "--k", "0"), ("compare", "--limit", "0"),
+    ("baseline", "--k", "0"),
+])
+def test_nonpositive_k_or_limit_exits_one(corpus, capsys, command, flag,
+                                          value):
+    data, store = corpus
+    where = {"query": ["--store", str(store), " ".join(low_pair(0))],
+             "compare": ["--store", str(store), "--data", str(data),
+                         "--queries", str(data / "queries.txt")],
+             "baseline": ["--data", str(data), " ".join(low_pair(0))]}
+    capsys.readouterr()
+    assert cli.main([command, flag, value] + where[command]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert f"at least 1, got {value}" in captured.err
+
+
 def test_missing_store_errors(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["query", "--store", str(tmp_path / "nope"), "x"]) == 1

@@ -15,12 +15,15 @@ from embanks.engine import (EngineConfig, PrecisionReport, _budget_fill,
 from embanks.graph import NodeMeta
 from embanks.keywords import build_index
 from embanks.scoring import AnswerTree, ScoredAnswer
-from embanks.search import NoMatchError, SearchConfig, backward_search
+from embanks.synth import (SynthSpec, generate_synthetic, high_pair,
+                           low_pair)
+from embanks.search import (COMBOS_BEST, NoMatchError, SearchConfig,
+                            backward_search)
 from embanks.storage import (INDEX_FILE, TUPLES_FILE, ClusterStore,
                              StorageError, expand_clusters,
                              write_keyword_index, write_tuple_graph)
 
-from conftest import random_graph
+from conftest import answers_digest, random_graph
 
 
 def make_store(rng, store_dir, n=40, algorithm="close1", max_size=4,
@@ -49,6 +52,20 @@ def test_gamma_trigger_cases():
     assert gamma_trigger([5.0, 5.0], 1.0)
     assert not gamma_trigger([0.0, 0.0], 1.0)
     assert gamma_trigger([9.0, 8.0, 1.0], 0.25)
+
+
+
+def test_configs_reject_nonpositive_k_and_limit():
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            SearchConfig(k=bad)
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            EngineConfig(k=bad)
+        with pytest.raises(ValueError, match="limit must be at least 1"):
+            EngineConfig(phase1_limit=bad)
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            SearchConfig().for_phase1(bad)
+    assert EngineConfig(k=1, phase1_limit=1).phase1_search().k == 1
 
 
 def test_budget_fill_skips_too_expensive(rng, tmp_path):
@@ -286,3 +303,40 @@ def test_ingest_to_store_end_to_end(rng, tmp_path):
         ["index.kwi", "tuples.emb"]
     with pytest.raises(StorageError):
         ClusterStore.open(store_dir)
+
+
+def test_bidi_two_phase_regression_pin(tmp_path):
+    """Two-phase bidi/bidi with combos=best on a small synth store returns
+    exactly the recorded answers, scores and per-phase counts."""
+    spec = SynthSpec(papers=150, authors=50, writes=225, cites=75,
+                     rare_pairs=3, seed=2)
+    generate_synthetic(spec, tmp_path / "data")
+    ingest_to_store(tmp_path / "data" / "schema.txt", tmp_path / "data",
+                    tmp_path / "store")
+    build_store(tmp_path / "store", "close1", 10)
+    store = ClusterStore.open(tmp_path / "store")
+    cfg = EngineConfig(phase1_algorithm="bidi", phase2_algorithm="bidi",
+                       combos=COMBOS_BEST)
+
+    def run(terms):
+        r = two_phase_query(store, list(terms), cfg)
+        counts = (r.phase1_stats.nodes_touched, r.phase1_stats.nodes_explored,
+                  r.phase2_stats.nodes_touched, r.phase2_stats.nodes_explored,
+                  r.refetch_events)
+        return r.answers, counts
+
+    answers, counts = run(high_pair(0))
+    assert [(a.tree.root, a.score) for a in answers] == [
+        (191, 4.085714285714286), (150, 3.64), (160, 3.146666666666667),
+        (55, 3.138461538461539), (110, 3.127272727272728),
+        (144, 2.9529411764705884), (194, 2.9272727272727277),
+        (196, 2.8400000000000003), (188, 2.7466666666666666),
+        (92, 2.7111111111111112)]
+    assert answers_digest(answers) == "fef5f73426816125"
+    assert counts == (86, 86, 178, 178, 0)
+
+    answers, counts = run(low_pair(0))
+    assert [(a.tree.identity_key(), a.score) for a in answers] == [
+        ((0, ((0, 150, 2.0),)), 3.1333333333333333),
+        ((150, ((150, 0, 2.0),)), 3.1333333333333333)]
+    assert counts == (86, 86, 20, 20, 0)

@@ -10,10 +10,10 @@ from embanks.scoring import EDGE_RECIPROCAL_SUM, ScoreConfig, score_tree
 from embanks.search import (COMBOS_ALL, COMBOS_BEST, ActivationState,
                             KeywordSets, NoMatchError, SearchConfig,
                             backward_search, bidirectional_search,
-                            _tight_path, init_activation,
+                            _activation_total, _tight_path, init_activation,
                             spread_activation, steiner_minimality_filter)
 
-from conftest import random_graph, random_keyword_sets
+from conftest import answers_digest, random_graph, random_keyword_sets
 from oracles import (canonical_path, dijkstra_oracle, exhaustive_answers,
                      graph_adjacency)
 
@@ -273,6 +273,26 @@ def test_tied_paths_sharing_a_tail_take_the_smallest_id():
         assert (s, hi, 1.0) not in trees[r]
 
 
+
+def test_steiner_filter_stopping_at_k_is_the_full_prefix(rng):
+    """Stopping at k keeps exactly the full filter's first k, for every k
+    up to past the pool size, on pools with dominated and tied answers."""
+    tied = dominated = 0
+    for _ in range(60):
+        n = rng.randint(2, 14)
+        g = random_graph(rng, n, extra_links=rng.randint(0, n))
+        ks = random_keyword_sets(rng, n, rng.randint(1, 3))
+        pool, _ = backward_search(g, ks,
+                                  SearchConfig(k=10 ** 6, steiner_filter=False))
+        full = steiner_minimality_filter(pool)
+        scores = [a.score for a in pool]
+        tied += len(set(scores)) < len(scores)
+        dominated += len(full) < len(pool)
+        for k in range(1, len(pool) + 3):
+            assert steiner_minimality_filter(pool, k) == full[:k]
+    assert tied and dominated
+
+
 # --- activation -------------------------------------------------------------
 
 
@@ -280,11 +300,11 @@ def test_activation_init_divides_prestige():
     prestige = np.array([4.0, 2.0, 0.0], dtype=np.float32)
     ks = KeywordSets(["a", "b"], [frozenset({0, 1}), frozenset({2})])
     state = init_activation(ks, prestige, mu=0.5)
-    assert state.a[0, 0] == 2.0
-    assert state.a[1, 0] == 1.0
-    assert state.a[2, 0] == 0.0
-    assert state.a[2, 1] == 0.0
-    assert state.a[0, 1] == 0.0
+    assert state.terms == 2
+    assert state.row(0) == [2.0, 0.0]
+    assert state.row(1) == [1.0, 0.0]
+    assert state.row(2) == [0.0, 0.0]
+    assert state.a == [2.0, 0.0, 1.0, 0.0, 0.0, 0.0]
 
 
 def test_activation_spread_conserves(rng):
@@ -296,13 +316,49 @@ def test_activation_spread_conserves(rng):
         for _ in range(50):
             node = rng.randrange(n)
             neighbors = [(v, w) for _, v, w in g.out_edges(node)]
-            before = state.a.copy()
+            before = np.array(state.a)
             rec = spread_activation(state, node, neighbors)
             # conservation: what went out plus what stayed equals received
-            assert np.allclose(rec.retained + rec.distributed(), rec.received,
-                               atol=REST_TOL)
+            assert np.allclose(np.add(rec.retained, rec.distributed()),
+                               rec.received, atol=REST_TOL)
             # monotonicity: stored activation never decreases
-            assert np.all(state.a >= before - REST_TOL)
+            assert np.all(np.array(state.a) >= before - REST_TOL)
+
+
+def test_activation_spread_matches_array_reference(rng):
+    """The flat-list spread step reproduces the numpy row arithmetic it
+    replaced bit for bit: offers of ``mu * received * share``, combined
+    into stored activation by elementwise maximum."""
+    for _ in range(30):
+        n = rng.randint(2, 15)
+        g = random_graph(rng, n)
+        ks = random_keyword_sets(rng, n, rng.randint(1, 3))
+        mu = rng.choice([0.3, 0.5, 0.8])
+        state = init_activation(ks, g.prestige, mu=mu)
+        ref = np.array(state.a).reshape(n, state.terms)
+        for _ in range(50):
+            node = rng.randrange(n)
+            neighbors = [(v, w) for _, v, w in g.out_edges(node)]
+            rec = spread_activation(state, node, neighbors)
+            received = ref[node].copy()
+            assert rec.received == received.tolist()
+            inv = [1.0 / w for _, w in neighbors]
+            for (v, offer), share in zip(rec.offered, inv):
+                expected = mu * received * (share / sum(inv))
+                assert offer == expected.tolist()
+                np.maximum(ref[v], expected, out=ref[v])
+            assert state.a == ref.ravel().tolist()
+
+
+def test_activation_total_sums_in_numpy_order():
+    """Heap priorities equal ``np.sum`` of the row for any term count,
+    including the pairwise orders numpy uses from 8 and past 128 terms."""
+    r = random.Random(8)
+    for w in [1, 2, 3, 7, 8, 9, 15, 16, 17, 40, 128, 129, 300]:
+        for _ in range(40):
+            row = [r.random() * 10.0 ** r.randint(-6, 6) for _ in range(w)]
+            flat = [r.random() for _ in range(3)] + row + [r.random()]
+            assert _activation_total(flat, 3, w) == float(np.sum(np.array(row)))
 
 
 def test_activation_spread_no_neighbors_retains_everything():
@@ -313,7 +369,7 @@ def test_activation_spread_no_neighbors_retains_everything():
     state = init_activation(ks, g.prestige, mu=0.5)
     rec = spread_activation(state, 0, [])
     assert rec.offered == []
-    assert np.allclose(rec.retained, rec.received)
+    assert rec.retained == rec.received == [6.0]
 
 
 # --- bidirectional ----------------------------------------------------------
@@ -385,3 +441,57 @@ def test_bidirectional_finds_obvious_answer():
     assert answers
     assert answers[0].tree.root == au
     assert set(answers[0].tree.edges) == {(au, p1, 1.0), (au, p2, 1.0)}
+
+
+# Answers and counts of bidirectional_search on _bidi_pin_cases(), recorded
+# from the numpy-table implementation: (nodes_touched, nodes_explored,
+# answer count, digest of every answer's identity key and score).
+BIDI_PIN = [
+    (84, 84, 1, "66822693c0e2ed6d"), (92, 92, 1, "e91a2ca76fc8712d"),
+    (40, 40, 1, "c068f96a891ab035"), (120, 120, 10, "8892c1ff3ab6a93a"),
+    (32, 32, 1, "e171bf662ebc2511"), (32, 32, 1, "76cdb250b43b0ebd"),
+    (102, 102, 2, "c72703b139f2f9cc"), (22, 22, 1, "aff8dd6cfc50b123"),
+    (60, 60, 3, "bd6a0866b2b2c7d2"), (62, 62, 2, "37eb974f263ae0fc"),
+    (16, 16, 1, "f532d137e6436bd1"), (70, 70, 3, "b1a71c55e532f437"),
+    (26, 26, 1, "779aab65b1ea0018"), (48, 48, 3, "b7d79e408af458e3"),
+    (100, 100, 2, "fd7b579c4112870b"), (42, 42, 1, "edce7062b8de6c4f"),
+    (76, 76, 3, "c08ed00b8f48f438"), (48, 48, 1, "b1f01d09fc8dc8dc"),
+    (90, 90, 3, "145ac5c98a73066e"), (82, 82, 1, "fc98cefa15fa84f8"),
+    (58, 58, 1, "715d1a6fac454b22"), (80, 80, 10, "62a81bb7cc5fe943"),
+    (98, 98, 2, "023529272cf6fc8c"), (70, 70, 1, "68b74dd17bc248b7"),
+    (14, 14, 3, "e7419d59f4c97e0f"), (52, 52, 10, "232de96386118cb3"),
+    (118, 118, 3, "aa682f03a4ebdc1c"), (20, 20, 1, "bcd7d9d5e87f5c8b"),
+    (60, 60, 1, "6ca86ad3884c8189"), (78, 78, 3, "dd203b6863a78c5d"),
+    (12, 12, 1, "fbdf84af0be08257"), (68, 68, 1, "cb49442e3166241c"),
+    (46, 46, 2, "82a76b775c710121"), (52, 52, 3, "3333948437b9da5f"),
+    (94, 94, 6, "5f643b7d63ed2ab2"), (50, 50, 3, "67701578cc2347a5"),
+    (112, 112, 3, "668e3d795d918166"), (40, 40, 1, "eaff2533ccaaa49d"),
+    (4, 4, 1, "ac6d820bdb3bfe79"), (68, 68, 1, "c5474c41869ed75c"),
+    (212, 212, 4, "59f18d181196582d"), (238, 238, 10, "b8d60f24e7dabef8"),
+    (582, 582, 2, "06d21af30c975435"), (518, 518, 10, "332c035c8746f7d5"),
+    (12, 12, 1, "6b89cbd7e48246a8"), (36, 36, 10, "60ba383ded1c58f2"),
+    (94, 94, 3, "c8c2c43cea2032e0"), (16, 16, 3, "224f2310a5926b2c"),
+]
+
+
+def _bidi_pin_cases():
+    rng = random.Random(7070)
+    for t in range(48):
+        n = rng.randint(100, 300) if 40 <= t < 44 else rng.randint(2, 60)
+        g = random_graph(rng, n, extra_links=rng.randint(0, n))
+        nsets = rng.randint(8, 10) if t >= 44 else rng.randint(1, 3)
+        ks = random_keyword_sets(rng, n, nsets, max_size=4)
+        cfg = SearchConfig(k=rng.choice([1, 3, 10]),
+                           steiner_filter=rng.random() < 0.7)
+        yield g, ks, cfg
+
+
+def test_bidirectional_regression_pin():
+    """Answers, their order and scores, and the touched and explored counts
+    stay exactly as recorded, ties and exploration order included."""
+    got = []
+    for g, ks, cfg in _bidi_pin_cases():
+        answers, stats = bidirectional_search(g, ks, cfg)
+        got.append((stats.nodes_touched, stats.nodes_explored, len(answers),
+                    answers_digest(answers)))
+    assert got == BIDI_PIN
