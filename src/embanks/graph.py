@@ -20,6 +20,9 @@ BYTES_PER_EDGE = 12
 
 DEFAULT_FORWARD_WEIGHT = 1.0
 
+# (offset, target, w_out, w_in), see DataGraph.adjacency_lists
+AdjacencyLists = tuple[list[int], list[int], list[float], list[float]]
+
 
 class GraphError(Exception):
     """Base class for graph construction and validation failures."""
@@ -122,6 +125,20 @@ class DataGraph:
         """
         for j in self.slots(node):
             yield int(self.adjacent_nodes[j]), float(self.edge_weight[self.pair_slot[j]])
+
+    def adjacency_lists(self) -> AdjacencyLists:
+        """The adjacency arrays as plain Python lists, for hot loops.
+
+        Returns ``(offset, target, w_out, w_in)``: node ``x``'s slots are
+        ``range(offset[x], offset[x + 1])``, and slot ``j`` is the edge
+        ``x -> target[j]`` of weight ``w_out[j]`` whose opposite direction
+        ``target[j] -> x`` weighs ``w_in[j]``.  The weights are the same
+        float64 values ``out_edges`` and ``in_edges`` yield.  The lists are
+        a snapshot: they do not follow later changes to the arrays.
+        """
+        return (self.adjacency_offset.tolist(), self.adjacent_nodes.tolist(),
+                self.edge_weight.tolist(),
+                self.edge_weight[self.pair_slot].tolist())
 
     def links(self):
         """Yield each stored link once as (u, v, w_fwd, w_bwd).

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .graph import DataGraph
+from .graph import AdjacencyLists, DataGraph
 from .keywords import KeywordIndex
 from .scoring import (AnswerTree, OutputHeap, ScoreConfig, ScoredAnswer,
                       EDGE_RECIPROCAL_SUM, score_tree, tree_score)
@@ -205,15 +205,34 @@ def _activation_total(a: list[float], base: int, w: int) -> float:
 
 # --- answer assembly ------------------------------------------------------
 
-def _tight_path(g: DataGraph, dist: dict[int, float],
+def _tight_successor(adj: AdjacencyLists, dist: dict[int, float],
+                     x: int) -> tuple[int, float]:
+    """The smallest-id out-neighbor ``v`` of settled ``x`` whose distance
+    plus the edge weight ``w`` exactly reproduces ``dist[x]``, as ``(v, w)``.
+    """
+    offset, target, w_out, _ = adj
+    dx = dist[x]
+    step = None
+    for j in range(offset[x], offset[x + 1]):
+        v = target[j]
+        dv = dist.get(v)
+        if dv is None or w_out[j] + dv != dx:
+            continue
+        if step is None or v < step[0]:
+            step = (v, w_out[j])
+    if step is None:  # cannot happen for settled nodes
+        raise RuntimeError(f"no tight successor at node {x}")
+    return step
+
+
+def _tight_path(adj: AdjacencyLists, dist: dict[int, float],
                 succ: dict[int, tuple[int, float]],
                 start: int) -> list[tuple[int, int, float]]:
     """Walk from settled ``start`` to the distance-0 node along tight edges.
 
-    At every step the successor is the smallest-id out-neighbor ``v`` whose
-    distance plus the edge weight ``w`` exactly reproduces the current
-    distance, which makes the extracted path the lexicographically smallest
-    of the minimum-cost ones.
+    At every step the successor is the one ``_tight_successor`` picks,
+    which makes the extracted path the lexicographically smallest of the
+    minimum-cost ones.
 
     ``succ`` is the iterator's tight-successor table: it maps a node to its
     ``(v, w)`` and is filled the first time a walk passes through the node,
@@ -233,19 +252,33 @@ def _tight_path(g: DataGraph, dist: dict[int, float],
     while dist[x] > 0.0:
         step = succ.get(x)
         if step is None:
-            dx = dist[x]
-            for _, v, w in g.out_edges(x):
-                dv = dist.get(v)
-                if dv is None or w + dv != dx:
-                    continue
-                if step is None or v < step[0]:
-                    step = (v, w)
-            if step is None:  # cannot happen for settled nodes
-                raise RuntimeError(f"no tight successor at node {x}")
-            succ[x] = step
+            step = succ[x] = _tight_successor(adj, dist, x)
         edges.append((x, step[0], step[1]))
         x = step[0]
     return edges
+
+
+def _leaves_by_one_edge(adj: AdjacencyLists, dist: list[dict[int, float]],
+                        succ: list[dict[int, tuple[int, float]]],
+                        iterators: set[int], x: int) -> bool:
+    """True when every iterator's path from root ``x`` starts with one edge.
+
+    That needs each iterator at a distance above 0 at ``x`` and the same
+    tight successor ``(v, w)`` of ``x`` for all of them; the successor
+    tables are filled as ``_tight_path`` would fill them.
+    """
+    first = None
+    for c in iterators:
+        if dist[c][x] == 0.0:
+            return False
+        step = succ[c].get(x)
+        if step is None:
+            step = succ[c][x] = _tight_successor(adj, dist[c], x)
+        if first is None:
+            first = step
+        elif step != first:
+            return False
+    return True
 
 
 def _union_tree(root: int, paths: list[list[tuple[int, int, float]]],
@@ -312,7 +345,7 @@ def _finalize(candidates: dict, ks: KeywordSets, cfg: SearchConfig,
     return top
 
 
-def _score_ceiling(g: DataGraph, ks: KeywordSets, cfg: ScoreConfig) -> float:
+def _score_ceiling(g: DataGraph, ks: KeywordSets) -> float:
     """Largest node score any answer on this graph could reach."""
     best_root = float(np.max(g.prestige)) if g.node_count else 0.0
     per_set = sum(max(float(g.prestige[u]) for u in s) for s in ks.sets)
@@ -340,12 +373,23 @@ def backward_search(g: DataGraph, ks: KeywordSets,
     each iterator's tight-successor table (see ``_tight_path``).  Runs
     until the frontier is exhausted or the output bound releases ``cfg.k``
     answers.
+
+    A combination whose paths all leave the root by one edge is dropped
+    before any path is walked (``_leaves_by_one_edge``), which is exact.
+    No path revisits the root, because distances fall strictly along it,
+    so the merged tree is either None or has the root's single child as
+    its only root edge.  No iterator is at distance 0 at the root, so every
+    chosen keyword node lies below the root, and the tree without its root
+    still covers every term: ``root_is_redundant`` holds.  Both outcomes
+    drop the combination, as building the tree would.
     """
     cfg = cfg or SearchConfig()
     stats = SearchStats()
     started = time.perf_counter()
     _require_nonempty(ks)
 
+    adj = g.adjacency_lists()
+    offset, target, _, w_in = adj
     sources = sorted(set().union(*ks.sets))
     source_sets = [[i for i, s in enumerate(ks.sets) if n in s] for n in sources]
     nsets = len(ks.sets)
@@ -361,7 +405,7 @@ def backward_search(g: DataGraph, ks: KeywordSets,
     done_combos: dict[int, set[tuple[int, ...]]] = {}
     candidates: dict = {}
     out = OutputHeap()
-    n_ceiling = _score_ceiling(g, ks, cfg.score)
+    n_ceiling = _score_ceiling(g, ks)
 
     while heap:
         d, it, x = heapq.heappop(heap)
@@ -383,7 +427,10 @@ def backward_search(g: DataGraph, ks: KeywordSets,
                 if combo in seen:
                     continue
                 seen.add(combo)
-                paths = {c: _tight_path(g, dist[c], succ[c], x) for c in set(combo)}
+                iterators = set(combo)
+                if _leaves_by_one_edge(adj, dist, succ, iterators, x):
+                    continue
+                paths = {c: _tight_path(adj, dist[c], succ[c], x) for c in iterators}
                 tree = _union_tree(x, list(paths.values()),
                                    tuple(sources[c] for c in combo))
                 if tree is None or root_is_redundant(tree, ks):
@@ -397,11 +444,13 @@ def backward_search(g: DataGraph, ks: KeywordSets,
         if out.emitted_count >= cfg.k:
             break
 
-        for y, w_in in g.in_edges(x):
-            nd = w_in + d
-            old = dist[it].get(y)
+        dist_it = dist[it]
+        for j in range(offset[x], offset[x + 1]):
+            y = target[j]
+            nd = w_in[j] + d
+            old = dist_it.get(y)
             if old is None or nd < old:
-                dist[it][y] = nd
+                dist_it[y] = nd
                 heapq.heappush(heap, (nd, it, y))
 
     stats.nodes_touched = sum(len(d) for d in dist)
@@ -425,12 +474,25 @@ def bidirectional_search(g: DataGraph, ks: KeywordSets,
     distance improvement, so each node remembers only one way to each
     term: answers reachable exclusively through a second-best path are
     lost, which is the price of the smaller frontier.
+
+    A root whose every term has a distance above 0 and the same successor
+    ``(succ, succ_w)`` is dropped without building its tree, which is
+    exact.  Once propagation settles, each node's distance is its
+    successor's plus the edge weight, so distances fall strictly along a
+    path (for weights not negligible against the distances, as in
+    ``_tight_path``) and no path revisits the root: the merged tree is either None or
+    has the shared successor as the root's only child.  A distance is 0
+    exactly on the term's keyword nodes, because weights are positive, so
+    every path ends at a keyword node below the root and the tree without
+    its root still covers every term: ``root_is_redundant`` holds.  Both
+    outcomes drop the root, as building the tree would.
     """
     cfg = cfg or SearchConfig()
     stats = SearchStats()
     started = time.perf_counter()
     _require_nonempty(ks)
 
+    offset, target, w_out, w_in = g.adjacency_lists()
     n, w = g.node_count, len(ks.sets)
     INF = float("inf")
     # Per (node, term) tables are flat lists indexed x * w + i: plain
@@ -488,10 +550,11 @@ def bidirectional_search(g: DataGraph, ks: KeywordSets,
         while queue:
             q, i = queue.popleft()
             base = d[q * w + i]
-            for x, w_xq in g.in_edges(q):
-                cand = w_xq + base
+            for j in range(offset[q], offset[q + 1]):
+                x = target[j]
+                cand = w_in[j] + base
                 if cand < d[x * w + i]:
-                    lower(x, i, cand, q, w_xq)
+                    lower(x, i, cand, q, w_in[j])
                     queue.append((x, i))
 
     def build_root_tree(r: int) -> AnswerTree | None:
@@ -508,13 +571,26 @@ def bidirectional_search(g: DataGraph, ks: KeywordSets,
             kw_nodes.append(x)
         return _union_tree(r, paths, tuple(kw_nodes))
 
+    def one_root_edge(r: int) -> bool:
+        """Every term's path from ``r`` starts with the same edge."""
+        base = r * w
+        if d[base] == 0.0:
+            return False
+        for j in range(base + 1, base + w):
+            if (d[j] == 0.0 or succ[j] != succ[base]
+                    or succ_w[j] != succ_w[base]):
+                return False
+        return True
+
     candidates: dict = {}
     out = OutputHeap()
-    n_ceiling = _score_ceiling(g, ks, cfg.score)
+    n_ceiling = _score_ceiling(g, ks)
     out.update_bound(tree_score(n_ceiling, 1.0, cfg.score))
 
     def emit(r: int) -> None:
         emitted_roots[r] = True
+        if one_root_edge(r):
+            return
         tree = build_root_tree(r)
         if tree is None or root_is_redundant(tree, ks):
             return
@@ -539,7 +615,8 @@ def bidirectional_search(g: DataGraph, ks: KeywordSets,
             if missing[u] == 0 and not emitted_roots[u]:
                 pending_roots.append(u)
             propagate(deque((u, i) for i in range(w) if d[u * w + i] < INF))
-            record = spread_activation(act, u, list(g.in_edges(u)))
+            record = spread_activation(
+                act, u, [(target[j], w_in[j]) for j in range(offset[u], offset[u + 1])])
             for x, _ in record.offered:
                 if not in_done[x]:
                     push_in(x)
@@ -549,7 +626,7 @@ def bidirectional_search(g: DataGraph, ks: KeywordSets,
                 continue
             out_done[v] = True
             stats.nodes_explored += 1
-            neighbors = [(y, wt) for _, y, wt in g.out_edges(v)]
+            neighbors = [(target[j], w_out[j]) for j in range(offset[v], offset[v + 1])]
             improved = deque()
             for y, w_vy in neighbors:
                 for i in range(w):

@@ -506,6 +506,9 @@ class ClusterStore:
     def read_cluster(self, cluster_id: int) -> ClusterPayload:
         if cluster_id in self._cache:
             return self._cache[cluster_id]
+        if not 0 <= cluster_id < self.cluster_count:
+            raise StorageError(f"{self.dir}: no cluster {cluster_id}, "
+                               f"the store has {self.cluster_count} clusters")
         path = self.dir / CLUSTERS_FILE
         start, end = self.header.record_offset[cluster_id:cluster_id + 2].tolist()
         record = _read_bytes(path, start, end - start)

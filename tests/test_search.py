@@ -5,7 +5,8 @@ import random
 import numpy as np
 import pytest
 
-from embanks.graph import DataGraph, GraphBuilder
+from embanks import search
+from embanks.graph import GraphBuilder
 from embanks.scoring import EDGE_RECIPROCAL_SUM, ScoreConfig, score_tree
 from embanks.search import (COMBOS_ALL, COMBOS_BEST, ActivationState,
                             KeywordSets, NoMatchError, SearchConfig,
@@ -224,13 +225,13 @@ def test_answer_paths_scan_each_node_once_per_iterator(monkeypatch):
     n_iterators = len(ks.sets[0] | ks.sets[1])
 
     scans = {}
-    original = DataGraph.out_edges
+    original = search._tight_successor
 
-    def counting(self, node):
+    def counting(adj, dist, node):
         scans[node] = scans.get(node, 0) + 1
-        return original(self, node)
+        return original(adj, dist, node)
 
-    monkeypatch.setattr(DataGraph, "out_edges", counting)
+    monkeypatch.setattr(search, "_tight_successor", counting)
     answers, stats = backward_search(g, ks, SearchConfig(k=10 ** 6))
     assert answers
     assert stats.nodes_explored == n_iterators * g.node_count  # all settled
@@ -265,13 +266,82 @@ def test_tied_paths_sharing_a_tail_take_the_smallest_id():
             reverse.setdefault(v, []).append((u, w))
     dist = dijkstra_oracle(reverse, k)
     shared = {}
+    adj = g.adjacency_lists()
     for r in (r1, r2):
         fresh = canonical_path(g, r, k)[2]
-        assert tuple(_tight_path(g, dist, shared, r)) == fresh
+        assert tuple(_tight_path(adj, dist, shared, r)) == fresh
         assert (s, lo, 1.0) in fresh
         assert set(fresh) <= trees[r]
         assert (s, hi, 1.0) not in trees[r]
 
+
+def _union_roots(monkeypatch) -> list[int]:
+    """Record the root of every tree the searches start to assemble."""
+    roots = []
+    original = search._union_tree
+
+    def counting(root, paths, keyword_nodes):
+        roots.append(root)
+        return original(root, paths, keyword_nodes)
+
+    monkeypatch.setattr(search, "_union_tree", counting)
+    return roots
+
+
+@pytest.mark.parametrize("algorithm", [backward_search, bidirectional_search])
+def test_single_child_roots_build_no_tree(monkeypatch, algorithm):
+    """Fifty nodes hang in a chain above ``k``, which matches both terms.
+
+    Each chain node's paths leave it by its one edge towards ``k``, so it
+    is a redundant single-child root, dropped before any tree is built;
+    only the one-node answer at ``k`` is assembled.
+    """
+    b = GraphBuilder()
+    chain = [b.add_node(1.0) for _ in range(51)]
+    for u, v in zip(chain[1:], chain):
+        b.add_link(u, v, 1.0, 1.0)
+    g = b.build()
+    k = chain[0]
+    ks = KeywordSets(["a", "b"], [frozenset({k}), frozenset({k})])
+    roots = _union_roots(monkeypatch)
+    answers, stats = algorithm(g, ks, SearchConfig(k=10 ** 6))
+    assert stats.nodes_explored >= g.node_count
+    assert [(a.tree.root, a.tree.edges) for a in answers] == [(k, ())]
+    assert roots and set(roots) == {k}
+
+
+@pytest.mark.parametrize("algorithm", [backward_search, bidirectional_search])
+def test_roots_left_by_two_edges_build_their_tree(monkeypatch, algorithm):
+    """``r`` reaches ``ka`` and ``kb`` by different edges, so its tree is
+    built and kept; the chain above ``r`` still builds none."""
+    b = GraphBuilder()
+    ka, r, kb = (b.add_node(1.0) for _ in range(3))
+    b.add_link(r, ka, 1.0, 1.0)
+    b.add_link(r, kb, 1.0, 1.0)
+    chain = [r] + [b.add_node(1.0) for _ in range(10)]
+    for u, v in zip(chain[1:], chain):
+        b.add_link(u, v, 1.0, 1.0)
+    g = b.build()
+    ks = KeywordSets(["a", "b"], [frozenset({ka}), frozenset({kb})])
+    roots = _union_roots(monkeypatch)
+    answers, _ = algorithm(g, ks, SearchConfig(k=10 ** 6))
+    assert r in roots
+    assert not set(roots) & set(chain[1:])
+    assert any(a.tree.root == r and a.tree.edges == ((r, ka, 1.0), (r, kb, 1.0))
+               for a in answers)
+
+
+def test_backward_full_pool_matches_exhaustive_oracle(rng):
+    """Without a k cut or the Steiner filter the whole candidate pool equals
+    the oracle's, so dropping single-child roots early loses no answer."""
+    cfg = SearchConfig(k=10 ** 6, steiner_filter=False)
+    for _ in range(60):
+        n = rng.randint(2, 10)
+        g = random_graph(rng, n, extra_links=rng.randint(0, n))
+        ks = random_keyword_sets(rng, n, rng.randint(2, 3))
+        answers, _ = backward_search(g, ks, cfg)
+        _assert_matches_oracle(
+            answers, exhaustive_answers(g, ks, cfg.score, steiner=False))
 
 
 def test_steiner_filter_stopping_at_k_is_the_full_prefix(rng):

@@ -283,6 +283,16 @@ def test_store_read_stats_and_cache(rng, tmp_path):
     assert store.clusters_read == cl.cluster_count
 
 
+def test_out_of_range_cluster_id_is_rejected(rng, tmp_path):
+    g, cl, store = built_store(rng, tmp_path)
+    count = cl.cluster_count
+    for bad in (count, -1, 10 ** 9):
+        with pytest.raises(StorageError,
+                           match=f"no cluster {bad}, the store has {count} clusters"):
+            store.read_cluster(bad)
+    assert store.clusters_read == 0
+
+
 def test_cluster_cost_accounting(rng, tmp_path):
     g, cl, store = built_store(rng, tmp_path)
     intra = np.zeros(cl.cluster_count, dtype=np.int64)
