@@ -19,8 +19,7 @@ from .engine import (ALGORITHMS, EXTRA_POLICIES, EngineConfig, build_store,
 from .graph import GraphError, build_graph, parse_schema
 from .keywords import build_index, tokenize
 from .scoring import ScoredAnswer
-from .search import (COMBOS_ALL, COMBOS_BEST, NoMatchError, SearchConfig,
-                     SearchStats)
+from .search import COMBOS, COMBOS_ALL, NoMatchError, SearchConfig, SearchStats
 from .storage import ClusterStore, StorageError
 from .synth import SynthSpec, generate_synthetic
 
@@ -163,8 +162,8 @@ def _add_query_flags(p: argparse.ArgumentParser) -> None:
                    help="phase-2 algorithm")
     p.add_argument("--extra", choices=EXTRA_POLICIES, default="keyword",
                    help="extra-cluster policy")
-    p.add_argument("--combos", choices=[COMBOS_ALL, COMBOS_BEST],
-                   default=COMBOS_ALL, help="keyword combination coverage")
+    p.add_argument("--combos", choices=COMBOS, default=COMBOS_ALL,
+                   help="keyword combination coverage")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--stats", action="store_true",
                    help="print search statistics to stderr")
@@ -209,8 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="defaults to <data>/schema.txt")
     p.add_argument("--algo", choices=sorted(ALGORITHMS), default="backward")
     p.add_argument("--k", type=int, default=10)
-    p.add_argument("--combos", choices=[COMBOS_ALL, COMBOS_BEST],
-                   default=COMBOS_ALL)
+    p.add_argument("--combos", choices=COMBOS, default=COMBOS_ALL)
     p.add_argument("--stats", action="store_true")
     p.add_argument("terms", help="space-separated keywords")
     p.set_defaults(func=cmd_baseline)

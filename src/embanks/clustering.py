@@ -80,6 +80,24 @@ class Clustering:
     cluster_offset: np.ndarray  # int64 [k + 1]
     max_cluster_size: int
 
+    @classmethod
+    def from_order(cls, node_order: np.ndarray, cluster_offset: np.ndarray,
+                   max_cluster_size: int) -> Clustering:
+        """Derive ``node_mapping`` from the other two arrays.
+
+        Raises ClusteringError unless ``node_order`` is a permutation of the
+        nodes and ``cluster_offset`` climbs from 0 to its length.
+        """
+        n, sizes = len(node_order), np.diff(cluster_offset)
+        if cluster_offset[0] != 0 or cluster_offset[-1] != n or np.any(sizes < 0) \
+                or np.any((node_order < 0) | (node_order >= n)):
+            raise ClusteringError("cluster_offset must split node_order into clusters")
+        mapping = np.full(n, -1, dtype=np.int64)
+        mapping[node_order] = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+        if np.any(mapping < 0):
+            raise ClusteringError("clustering did not cover every node exactly once")
+        return cls(mapping, node_order, cluster_offset, max_cluster_size)
+
     @property
     def cluster_count(self) -> int:
         return len(self.cluster_offset) - 1
@@ -93,47 +111,30 @@ class Clustering:
                                self.cluster_offset[cluster + 1]]
 
     def validate(self) -> None:
-        n = self.node_count
-        if len(self.node_order) != n:
-            raise ClusteringError("node_order must list every node once")
-        if sorted(self.node_order.tolist()) != list(range(n)):
-            raise ClusteringError("node_order must be a permutation of the nodes")
-        if int(self.cluster_offset[0]) != 0 or int(self.cluster_offset[-1]) != n:
-            raise ClusteringError("cluster_offset must span all of node_order")
+        derived = Clustering.from_order(self.node_order, self.cluster_offset,
+                                        self.max_cluster_size)
+        if not np.array_equal(derived.node_mapping, self.node_mapping):
+            raise ClusteringError("node_mapping disagrees with node_order")
         sizes = np.diff(self.cluster_offset)
         if np.any(sizes <= 0):
             raise ClusteringError("clusters must be nonempty")
         if np.any(sizes > self.max_cluster_size):
             raise ClusteringError("cluster exceeds max_cluster_size")
-        for c in range(self.cluster_count):
-            for node in self.members(c):
-                if int(self.node_mapping[node]) != c:
-                    raise ClusteringError(
-                        f"node {int(node)} listed under cluster {c} but mapped to "
-                        f"{int(self.node_mapping[node])}")
 
 
 def _from_member_lists(members: list[list[int]], n: int,
                        max_size: int) -> Clustering:
-    mapping = np.full(n, -1, dtype=np.int64)
-    order = np.zeros(n, dtype=np.int64)
+    order = np.asarray([node for nodes in members for node in nodes], dtype=np.int64)
     offset = np.zeros(len(members) + 1, dtype=np.int64)
-    pos = 0
-    for c, nodes in enumerate(members):
-        for node in nodes:
-            mapping[node] = c
-            order[pos] = node
-            pos += 1
-        offset[c + 1] = pos
-    if pos != n or np.any(mapping < 0):
+    np.cumsum([len(nodes) for nodes in members], out=offset[1:])
+    if len(order) != n:
         raise ClusteringError("clustering did not cover every node exactly once")
-    return Clustering(mapping, order, offset, max_size)
+    return Clustering.from_order(order, offset, max_size)
 
 
 def identity_clustering(n: int) -> Clustering:
-    ids = np.arange(n, dtype=np.int64)
-    return Clustering(ids.copy(), ids.copy(),
-                      np.arange(n + 1, dtype=np.int64), 1)
+    return Clustering.from_order(np.arange(n, dtype=np.int64),
+                                 np.arange(n + 1, dtype=np.int64), 1)
 
 
 def cluster_close_to_1(g: DataGraph,
@@ -349,7 +350,6 @@ def build_cluster_graph(g: DataGraph, clustering: Clustering,
     graph = DataGraph(
         node_count=k,
         prestige=prestige,
-        node_type=np.zeros(k, dtype=np.uint16),
         adjacency_offset=offset,
         adjacent_nodes=adjacent,
         edge_weight=weight,

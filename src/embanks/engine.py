@@ -21,7 +21,7 @@ from .clustering import (CLUSTER_ALGORITHMS, ClusteringError, WeightConfig,
 from .graph import DataGraph, NodeMeta, build_graph, parse_schema
 from .keywords import KeywordIndex, build_index
 from .scoring import AnswerTree, ScoreConfig, ScoredAnswer, is_acceptable
-from .search import (COMBOS_ALL, KeywordSets, SearchConfig, SearchStats,
+from .search import (COMBOS, COMBOS_ALL, KeywordSets, SearchConfig, SearchStats,
                      backward_search, bidirectional_search)
 from .storage import (CLUSTERS_FILE, GRAPH_FILE, INDEX_FILE, TUPLES_FILE,
                       ClusterStore, ExpandedGraph, expand_clusters,
@@ -60,6 +60,14 @@ class EngineConfig:
         if self.phase1_limit < 1:
             raise ValueError(
                 f"phase-1 limit must be at least 1, got {self.phase1_limit}")
+        for what, value, allowed in (
+                ("phase-1 algorithm", self.phase1_algorithm, ALGORITHMS),
+                ("phase-2 algorithm", self.phase2_algorithm, ALGORITHMS),
+                ("extra-cluster policy", self.extra_policy, EXTRA_POLICIES),
+                ("combos", self.combos, COMBOS)):
+            if value not in allowed:
+                raise ValueError(f"unknown {what} {value!r}, "
+                                 f"expected one of {sorted(allowed)}")
 
     def phase1_search(self) -> SearchConfig:
         base = SearchConfig(k=self.k, score=self.score,

@@ -57,12 +57,6 @@ class IngestSpec:
     foreign_keys: list[ForeignKey]
     forward_weight_default: float = DEFAULT_FORWARD_WEIGHT
 
-    def table_index(self, name: str) -> int:
-        for i, t in enumerate(self.tables):
-            if t.name == name:
-                return i
-        raise IngestError(f"unknown table {name!r}")
-
 
 @dataclass
 class NodeMeta:
@@ -91,7 +85,6 @@ class DataGraph:
 
     node_count: int
     prestige: np.ndarray        # float32 [n]
-    node_type: np.ndarray       # uint16  [n]
     adjacency_offset: np.ndarray  # int64 [n + 1]
     adjacent_nodes: np.ndarray  # int64 [m]
     edge_weight: np.ndarray     # float32 [m]
@@ -191,13 +184,11 @@ class GraphBuilder:
 
     def __init__(self) -> None:
         self._prestige: list[float] = []
-        self._types: list[int] = []
         # (u, v, w_fwd, w_bwd) with u -> v the FK direction
         self._links: list[tuple[int, int, float, float]] = []
 
-    def add_node(self, prestige: float = 0.0, node_type: int = 0) -> int:
+    def add_node(self, prestige: float = 0.0) -> int:
         self._prestige.append(prestige)
-        self._types.append(node_type)
         return len(self._prestige) - 1
 
     def add_link(self, u: int, v: int, forward_weight: float,
@@ -210,9 +201,6 @@ class GraphBuilder:
         if forward_weight <= 0 or backward_weight <= 0:
             raise GraphError("link weights must be positive")
         self._links.append((u, v, forward_weight, backward_weight))
-
-    def set_prestige(self, node: int, value: float) -> None:
-        self._prestige[node] = value
 
     def build(self) -> DataGraph:
         n = len(self._prestige)
@@ -242,7 +230,6 @@ class GraphBuilder:
         return DataGraph(
             node_count=n,
             prestige=np.asarray(self._prestige, dtype=np.float32),
-            node_type=np.asarray(self._types, dtype=np.uint16),
             adjacency_offset=offset,
             adjacent_nodes=adjacent,
             edge_weight=weight,
@@ -412,7 +399,7 @@ def ingest(spec: IngestSpec, data_dir: str | Path) -> IngestResult:
                 f"{table.name}: prestige column {table.prestige_column!r} not in header")
         first_id = len(node_text)
         for rownum, row in enumerate(rows, 2):
-            node = builder.add_node(0.0, rel_id)
+            node = builder.add_node(0.0)
             node_relation.append(rel_id)
             node_text.append(" ".join(row[col_index[c]] for c in table.text_columns))
             node_key.append(row[col_index[header[0]]] if header else "")
@@ -480,9 +467,11 @@ def ingest(spec: IngestSpec, data_dir: str | Path) -> IngestResult:
     return IngestResult(graph, meta, warnings)
 
 
-def prune_transitive(g: DataGraph, spec: IngestSpec) -> tuple[DataGraph, np.ndarray]:
+def prune_transitive(g: DataGraph, spec: IngestSpec,
+                     node_relation: np.ndarray) -> tuple[DataGraph, np.ndarray]:
     """Remove nodes of relations that carry no text, preserving distances.
 
+    ``node_relation`` holds each node's relation id, as in ``NodeMeta``.
     Each removed node is spliced out: every pair of links meeting at it is
     replaced by a direct link whose per-direction weights are the path sums.
     Returns the new graph and an old->new node id map (-1 for removed).
@@ -525,7 +514,7 @@ def prune_transitive(g: DataGraph, spec: IngestSpec) -> tuple[DataGraph, np.ndar
         incident[lo].add(li)
         incident[hi].add(li)
 
-    doomed = [n for n in range(g.node_count) if int(g.node_type[n]) in prunable]
+    doomed = [n for n in range(g.node_count) if int(node_relation[n]) in prunable]
     for w in doomed:
         ids = sorted(incident[w])
         # Compose every unordered pair of distinct incident links through w.
@@ -555,9 +544,9 @@ def prune_transitive(g: DataGraph, spec: IngestSpec) -> tuple[DataGraph, np.ndar
     remap = np.full(g.node_count, -1, dtype=np.int64)
     builder = GraphBuilder()
     for n in range(g.node_count):
-        if int(g.node_type[n]) in prunable:
+        if int(node_relation[n]) in prunable:
             continue
-        remap[n] = builder.add_node(float(g.prestige[n]), int(g.node_type[n]))
+        remap[n] = builder.add_node(float(g.prestige[n]))
     for l in links:
         if l is None:
             continue
@@ -587,6 +576,6 @@ def build_graph(spec: IngestSpec, data_dir: str | Path,
     graph = assign_backward_weights(result.graph, spec.forward_weight_default)
     meta = result.meta
     if prune:
-        graph, remap = prune_transitive(graph, spec)
+        graph, remap = prune_transitive(graph, spec, meta.node_relation)
         meta = apply_remap(meta, remap)
     return graph, meta, result.warnings

@@ -47,6 +47,12 @@ class AnswerTree:
     root: int
     edges: tuple[tuple[int, int, float], ...]
     keyword_nodes: tuple[int, ...]
+    # every ranking reads it; ``nodes`` stays uncached so that pooled
+    # candidates hold no node set
+    node_count: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "node_count", len(self.nodes))
 
     @property
     def nodes(self) -> frozenset[int]:
@@ -55,10 +61,6 @@ class AnswerTree:
             out.add(u)
             out.add(v)
         return frozenset(out)
-
-    @property
-    def node_count(self) -> int:
-        return len(self.nodes)
 
     @property
     def edge_count(self) -> int:

@@ -25,6 +25,7 @@ from .scoring import (AnswerTree, OutputHeap, ScoreConfig, ScoredAnswer,
 
 COMBOS_ALL = "all"
 COMBOS_BEST = "best"
+COMBOS = (COMBOS_ALL, COMBOS_BEST)
 
 
 class NoMatchError(Exception):
@@ -74,6 +75,9 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError(f"k must be at least 1, got {self.k}")
+        if self.combos not in COMBOS:
+            raise ValueError(f"unknown combos {self.combos!r}, "
+                             f"expected one of {sorted(COMBOS)}")
 
     def for_phase1(self, limit: int) -> SearchConfig:
         return replace(self, k=limit, steiner_filter=False)

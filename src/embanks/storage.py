@@ -1,26 +1,31 @@
 """On-disk store: one compressed cluster-level graph plus one packed cluster file.
 
-Layout under a store directory (format 4)::
+Layout under a store directory (format 5)::
 
-    graph.emb       cluster graph, clustering arrays, per-cluster link counts,
-                    and each cluster record's byte offset and CRC32
-    clusters.emb    the cluster records in id order: a cluster's members with
-                    their prestige and type, and its intra and boundary
-                    links, each with both direction weights
+    graph.emb       cluster graph, the clustering's node order and cluster
+                    offsets, per-cluster link counts, and each cluster
+                    record's byte offset and CRC32
+    clusters.emb    the cluster records in id order: a cluster's member
+                    count and prestige, and its intra and boundary links,
+                    each with both direction weights
     index.kwi       keyword index over the original nodes (optional)
-    tuples.emb      the ingested tuple graph with node texts and keys
-                    (kept for clustering and baseline runs)
+    tuples.emb      the ingested tuple graph with node relations, texts and
+                    keys, read only by ``cluster`` to write the first two
 
-A graph stores per slot only its target, weight, direction bit and partner
-slot.  All integers are little-endian and ids fit 32 bits; weights are
-32-bit floats; strings carry a 32-bit byte length.  Every file and every
-cluster record begins with a four-byte magic and a version and ends with a
-CRC32 of everything before it; graph.emb also fixes the length and record
-CRCs of clusters.emb.  Files carry the format version; cluster records keep
-version 3, their layout since format 3.  Any other version is rejected, so
-a store written by an older release must be rebuilt with ``ingest`` then
-``cluster``.  Cluster cost bounds are not stored: ``clustering`` derives
-them from the tuple graph and the clustering when they are needed.
+Each fact is stored once, except the link counts and CRCs graph.emb keeps
+to budget for and check a record before reading it.  A graph stores per
+node only its prestige and per slot only its target, weight, direction bit
+and partner slot; node relations live in the tuple metadata.  A cluster's
+members are its span of the node order in graph.emb, and the node-to-cluster
+mapping is rebuilt from that order on read.  All integers are little-endian
+and ids fit 32 bits; weights are 32-bit floats; strings carry a 32-bit byte
+length.  Every file and every cluster record begins with a four-byte magic
+and the format version and ends with a CRC32 of everything before it;
+graph.emb also fixes the length and record CRCs of clusters.emb.  Any other
+version is rejected, so a store written by an older release must be rebuilt
+with ``ingest`` then ``cluster``.  Cluster cost bounds are not stored:
+``clustering`` derives them from the tuple graph and the clustering when
+they are needed.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .clustering import ClusterGraph, Clustering, WeightConfig
+from .clustering import ClusterGraph, Clustering, ClusteringError, WeightConfig
 from .graph import DataGraph, GraphBuilder, NodeMeta, estimate_memory
 from .keywords import KeywordIndex
 
@@ -45,8 +50,7 @@ MAGIC_GRAPH = b"EMBK"
 MAGIC_TUPLES = b"EMBT"
 MAGIC_CLUSTER = b"EMBC"
 MAGIC_INDEX = b"EMBI"
-FORMAT_VERSION = 4
-RECORD_VERSION = 3
+FORMAT_VERSION = 5
 
 _EDGE_COMBINER_IDS = {"inverse-sum": 0, "harmonic-mean": 1, "min": 2}
 _PRESTIGE_COMBINER_IDS = {"sum": 0, "max": 1, "avg": 2}
@@ -113,8 +117,7 @@ def _read_bytes(path: Path, start: int = 0, size: int = -1) -> bytes:
 
 
 class _Reader:
-    def __init__(self, blob: bytes, magic: bytes, name: str,
-                 expected_version: int = FORMAT_VERSION) -> None:
+    def __init__(self, blob: bytes, magic: bytes, name: str) -> None:
         self.name = name
         if len(blob) < 12:
             raise StorageFormatError(f"{name}: truncated file")
@@ -127,7 +130,7 @@ class _Reader:
         if got != magic:
             raise StorageFormatError(f"{name}: bad magic {got!r}")
         version = self.u32()
-        if version != expected_version:
+        if version != FORMAT_VERSION:
             raise StorageFormatError(f"{name}: unsupported version {version}")
 
     def raw(self, n: int) -> bytes:
@@ -165,7 +168,6 @@ class _Reader:
 
 def _write_graph_arrays(w: _Writer, g: DataGraph) -> None:
     w.arr(g.prestige, "<f4")
-    w.arr(g.node_type, "<u2")
     w.arr(g.adjacency_offset, "<u4")
     w.arr(g.adjacent_nodes, "<u4")
     w.arr(g.edge_weight, "<f4")
@@ -177,7 +179,6 @@ def _read_graph_arrays(r: _Reader, n: int, m: int) -> DataGraph:
     return DataGraph(
         node_count=n,
         prestige=r.arr(n, "<f4"),
-        node_type=r.arr(n, "<u2"),
         adjacency_offset=r.arr(n + 1, "<u4").astype(np.int64),
         adjacent_nodes=r.arr(m, "<u4").astype(np.int64),
         edge_weight=r.arr(m, "<f4"),
@@ -253,7 +254,6 @@ def write_compressed_graph(path: str | Path, header: StoreHeader) -> int:
     w.u8(_PRESTIGE_COMBINER_IDS[cg.wcfg.prestige_combiner])
     w.u16(0)
     _write_graph_arrays(w, cg.graph)
-    w.arr(cl.node_mapping, "<u4")
     w.arr(cl.node_order, "<u4")
     w.arr(cl.cluster_offset, "<u4")
     w.arr(header.intra_links, "<u4")
@@ -275,17 +275,17 @@ def read_compressed_graph(path: str | Path) -> StoreHeader:
     if edge_comb not in _EDGE_COMBINER_NAMES or prestige_comb not in _PRESTIGE_COMBINER_NAMES:
         raise StorageFormatError(f"{path}: unknown combiner ids")
     graph = _read_graph_arrays(r, k, m)
-    clustering = Clustering(
-        node_mapping=r.arr(n, "<u4").astype(np.int64),
-        node_order=r.arr(n, "<u4").astype(np.int64),
-        cluster_offset=r.arr(k + 1, "<u4").astype(np.int64),
-        max_cluster_size=max_size,
-    )
+    order = r.arr(n, "<u4").astype(np.int64)
+    cluster_offset = r.arr(k + 1, "<u4").astype(np.int64)
     intra = r.arr(k, "<u4").astype(np.int64)
     crossing = r.arr(k, "<u4").astype(np.int64)
     offset = r.arr(k + 1, "<u8").astype(np.int64)
     crc = r.arr(k, "<u4").astype(np.int64)
     r.done()
+    try:
+        clustering = Clustering.from_order(order, cluster_offset, max_size)
+    except ClusteringError as exc:
+        raise StorageFormatError(f"{path}: {exc}") from exc
     wcfg = WeightConfig(_EDGE_COMBINER_NAMES[edge_comb],
                         _PRESTIGE_COMBINER_NAMES[prestige_comb])
     return StoreHeader(ClusterGraph(graph, wcfg), clustering, intra, crossing,
@@ -296,66 +296,63 @@ def read_compressed_graph(path: str | Path) -> StoreHeader:
 
 @dataclass
 class ClusterPayload:
-    """Members and edges of one cluster.
+    """Member prestige and edges of one cluster.
 
-    Edges are stored as whole links (both direction weights in one record).
-    ``intra`` links join two members; ``boundary`` links lead from a member
-    to a node in another cluster and live only in the record of the cluster
-    owning the link's foreign-key source, so a reader joining two clusters
-    restores the opposite direction itself.
+    The members themselves are ``Clustering.members(cluster_id)``: local
+    member index ``i`` is the ``i``-th of them.  Edges are stored as whole
+    links (both direction weights in one record).  ``intra`` links join two
+    members; ``boundary`` links lead from a member to a node in another
+    cluster and live only in the record of the cluster owning the link's
+    foreign-key source, so a reader joining two clusters restores the
+    opposite direction itself.
     """
 
     cluster_id: int
-    members: np.ndarray      # int64, global node ids
-    prestige: np.ndarray     # float32
-    node_type: np.ndarray    # uint16
+    prestige: np.ndarray     # float32, one per member
     intra_src: np.ndarray    # int64, local member index
     intra_dst: np.ndarray
     intra_w: np.ndarray      # float32 [ln, 2] forward/backward
     bound_src: np.ndarray    # int64, local member index
     bound_dst: np.ndarray    # int64, global node id
-    bound_cluster: np.ndarray  # int64, cluster of the target
     bound_w: np.ndarray      # float32 [lb, 2]
+
+    @property
+    def member_count(self) -> int:
+        return len(self.prestige)
 
 
 def write_cluster(payload: ClusterPayload) -> bytes:
     w = _Writer()
     w.raw(MAGIC_CLUSTER)
-    w.u32(RECORD_VERSION)
+    w.u32(FORMAT_VERSION)
     w.u32(payload.cluster_id)
-    w.u32(len(payload.members))
+    w.u32(payload.member_count)
     w.u32(len(payload.intra_src))
     w.u32(len(payload.bound_src))
-    w.arr(payload.members, "<u4")
     w.arr(payload.prestige, "<f4")
-    w.arr(payload.node_type, "<u2")
     w.arr(payload.intra_src, "<u4")
     w.arr(payload.intra_dst, "<u4")
     w.arr(payload.intra_w, "<f4")
     w.arr(payload.bound_src, "<u4")
     w.arr(payload.bound_dst, "<u4")
-    w.arr(payload.bound_cluster, "<u4")
     w.arr(payload.bound_w, "<f4")
     return w.blob()
 
 
 def read_cluster(record: bytes, name: str = "cluster record") -> ClusterPayload:
-    r = _Reader(record, MAGIC_CLUSTER, name, RECORD_VERSION)
+    r = _Reader(record, MAGIC_CLUSTER, name)
     cid = r.u32()
     nm = r.u32()
     ln = r.u32()
     lb = r.u32()
     payload = ClusterPayload(
         cluster_id=cid,
-        members=r.arr(nm, "<u4").astype(np.int64),
         prestige=r.arr(nm, "<f4"),
-        node_type=r.arr(nm, "<u2"),
         intra_src=r.arr(ln, "<u4").astype(np.int64),
         intra_dst=r.arr(ln, "<u4").astype(np.int64),
         intra_w=r.arr(2 * ln, "<f4").reshape(ln, 2),
         bound_src=r.arr(lb, "<u4").astype(np.int64),
         bound_dst=r.arr(lb, "<u4").astype(np.int64),
-        bound_cluster=r.arr(lb, "<u4").astype(np.int64),
         bound_w=r.arr(2 * lb, "<f4").reshape(lb, 2),
     )
     r.done()
@@ -371,35 +368,18 @@ def make_cluster_payload(g: DataGraph, clustering: Clustering,
     a boundary link (target elsewhere).
     """
     members = clustering.members(cluster_id)
-    local = {int(n): i for i, n in enumerate(members)}
-    intra: list[tuple] = []
-    bound: list[tuple] = []
-    for u in members:
-        u = int(u)
-        for j in g.slots(u):
-            if not g.edge_direction[j]:
-                continue
-            v = int(g.adjacent_nodes[j])
-            b = int(g.pair_slot[j])
-            record = (float(g.edge_weight[j]), float(g.edge_weight[b]))
-            if int(clustering.node_mapping[v]) == cluster_id:
-                intra.append((local[u], local[v]) + record)
-            else:
-                bound.append((local[u], v, int(clustering.node_mapping[v])) + record)
-    ln, lb = len(intra), len(bound)
-    return ClusterPayload(
-        cluster_id=cluster_id,
-        members=np.asarray(members, dtype=np.int64),
-        prestige=np.asarray([g.prestige[int(n)] for n in members], dtype=np.float32),
-        node_type=np.asarray([g.node_type[int(n)] for n in members], dtype=np.uint16),
-        intra_src=np.asarray([r[0] for r in intra], dtype=np.int64),
-        intra_dst=np.asarray([r[1] for r in intra], dtype=np.int64),
-        intra_w=np.asarray([r[2:4] for r in intra], dtype=np.float32).reshape(ln, 2),
-        bound_src=np.asarray([r[0] for r in bound], dtype=np.int64),
-        bound_dst=np.asarray([r[1] for r in bound], dtype=np.int64),
-        bound_cluster=np.asarray([r[2] for r in bound], dtype=np.int64),
-        bound_w=np.asarray([r[3:5] for r in bound], dtype=np.float32).reshape(lb, 2),
-    )
+    start, end = g.adjacency_offset[members], g.adjacency_offset[members + 1]
+    slots = np.concatenate([np.arange(a, b) for a, b in zip(start, end)])
+    src = np.repeat(np.arange(len(members)), end - start)
+    forward = g.edge_direction[slots]   # each link once, from its source
+    slots, src = slots[forward], src[forward]
+    dst = g.adjacent_nodes[slots]
+    w = np.stack([g.edge_weight[slots], g.edge_weight[g.pair_slot[slots]]], axis=1)
+    inside = clustering.node_mapping[dst] == cluster_id
+    by_id = np.argsort(members)
+    dst_local = by_id[np.searchsorted(members, dst[inside], sorter=by_id)]
+    return ClusterPayload(cluster_id, g.prestige[members], src[inside], dst_local,
+                          w[inside], src[~inside], dst[~inside], w[~inside])
 
 
 # --- keyword index ------------------------------------------------------------
@@ -446,7 +426,7 @@ def write_store(store_dir: str | Path, g: DataGraph, clustering: Clustering,
             payload = make_cluster_payload(g, clustering, c)
             intra[c] = len(payload.intra_src)
             crossing[c] += len(payload.bound_src)
-            np.add.at(crossing, payload.bound_cluster, 1)
+            np.add.at(crossing, clustering.node_mapping[payload.bound_dst], 1)
             record = write_cluster(payload)
             fh.write(record)
             offset[c + 1] = offset[c] + len(record)
@@ -519,6 +499,10 @@ class ClusterStore:
         payload = read_cluster(record, name)
         if payload.cluster_id != cluster_id:
             raise StorageFormatError(f"{name}: holds cluster {payload.cluster_id}")
+        members = len(self.clustering.members(cluster_id))
+        if payload.member_count != members:
+            raise StorageFormatError(f"{name}: holds {payload.member_count} members, "
+                                     f"{GRAPH_FILE} has {members}")
         self.clusters_read += 1
         self.bytes_read += len(record)
         self._cache[cluster_id] = payload
@@ -526,8 +510,7 @@ class ClusterStore:
 
     def cluster_cost(self, cluster_id: int) -> int:
         """Upper bound on the bytes expanding this cluster can add."""
-        members = int(self.header.clustering.cluster_offset[cluster_id + 1]
-                      - self.header.clustering.cluster_offset[cluster_id])
+        members = len(self.clustering.members(cluster_id))
         slots = 2 * int(self.header.intra_links[cluster_id]) \
             + 2 * int(self.header.crossing_links[cluster_id])
         return estimate_memory(members, slots)
@@ -547,25 +530,27 @@ def expand_clusters(store: ClusterStore, cluster_ids) -> ExpandedGraph:
     """
     ids = tuple(sorted(set(int(c) for c in cluster_ids)))
     wanted = set(ids)
+    mapping = store.clustering.node_mapping
     builder = GraphBuilder()
     global_ids: list[int] = []
     local: dict[int, int] = {}
     payloads = [store.read_cluster(c) for c in ids]
     for payload in payloads:
-        for i, n in enumerate(payload.members):
-            local[int(n)] = builder.add_node(float(payload.prestige[i]),
-                                             int(payload.node_type[i]))
+        members = store.clustering.members(payload.cluster_id)
+        for i, n in enumerate(members):
+            local[int(n)] = builder.add_node(float(payload.prestige[i]))
             global_ids.append(int(n))
     for payload in payloads:
+        members = store.clustering.members(payload.cluster_id)
         for i in range(len(payload.intra_src)):
-            u = local[int(payload.members[payload.intra_src[i]])]
-            v = local[int(payload.members[payload.intra_dst[i]])]
+            u = local[int(members[payload.intra_src[i]])]
+            v = local[int(members[payload.intra_dst[i]])]
             builder.add_link(u, v,
                              float(payload.intra_w[i, 0]), float(payload.intra_w[i, 1]))
         for i in range(len(payload.bound_src)):
-            if int(payload.bound_cluster[i]) not in wanted:
+            if int(mapping[payload.bound_dst[i]]) not in wanted:
                 continue
-            u = local[int(payload.members[payload.bound_src[i]])]
+            u = local[int(members[payload.bound_src[i]])]
             v = local[int(payload.bound_dst[i])]
             builder.add_link(u, v,
                              float(payload.bound_w[i, 0]), float(payload.bound_w[i, 1]))

@@ -68,6 +68,25 @@ def test_configs_reject_nonpositive_k_and_limit():
     assert EngineConfig(k=1, phase1_limit=1).phase1_search().k == 1
 
 
+def test_configs_reject_unknown_combos():
+    for bad in ("bset", "", "ALL"):
+        with pytest.raises(ValueError, match=f"unknown combos {bad!r}"):
+            SearchConfig(combos=bad)
+        with pytest.raises(ValueError, match=f"unknown combos {bad!r}"):
+            EngineConfig(combos=bad)
+
+
+@pytest.mark.parametrize("phase", [1, 2])
+def test_engine_config_rejects_unknown_algorithm(phase):
+    with pytest.raises(ValueError, match=f"unknown phase-{phase} algorithm 'dfs'"):
+        EngineConfig(**{f"phase{phase}_algorithm": "dfs"})
+
+
+def test_engine_config_rejects_unknown_extra_policy():
+    with pytest.raises(ValueError, match="unknown extra-cluster policy 'all'"):
+        EngineConfig(extra_policy="all")
+
+
 def test_budget_fill_skips_too_expensive(rng, tmp_path):
     _, _, _, store = make_store(rng, tmp_path, n=30, max_size=3)
     costs = [store.cluster_cost(c) for c in range(store.cluster_count)]

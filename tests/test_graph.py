@@ -254,12 +254,12 @@ def _spec_with_textless(n_relations, textless):
 def test_prune_two_link_composition():
     """A key-only node between two neighbors becomes one composed link."""
     b = GraphBuilder()
-    a = b.add_node(1.0, 0)
-    w = b.add_node(0.0, 1)   # relation 1 is key-only
-    c = b.add_node(1.0, 0)
+    a, w, c = b.add_node(1.0), b.add_node(0.0), b.add_node(1.0)
     b.add_link(w, a, 1.0, 2.0)
     b.add_link(w, c, 4.0, 8.0)
-    g, remap = prune_transitive(b.build(), _spec_with_textless(2, {1}))
+    # relation 1 is key-only
+    g, remap = prune_transitive(b.build(), _spec_with_textless(2, {1}),
+                                np.array([0, 1, 0]))
 
     assert g.node_count == 2
     assert remap[a] == 0 and remap[c] == 1 and remap[w] == -1
@@ -283,7 +283,7 @@ def test_prune_preserves_distances(rng):
         b = GraphBuilder()
         types = [rng.choice([0, 1]) for _ in range(n)]
         for i in range(n):
-            b.add_node(1.0, types[i])
+            b.add_node(1.0)
         for i in range(1, n):
             t = rng.randrange(i)
             u, v = (i, t) if rng.random() < 0.5 else (t, i)
@@ -294,7 +294,8 @@ def test_prune_preserves_distances(rng):
                 b.add_link(u, v, rng.choice(WEIGHT_GRID),
                            rng.choice(WEIGHT_GRID))
         g = b.build()
-        pruned, remap = prune_transitive(g, _spec_with_textless(2, {1}))
+        pruned, remap = prune_transitive(g, _spec_with_textless(2, {1}),
+                                         np.array(types))
 
         survivors = [i for i in range(n) if types[i] == 0]
         assert [remap[i] >= 0 for i in range(n)] == \
@@ -316,18 +317,19 @@ def test_prune_preserves_distances(rng):
 def test_prune_skips_self_compositions():
     """Two links from a removed node to one neighbor breed no self-loop."""
     b = GraphBuilder()
-    a = b.add_node(1.0, 0)
-    w = b.add_node(0.0, 1)
+    a, w = b.add_node(1.0), b.add_node(0.0)
     b.add_link(w, a, 1.0, 1.0)
     b.add_link(w, a, 2.0, 2.0)
-    g, _ = prune_transitive(b.build(), _spec_with_textless(2, {1}))
+    g, _ = prune_transitive(b.build(), _spec_with_textless(2, {1}),
+                           np.array([0, 1]))
     assert g.node_count == 1
     assert g.slot_count == 0
 
 
 def test_prune_keeps_textual_relations_intact(rng):
     g = random_graph(rng, 12)
-    pruned, remap = prune_transitive(g, _spec_with_textless(1, set()))
+    pruned, remap = prune_transitive(g, _spec_with_textless(1, set()),
+                                     np.zeros(g.node_count, dtype=np.uint16))
     assert pruned.node_count == g.node_count
     assert sorted(pruned.links()) == sorted(g.links())
     assert list(remap) == list(range(g.node_count))

@@ -23,6 +23,14 @@ def test_single_node_tree():
     assert edge_score(t, ScoreConfig()) == 1.0
 
 
+def test_node_count_is_stored_and_leaves_equality_alone():
+    t = _tree(0, [(0, 1, 1.0), (1, 2, 1.0)])
+    assert vars(t)["node_count"] == 3 == len(t.nodes)
+    twin = _tree(0, [(0, 1, 1.0), (1, 2, 1.0)])
+    assert t == twin and hash(t) == hash(twin)
+    assert repr(t) == "AnswerTree(root=0, edges=((0, 1, 1.0), (1, 2, 1.0)), keyword_nodes=())"
+
+
 def test_leaves_and_node_score_path():
     t = _tree(0, [(0, 1, 1.0), (1, 2, 1.0)])
     assert t.leaves() == [2]

@@ -3,11 +3,12 @@
 import random
 import zlib
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from embanks.clustering import (WeightConfig, _from_member_lists,
+from embanks.clustering import (Clustering, WeightConfig, _from_member_lists,
                                 build_cluster_graph, min_crossing_weights)
 from embanks.graph import NodeMeta
 from embanks.keywords import KeywordIndex, build_index
@@ -59,9 +60,8 @@ def test_tuple_graph_round_trip(rng, tmp_path):
     write_tuple_graph(p1, g, meta)
     g2, meta2 = read_tuple_graph(p1)
     assert g2.node_count == g.node_count
-    for name in ("prestige", "node_type", "adjacency_offset",
-                 "adjacent_nodes", "edge_weight", "edge_direction",
-                 "pair_slot"):
+    for name in ("prestige", "adjacency_offset", "adjacent_nodes",
+                 "edge_weight", "edge_direction", "pair_slot"):
         assert np.array_equal(getattr(g2, name), getattr(g, name)), name
     assert meta2.relation_names == meta.relation_names
     assert np.array_equal(meta2.node_relation, meta.node_relation)
@@ -69,6 +69,22 @@ def test_tuple_graph_round_trip(rng, tmp_path):
     assert meta2.node_key == meta.node_key
     write_tuple_graph(p2, g2, meta2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_tuple_graph_byte_length(rng, tmp_path):
+    """tuples.emb holds exactly its listed arrays: no per-node type array."""
+    n = 15
+    g = random_graph(rng, n, extra_links=6)
+    meta = random_meta(rng, n)
+    path = tmp_path / "t.emb"
+    write_tuple_graph(path, g, meta)
+    m = g.slot_count
+    graph_arrays = 4 * n + 4 * (n + 1) + 12 * m + (m + 7) // 8
+    names = sum(4 + len(r.encode()) for r in meta.relation_names)
+    texts = sum(4 * (n + 1) + sum(len(t.encode()) for t in column)
+                for column in (meta.node_text, meta.node_key))
+    assert path.stat().st_size == \
+        20 + graph_arrays + names + 2 * n + texts + 4
 
 
 def test_compressed_graph_round_trip(rng, tmp_path):
@@ -84,9 +100,10 @@ def test_compressed_graph_round_trip(rng, tmp_path):
                          np.arange(k, dtype=np.int64) + 0xFFFF0000)
     p1, p2 = tmp_path / "a.emb", tmp_path / "b.emb"
     write_compressed_graph(p1, header)
-    # header, arrays and CRC only: no per-cluster or per-superedge cost bounds
-    graph_arrays = 6 * k + 4 * (k + 1) + 12 * m + (m + 7) // 8
-    clustering_arrays = 8 * cl.node_count + 4 * (k + 1)
+    # header, arrays and CRC only: no per-cluster or per-superedge cost
+    # bounds, no node types and no node-to-cluster mapping
+    graph_arrays = 4 * k + 4 * (k + 1) + 12 * m + (m + 7) // 8
+    clustering_arrays = 4 * cl.node_count + 4 * (k + 1)
     record_arrays = 8 * k + 8 * (k + 1) + 4 * k
     assert p1.stat().st_size == \
         28 + graph_arrays + clustering_arrays + record_arrays + 4
@@ -113,15 +130,101 @@ def test_cluster_payload_round_trip(rng):
     cl = random_clustering(rng, 18, 5)
     for c in range(cl.cluster_count):
         payload = make_cluster_payload(g, cl, c)
-        assert np.all(payload.bound_cluster != c)
+        assert payload.member_count == len(cl.members(c))
+        assert np.all(cl.node_mapping[payload.bound_dst] != c)
         record = write_cluster(payload)
+        # header, member prestige, links with both weights, CRC: no member
+        # ids, node types or target clusters
+        ln, lb = len(payload.intra_src), len(payload.bound_src)
+        assert len(record) == 24 + 4 * payload.member_count + 16 * ln + 16 * lb + 4
         back = read_cluster(record)
         assert back.cluster_id == c
-        for name in ("members", "prestige", "node_type", "intra_src",
-                     "intra_dst", "intra_w", "bound_src", "bound_dst",
-                     "bound_cluster", "bound_w"):
+        for name in ("prestige", "intra_src", "intra_dst", "intra_w",
+                     "bound_src", "bound_dst", "bound_w"):
             assert np.array_equal(getattr(back, name), getattr(payload, name)), name
         assert write_cluster(back) == record
+
+
+def loop_payload_links(g, cl, c):
+    """Reference for make_cluster_payload: walk each member's slots in order."""
+    members = [int(n) for n in cl.members(c)]
+    intra, bound = [], []
+    for i, u in enumerate(members):
+        for j in g.slots(u):
+            if not g.edge_direction[j]:
+                continue
+            v = int(g.adjacent_nodes[j])
+            w = (g.edge_weight[j], g.edge_weight[g.pair_slot[j]])
+            if int(cl.node_mapping[v]) == c:
+                intra.append((i, members.index(v)) + w)
+            else:
+                bound.append((i, v) + w)
+    return intra, bound
+
+
+def test_cluster_payload_matches_slot_walk(rng):
+    for _ in range(40):
+        n = rng.randint(1, 40)
+        g = random_graph(rng, n, extra_links=rng.randint(0, n))
+        cl = random_clustering(rng, n, rng.randint(1, 6))
+        for c in range(cl.cluster_count):
+            p = make_cluster_payload(g, cl, c)
+            intra, bound = loop_payload_links(g, cl, c)
+            assert list(zip(p.intra_src.tolist(), p.intra_dst.tolist(),
+                            *p.intra_w.T.tolist())) == intra
+            assert list(zip(p.bound_src.tolist(), p.bound_dst.tolist(),
+                            *p.bound_w.T.tolist())) == bound
+            assert p.prestige.tolist() == g.prestige[cl.members(c)].tolist()
+
+
+def test_rebuilt_node_mapping_matches_written_clustering(rng, tmp_path):
+    for name in ("close1", "greedymin", "connection"):
+        g = random_graph(rng, 30, extra_links=10)
+        cl = grown_clustering(rng, name, g, 4)
+        _, _, store = built_store(rng, tmp_path / name, g=g, cl=cl)
+        assert np.array_equal(store.clustering.node_mapping, cl.node_mapping)
+        store.clustering.validate()
+
+
+def test_graph_file_of_another_version_is_rejected(rng, tmp_path):
+    built_store(rng, tmp_path, n=12)
+    path = tmp_path / "graph.emb"
+    raw = bytearray(path.read_bytes())
+    for version in (3, 4, 6):
+        raw[4] = version
+        body = bytes(raw[:-4])
+        path.write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))
+        with pytest.raises(StorageFormatError, match="unsupported version"):
+            ClusterStore.open(tmp_path)
+
+
+def test_graph_file_with_inconsistent_clustering_is_rejected(rng, tmp_path):
+    g, cl, store = built_store(rng, tmp_path, n=20)
+    path = tmp_path / "graph.emb"
+    order = cl.node_order.copy()
+    order[0] = order[1]                 # one node twice, another never
+    broken = Clustering(cl.node_mapping, order, cl.cluster_offset,
+                        cl.max_cluster_size)
+    write_compressed_graph(path, replace(store.header, clustering=broken))
+    with pytest.raises(StorageFormatError, match="cover every node"):
+        read_compressed_graph(path)
+
+
+def test_member_count_differing_from_graph_file_is_rejected(rng, tmp_path):
+    g, cl, store = built_store(rng, tmp_path, n=24)
+    c = next(c for c in range(cl.cluster_count - 1) if len(cl.members(c)) > 1)
+    # the same node order with the last member of c moved to c + 1
+    offset = cl.cluster_offset.copy()
+    offset[c + 1] -= 1
+    shifted = Clustering.from_order(cl.node_order, offset, cl.max_cluster_size)
+    write_compressed_graph(tmp_path / "graph.emb",
+                           replace(store.header, clustering=shifted))
+    store = ClusterStore.open(tmp_path)
+    for other in range(c):
+        store.read_cluster(other)
+    with pytest.raises(StorageFormatError,
+                       match=f"cluster {c}: holds {len(cl.members(c))} members"):
+        store.read_cluster(c)
 
 
 def test_keyword_index_round_trip(tmp_path):
@@ -179,16 +282,16 @@ def test_corruption_detection(rng, tmp_path):
         body = bytes(versioned[:-4])
         return body + zlib.crc32(body).to_bytes(4, "little")
 
-    path.write_bytes(restamped(raw, 4))
+    path.write_bytes(restamped(raw, 5))
     read_tuple_graph(path)
-    for version in (1, 2, 3, 99):
+    for version in (1, 2, 3, 4, 99):
         path.write_bytes(restamped(raw, version))
         with pytest.raises(StorageFormatError, match="unsupported version"):
             read_tuple_graph(path)
 
     record = write_cluster(make_cluster_payload(g, random_clustering(rng, 12, 4), 0))
-    read_cluster(restamped(record, 3))
-    for version in (1, 2, 4, 99):
+    read_cluster(restamped(record, 5))
+    for version in (1, 2, 3, 4, 99):
         with pytest.raises(StorageFormatError, match="unsupported version"):
             read_cluster(restamped(record, version))
 
@@ -248,7 +351,6 @@ def test_expand_all_clusters_restores_graph(rng, tmp_path):
         assert exp.graph.node_count == g.node_count
         for local, gid in enumerate(exp.global_ids):
             assert exp.graph.prestige[local] == g.prestige[int(gid)]
-            assert exp.graph.node_type[local] == g.node_type[int(gid)]
             assert exp.global_to_local[int(gid)] == local
         assert link_multiset(exp.graph, exp.global_ids) == link_multiset(g)
 
