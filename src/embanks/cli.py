@@ -48,6 +48,7 @@ def _print_stats(label: str, stats: SearchStats) -> None:
           f"answers={stats.answers_emitted} "
           f"clusters_read={stats.clusters_read} "
           f"bytes_read={stats.bytes_read} "
+          f"stopped={stats.stopped} "
           f"elapsed={stats.elapsed:.3f}s", file=sys.stderr)
 
 

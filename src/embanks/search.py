@@ -27,6 +27,11 @@ COMBOS_ALL = "all"
 COMBOS_BEST = "best"
 COMBOS = (COMBOS_ALL, COMBOS_BEST)
 
+# Why a search stopped (``SearchStats.stopped``).
+STOPPED_K = "k"                      # the output bound released k answers
+STOPPED_EXHAUSTED = "exhausted"      # the frontier ran empty
+STOPPED_ONE_SOURCE = "one-source"    # one node is every term's only match
+
 
 class NoMatchError(Exception):
     """A query term matched nothing searchable."""
@@ -91,8 +96,10 @@ class SearchStats:
     clusters_read: int = 0
     bytes_read: int = 0
     elapsed: float = 0.0
+    stopped: str = ""
 
     def __add__(self, other: SearchStats) -> SearchStats:
+        """Counts add up; ``stopped`` is the later search's."""
         return SearchStats(
             self.nodes_touched + other.nodes_touched,
             self.nodes_explored + other.nodes_explored,
@@ -100,6 +107,7 @@ class SearchStats:
             self.clusters_read + other.clusters_read,
             self.bytes_read + other.bytes_read,
             self.elapsed + other.elapsed,
+            other.stopped,
         )
 
 
@@ -349,6 +357,22 @@ def _finalize(candidates: dict, ks: KeywordSets, cfg: SearchConfig,
     return top
 
 
+def _one_source_answer(g: DataGraph, ks: KeywordSets, cfg: SearchConfig,
+                       stats: SearchStats) -> list[ScoredAnswer] | None:
+    """The one-node answer at ``s`` when ``s`` is every term's only keyword
+    node, else None.  It touches and settles ``s`` alone and reads no edge.
+    """
+    sources = set().union(*ks.sets)
+    if len(sources) != 1:
+        return None
+    (s,) = sources
+    stats.nodes_touched = stats.nodes_explored = 1
+    stats.stopped = STOPPED_ONE_SOURCE
+    tree = AnswerTree(s, (), (s,) * len(ks.sets))
+    return _finalize({tree.identity_key(): score_tree(tree, g.prestige, cfg.score)},
+                     ks, cfg, stats)
+
+
 def _score_ceiling(g: DataGraph, ks: KeywordSets) -> float:
     """Largest node score any answer on this graph could reach."""
     best_root = float(np.max(g.prestige)) if g.node_count else 0.0
@@ -386,11 +410,22 @@ def backward_search(g: DataGraph, ks: KeywordSets,
     chosen keyword node lies below the root, and the tree without its root
     still covers every term: ``root_is_redundant`` holds.  Both outcomes
     drop the combination, as building the tree would.
+
+    When one node ``s`` is every term's only keyword node, the search
+    returns the one-node answer at ``s`` without sweeping, which is exact.
+    There is one iterator, so every combination is that iterator alone.  At
+    ``s`` its distance is 0 and its paths are empty: the one-node tree.  At
+    any other root its single path leaves by one edge, so the rule above
+    drops the combination.  No other candidate ever enters the pool.
     """
     cfg = cfg or SearchConfig()
     stats = SearchStats()
     started = time.perf_counter()
     _require_nonempty(ks)
+    single = _one_source_answer(g, ks, cfg, stats)
+    if single is not None:
+        stats.elapsed = time.perf_counter() - started
+        return single, stats
 
     adj = g.adjacency_lists()
     offset, target, _, w_in = adj
@@ -411,6 +446,7 @@ def backward_search(g: DataGraph, ks: KeywordSets,
     out = OutputHeap()
     n_ceiling = _score_ceiling(g, ks)
 
+    stats.stopped = STOPPED_EXHAUSTED
     while heap:
         d, it, x = heapq.heappop(heap)
         if x in settled[it]:
@@ -446,6 +482,7 @@ def backward_search(g: DataGraph, ks: KeywordSets,
                 candidates[key] = answer
                 out.push(answer)
         if out.emitted_count >= cfg.k:
+            stats.stopped = STOPPED_K
             break
 
         dist_it = dist[it]
@@ -490,11 +527,23 @@ def bidirectional_search(g: DataGraph, ks: KeywordSets,
     every path ends at a keyword node below the root and the tree without
     its root still covers every term: ``root_is_redundant`` holds.  Both
     outcomes drop the root, as building the tree would.
+
+    When one node ``s`` is every term's only keyword node, the search
+    returns the one-node answer at ``s`` without sweeping, which is exact.
+    Every term's table is then seeded at ``s`` alone and updated by the same
+    relaxations, so all terms hold the same distance and successor at every
+    node.  At ``s`` the distances are 0 and the tree is the one node.  At
+    any other root every term's path starts with the same edge, so the rule
+    above drops it.  No other candidate ever enters the pool.
     """
     cfg = cfg or SearchConfig()
     stats = SearchStats()
     started = time.perf_counter()
     _require_nonempty(ks)
+    single = _one_source_answer(g, ks, cfg, stats)
+    if single is not None:
+        stats.elapsed = time.perf_counter() - started
+        return single, stats
 
     offset, target, w_out, w_in = g.adjacency_lists()
     n, w = g.node_count, len(ks.sets)
@@ -604,6 +653,7 @@ def bidirectional_search(g: DataGraph, ks: KeywordSets,
             candidates[key] = answer
             out.push(answer)
 
+    stats.stopped = STOPPED_EXHAUSTED
     while in_heap or out_heap:
         take_in = bool(in_heap)
         if take_in and out_heap and out_heap[0][0] < in_heap[0][0]:
@@ -648,6 +698,7 @@ def bidirectional_search(g: DataGraph, ks: KeywordSets,
             if not emitted_roots[r]:
                 emit(r)
         if out.emitted_count >= cfg.k:
+            stats.stopped = STOPPED_K
             break
 
     answers = _finalize(candidates, ks, cfg, stats)

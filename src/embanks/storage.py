@@ -39,7 +39,7 @@ import numpy as np
 
 from .clustering import ClusterGraph, Clustering, ClusteringError, WeightConfig
 from .graph import DataGraph, GraphBuilder, NodeMeta, estimate_memory
-from .keywords import KeywordIndex
+from .keywords import POSTING_DTYPE, KeywordIndex
 
 GRAPH_FILE = "graph.emb"
 TUPLES_FILE = "tuples.emb"
@@ -393,18 +393,24 @@ def write_keyword_index(path: str | Path, index: KeywordIndex) -> int:
     for term in terms:
         w.string(term)
         postings = index.postings[term]
-        w.u32(len(postings))
-        w.arr(np.asarray(postings, dtype=np.int64), "<u4")
+        if isinstance(postings, bytes):     # read from a file, not looked up
+            w.u32(len(postings) // POSTING_DTYPE.itemsize)
+            w.raw(postings)
+        else:
+            w.u32(len(postings))
+            w.arr(np.asarray(postings, dtype=np.int64), POSTING_DTYPE)
     return w.finish(Path(path))
 
 
 def read_keyword_index(path: str | Path) -> KeywordIndex:
+    """Check the whole file, then keep each posting list encoded; the index
+    decodes a list on its first lookup."""
     r = _Reader(_read_bytes(Path(path)), MAGIC_INDEX, str(path))
     count = r.u32()
-    postings: dict[str, list[int]] = {}
+    postings: dict[str, list[int] | bytes] = {}
     for _ in range(count):
         term = r.string()
-        postings[term] = r.arr(r.u32(), "<u4").tolist()
+        postings[term] = r.raw(r.u32() * POSTING_DTYPE.itemsize)
     r.done()
     return KeywordIndex(postings)
 

@@ -129,19 +129,47 @@ def exhaustive_answers(g, ks, score_cfg, k=None, steiner=True):
         if not all(per_set):
             continue
         for combo in itertools.product(*per_set):
-            edges = union_paths(root, [paths[n][2] for n in combo])
-            if edges is None:
-                continue
-            nodes = {root}
-            for u, v, _ in edges:
-                nodes.add(u)
-                nodes.add(v)
-            if redundant_root(root, edges, nodes, ks):
-                continue
-            key = (root, edges)
-            if key not in pool:
-                pool[key] = score_answer(root, edges, combo,
-                                         g.prestige, score_cfg)
+            _pool_answer(pool, g, ks, score_cfg, root, combo,
+                         [paths[n][2] for n in combo])
+    return _ranked(pool, k, steiner)
+
+
+def best_combo_answers(g, ks, score_cfg, k=None, steiner=True):
+    """The ``combos=best`` answers: per root, one combination, each term's
+    nearest keyword node by (distance, id), joined by canonical paths;
+    ranked like ``exhaustive_answers``."""
+    reverse = {v: list(g.in_edges(v)) for v in range(g.node_count)}
+    dist = {n: dijkstra_oracle(reverse, n) for n in set().union(*ks.sets)}
+    pool = {}
+    for root in range(g.node_count):
+        reach = [[(dist[n][root], n) for n in s if root in dist[n]]
+                 for s in ks.sets]
+        if not all(reach):
+            continue
+        combo = tuple(min(r)[1] for r in reach)
+        _pool_answer(pool, g, ks, score_cfg, root, combo,
+                     [canonical_path(g, root, n)[2] for n in combo])
+    return _ranked(pool, k, steiner)
+
+
+def _pool_answer(pool, g, ks, score_cfg, root, combo, paths):
+    """Add the tree the paths make at root, unless it is no tree, has a
+    redundant root, or is already pooled."""
+    edges = union_paths(root, paths)
+    if edges is None:
+        return
+    nodes = {root}
+    for u, v, _ in edges:
+        nodes.add(u)
+        nodes.add(v)
+    if redundant_root(root, edges, nodes, ks):
+        return
+    key = (root, edges)
+    if key not in pool:
+        pool[key] = score_answer(root, edges, combo, g.prestige, score_cfg)
+
+
+def _ranked(pool, k, steiner):
     answers = sorted(pool.values(), key=RefAnswer.sort_key)
     if steiner:
         answers = subset_filter(answers)

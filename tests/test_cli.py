@@ -78,6 +78,23 @@ def test_stats_flag_writes_to_stderr_only(corpus, capsys):
     assert stats.out == plain.out
     assert plain.err == ""
     assert "phase1" in stats.err and "clusters:" in stats.err
+    # both planted words sit in one cluster, so phase 1 stops there
+    lines = stats.err.splitlines()
+    assert " stopped=one-source " in lines[0]
+    assert all(" stopped=exhausted " in line for line in lines[1:3])
+
+
+def test_baseline_stats_say_why_the_search_stopped(corpus, capsys):
+    data, _ = corpus
+    argv = ["baseline", "--data", str(data), " ".join(low_pair(0))]
+    capsys.readouterr()
+    assert cli.main(argv) == 0
+    plain = capsys.readouterr()
+    assert cli.main(argv + ["--stats"]) == 0
+    stats = capsys.readouterr()
+    assert stats.out == plain.out and plain.err == ""
+    assert stats.err.startswith("search: ")
+    assert " stopped=exhausted " in stats.err
 
 
 def test_compare_reports_each_query(corpus, capsys):

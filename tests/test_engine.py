@@ -1,5 +1,6 @@
 """Two-phase query orchestration over a cluster store."""
 
+import hashlib
 import random
 
 import numpy as np
@@ -358,4 +359,37 @@ def test_bidi_two_phase_regression_pin(tmp_path):
     assert [(a.tree.identity_key(), a.score) for a in answers] == [
         ((0, ((0, 150, 2.0),)), 3.1333333333333333),
         ((150, ((150, 0, 2.0),)), 3.1333333333333333)]
-    assert counts == (86, 86, 20, 20, 0)
+    # both words sit in one cluster, so phase 1 stops at it
+    assert counts == (1, 1, 20, 20, 0)
+
+
+def test_one_cluster_pairs_stop_phase1_at_their_cluster(tmp_path):
+    """Every planted pair whose paper and author share a cluster gets the
+    recorded default-config answers, and phase 1 settles that cluster only.
+
+    The digest covers the answers of all 14 such pairs of this store, as
+    a full phase-1 sweep of the cluster graph gives them.
+    """
+    spec = SynthSpec(papers=150, authors=50, writes=225, cites=75,
+                     rare_pairs=20, seed=2)
+    generate_synthetic(spec, tmp_path / "data")
+    ingest_to_store(tmp_path / "data" / "schema.txt", tmp_path / "data",
+                    tmp_path / "store")
+    build_store(tmp_path / "store", "close1", 10)
+    store = ClusterStore.open(tmp_path / "store")
+    mapping = store.clustering.node_mapping
+    digests = []
+    for i in range(spec.rare_pairs):
+        terms = list(low_pair(i))
+        clusters = {int(mapping[n]) for t in terms
+                    for n in store.keyword_index().lookup(t)}
+        if len(clusters) != 1:
+            continue
+        r = two_phase_query(store, terms, EngineConfig())
+        assert (r.phase1_stats.nodes_explored, r.phase1_stats.stopped) == \
+            (1, "one-source")
+        assert r.core_clusters == tuple(clusters)
+        digests.append(answers_digest(r.answers))
+    assert len(digests) == 14
+    assert hashlib.sha256(repr(digests).encode()).hexdigest()[:16] == \
+        "cfc40d56daac3e4a"

@@ -6,17 +6,18 @@ import numpy as np
 import pytest
 
 from embanks import search
-from embanks.graph import GraphBuilder
+from embanks.graph import DataGraph, GraphBuilder
 from embanks.scoring import EDGE_RECIPROCAL_SUM, ScoreConfig, score_tree
-from embanks.search import (COMBOS_ALL, COMBOS_BEST, ActivationState,
+from embanks.search import (COMBOS_ALL, COMBOS_BEST, STOPPED_EXHAUSTED,
+                            STOPPED_K, STOPPED_ONE_SOURCE, ActivationState,
                             KeywordSets, NoMatchError, SearchConfig,
-                            backward_search, bidirectional_search,
+                            SearchStats, backward_search, bidirectional_search,
                             _activation_total, _tight_path, init_activation,
                             spread_activation, steiner_minimality_filter)
 
 from conftest import answers_digest, random_graph, random_keyword_sets
-from oracles import (canonical_path, dijkstra_oracle, exhaustive_answers,
-                     graph_adjacency)
+from oracles import (best_combo_answers, canonical_path, dijkstra_oracle,
+                     exhaustive_answers, graph_adjacency)
 
 REST_TOL = 1e-9
 
@@ -170,6 +171,84 @@ def test_combos_best_is_subset_of_full_pool(rng):
         assert len(best) <= len(full)
 
 
+def test_combos_best_matches_its_oracle(rng):
+    """``combos=best`` answers, keyword nodes included, are the oracle's:
+    per root, each term's nearest keyword node by (distance, id)."""
+    configs = [SearchConfig(k=10, combos=COMBOS_BEST),
+               SearchConfig(k=10 ** 6, steiner_filter=False, combos=COMBOS_BEST)]
+    for _ in range(60):
+        n = rng.randint(2, 10)
+        g = random_graph(rng, n, extra_links=rng.randint(0, n))
+        ks = random_keyword_sets(rng, n, rng.randint(1, 3))
+        for cfg in configs:
+            answers, _ = backward_search(g, ks, cfg)
+            expected = best_combo_answers(g, ks, cfg.score, k=cfg.k,
+                                          steiner=cfg.steiner_filter)
+            _assert_matches_oracle(answers, expected)
+            assert [a.tree.keyword_nodes for a in answers] == \
+                [e.keyword_nodes for e in expected]
+
+
+ONE_SOURCE_CONFIGS = {
+    "all": SearchConfig(k=10),
+    "best": SearchConfig(k=10, combos=COMBOS_BEST),
+    "phase1": SearchConfig(k=10).for_phase1(100),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_SOURCE_CONFIGS))
+def test_one_source_returns_its_node_without_a_sweep(monkeypatch, rng, name):
+    """When one node is every term's only keyword node, both searches
+    return exactly the oracle's answers, that node alone, and never build
+    the adjacency lists a sweep walks."""
+    cfg = ONE_SOURCE_CONFIGS[name]
+
+    def no_sweep(_g):
+        raise AssertionError("adjacency_lists called")
+
+    monkeypatch.setattr(DataGraph, "adjacency_lists", no_sweep)
+    for _ in range(40):
+        n = rng.randint(1, 12)
+        g = random_graph(rng, n, extra_links=rng.randint(0, n))
+        s = rng.randrange(n)
+        terms = [f"t{i}" for i in range(rng.randint(1, 4))]
+        ks = KeywordSets(terms, [frozenset({s})] * len(terms))
+        expected = exhaustive_answers(g, ks, cfg.score, k=cfg.k,
+                                      steiner=cfg.steiner_filter)
+        assert [(e.root, e.edges) for e in expected] == [(s, ())]
+        for algorithm in (backward_search, bidirectional_search):
+            answers, stats = algorithm(g, ks, cfg)
+            _assert_matches_oracle(answers, expected)
+            assert answers[0].tree.keyword_nodes == (s,) * len(terms)
+            assert (stats.nodes_touched, stats.nodes_explored,
+                    stats.answers_emitted) == (1, 1, 1)
+            assert stats.stopped == STOPPED_ONE_SOURCE
+
+
+@pytest.mark.parametrize("algorithm", [backward_search, bidirectional_search])
+def test_stats_say_why_the_search_stopped(algorithm):
+    """``k`` when the output bound released k answers, ``exhausted`` when
+    the frontier ran empty, ``one-source`` when one node is every term's
+    only keyword node.  With zero prestige the one-node answer at ``s``
+    meets the output bound, so it is released as soon as it is found."""
+    b = GraphBuilder()
+    s, t, u = (b.add_node(0.0) for _ in range(3))
+    b.add_link(u, s, 1.0, 1.0)
+    b.add_link(u, t, 1.0, 1.0)
+    g = b.build()
+    two = KeywordSets(["a", "b"], [frozenset({s, t}), frozenset({s})])
+    one = KeywordSets(["a", "b"], [frozenset({s}), frozenset({s})])
+    early, stats = algorithm(g, two, SearchConfig(k=1))
+    assert stats.stopped == STOPPED_K
+    assert stats.nodes_explored < g.node_count
+    full, stats = algorithm(g, two, SearchConfig(k=10))
+    assert stats.stopped == STOPPED_EXHAUSTED
+    assert early == full[:1]
+    assert algorithm(g, one, SearchConfig(k=1))[1].stopped == STOPPED_ONE_SOURCE
+    assert (SearchStats(stopped=STOPPED_K)
+            + SearchStats(stopped=STOPPED_EXHAUSTED)).stopped == STOPPED_EXHAUSTED
+
+
 def test_early_termination_reciprocal_sum(rng):
     """With the distance-decaying edge score the search can stop early and
     still return the exact top answers."""
@@ -294,15 +373,17 @@ def test_single_child_roots_build_no_tree(monkeypatch, algorithm):
 
     Each chain node's paths leave it by its one edge towards ``k``, so it
     is a redundant single-child root, dropped before any tree is built;
-    only the one-node answer at ``k`` is assembled.
+    only the one-node answer at ``k`` is assembled.  ``far`` matches ``b``
+    too but has no link, so the search sweeps instead of stopping at ``k``.
     """
     b = GraphBuilder()
     chain = [b.add_node(1.0) for _ in range(51)]
     for u, v in zip(chain[1:], chain):
         b.add_link(u, v, 1.0, 1.0)
+    far = b.add_node(1.0)
     g = b.build()
     k = chain[0]
-    ks = KeywordSets(["a", "b"], [frozenset({k}), frozenset({k})])
+    ks = KeywordSets(["a", "b"], [frozenset({k}), frozenset({k, far})])
     roots = _union_roots(monkeypatch)
     answers, stats = algorithm(g, ks, SearchConfig(k=10 ** 6))
     assert stats.nodes_explored >= g.node_count
@@ -515,11 +596,13 @@ def test_bidirectional_finds_obvious_answer():
 
 # Answers and counts of bidirectional_search on _bidi_pin_cases(), recorded
 # from the numpy-table implementation: (nodes_touched, nodes_explored,
-# answer count, digest of every answer's identity key and score).
+# answer count, digest of every answer's identity key and score).  Cases
+# 2, 5 and 31 have one keyword node for every term, so they touch and
+# explore that node alone.
 BIDI_PIN = [
     (84, 84, 1, "66822693c0e2ed6d"), (92, 92, 1, "e91a2ca76fc8712d"),
-    (40, 40, 1, "c068f96a891ab035"), (120, 120, 10, "8892c1ff3ab6a93a"),
-    (32, 32, 1, "e171bf662ebc2511"), (32, 32, 1, "76cdb250b43b0ebd"),
+    (1, 1, 1, "c068f96a891ab035"), (120, 120, 10, "8892c1ff3ab6a93a"),
+    (32, 32, 1, "e171bf662ebc2511"), (1, 1, 1, "76cdb250b43b0ebd"),
     (102, 102, 2, "c72703b139f2f9cc"), (22, 22, 1, "aff8dd6cfc50b123"),
     (60, 60, 3, "bd6a0866b2b2c7d2"), (62, 62, 2, "37eb974f263ae0fc"),
     (16, 16, 1, "f532d137e6436bd1"), (70, 70, 3, "b1a71c55e532f437"),
@@ -532,7 +615,7 @@ BIDI_PIN = [
     (14, 14, 3, "e7419d59f4c97e0f"), (52, 52, 10, "232de96386118cb3"),
     (118, 118, 3, "aa682f03a4ebdc1c"), (20, 20, 1, "bcd7d9d5e87f5c8b"),
     (60, 60, 1, "6ca86ad3884c8189"), (78, 78, 3, "dd203b6863a78c5d"),
-    (12, 12, 1, "fbdf84af0be08257"), (68, 68, 1, "cb49442e3166241c"),
+    (12, 12, 1, "fbdf84af0be08257"), (1, 1, 1, "cb49442e3166241c"),
     (46, 46, 2, "82a76b775c710121"), (52, 52, 3, "3333948437b9da5f"),
     (94, 94, 6, "5f643b7d63ed2ab2"), (50, 50, 3, "67701578cc2347a5"),
     (112, 112, 3, "668e3d795d918166"), (40, 40, 1, "eaff2533ccaaa49d"),

@@ -232,21 +232,67 @@ def test_keyword_index_round_trip(tmp_path):
     long_term = "x" * 70_000
     index = KeywordIndex({"apple": [0, 2, 9], "pear": [1], "zx81": [3, 4],
                           long_term: [5]})
-    p1, p2 = tmp_path / "a.kwi", tmp_path / "b.kwi"
-    write_keyword_index(p1, index)
-    back = read_keyword_index(p1)
-    assert back.postings == index.postings
-    write_keyword_index(p2, back)
-    assert p1.read_bytes() == p2.read_bytes()
+    _assert_index_round_trips(index, tmp_path)
 
 
 def test_keyword_index_round_trips_build_index(rng, tmp_path):
     meta = random_meta(rng, 40)
     index = build_index(meta, include_relation_names=True)
-    write_keyword_index(tmp_path / "i.kwi", index)
-    back = read_keyword_index(tmp_path / "i.kwi")
+    _assert_index_round_trips(index, tmp_path)
+
+
+def _assert_index_round_trips(index, tmp_path):
+    """A read index holds the written one's terms and ids, and writing it
+    again, before and after every list is decoded, gives the same bytes."""
+    p1, p2 = tmp_path / "a.kwi", tmp_path / "b.kwi"
+    write_keyword_index(p1, index)
+    back = read_keyword_index(p1)
+    assert back.terms() == index.terms() and len(back) == len(index)
+    write_keyword_index(p2, back)
+    assert p1.read_bytes() == p2.read_bytes()
+    for term in index.terms():
+        nodes = back.lookup(term)
+        assert nodes == index.lookup(term)
+        assert all(type(x) is int for x in nodes)
+        assert back.lookup(term) is nodes       # decoded once, then kept
     assert back.postings == index.postings
-    assert all(type(x) is int for p in back.postings.values() for x in p)
+    write_keyword_index(p2, back)
+    assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_keyword_index_damage_fails_at_read(tmp_path):
+    """A flipped byte or a cut file is rejected when the index is read,
+    not at the first lookup of the damaged list."""
+    index = KeywordIndex({"apple": [0, 2, 9], "pear": [1, 70_000]})
+    path = tmp_path / "i.kwi"
+    write_keyword_index(path, index)
+    raw = path.read_bytes()
+    for pos in range(len(raw)):
+        flipped = bytearray(raw)
+        flipped[pos] ^= 0x10
+        path.write_bytes(bytes(flipped))
+        with pytest.raises(StorageFormatError):
+            read_keyword_index(path)
+    for size in range(len(raw)):
+        path.write_bytes(raw[:size])
+        with pytest.raises(StorageFormatError):
+            read_keyword_index(path)
+
+    # with a valid checksum, the layout itself is still checked at read
+    def resealed(body):
+        return body + zlib.crc32(body).to_bytes(4, "little")
+
+    body = raw[:-4]
+    last_count = body.rindex((2).to_bytes(4, "little"))  # "pear" holds 2 ids
+    for damaged, message in [
+            (body + b"\x00", "trailing bytes"),
+            (body[:-1], "truncated"),
+            (body[:last_count] + (3).to_bytes(4, "little") + body[last_count + 4:],
+             "truncated"),
+            (body[:4] + (4).to_bytes(4, "little") + body[8:], "unsupported version")]:
+        path.write_bytes(resealed(damaged))
+        with pytest.raises(StorageFormatError, match=message):
+            read_keyword_index(path)
 
 
 def test_corruption_detection(rng, tmp_path):
