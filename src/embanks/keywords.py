@@ -5,12 +5,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .graph import NodeMeta
 
 TOKEN_RE = re.compile(r"[a-z0-9]+")
-POSTING_DTYPE = np.dtype("<u4")   # one posting id as index.kwi stores it
 
 
 def tokenize(text: str) -> list[str]:
@@ -25,21 +22,12 @@ class KeywordIndex:
     The same shape serves both node-level and cluster-level indexes; the
     posting entries are node ids in the first case and cluster ids in the
     second.
-
-    A list may also be held encoded, as the ``POSTING_DTYPE`` bytes an
-    ``index.kwi`` file stores; ``lookup`` decodes it the first time the
-    term is asked for and keeps the ids, so opening a store decodes only
-    the terms its queries use.
     """
 
-    postings: dict[str, list[int] | bytes] = field(default_factory=dict)
+    postings: dict[str, list[int]] = field(default_factory=dict)
 
     def lookup(self, term: str) -> list[int]:
-        term = term.lower()
-        nodes = self.postings.get(term, [])
-        if isinstance(nodes, bytes):
-            nodes = self.postings[term] = np.frombuffer(nodes, POSTING_DTYPE).tolist()
-        return nodes
+        return self.postings.get(term.lower(), [])
 
     def terms(self) -> list[str]:
         return sorted(self.postings)

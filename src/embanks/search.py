@@ -357,12 +357,13 @@ def _finalize(candidates: dict, ks: KeywordSets, cfg: SearchConfig,
     return top
 
 
-def _one_source_answer(g: DataGraph, ks: KeywordSets, cfg: SearchConfig,
-                       stats: SearchStats) -> list[ScoredAnswer] | None:
+def _one_source_answer(g: DataGraph, ks: KeywordSets, sources: list[int],
+                       cfg: SearchConfig, stats: SearchStats
+                       ) -> list[ScoredAnswer] | None:
     """The one-node answer at ``s`` when ``s`` is every term's only keyword
-    node, else None.  It touches and settles ``s`` alone and reads no edge.
+    node (``sources``, the union of the keyword sets, is ``[s]``), else
+    None.  It touches and settles ``s`` alone and reads no edge.
     """
-    sources = set().union(*ks.sets)
     if len(sources) != 1:
         return None
     (s,) = sources
@@ -422,14 +423,14 @@ def backward_search(g: DataGraph, ks: KeywordSets,
     stats = SearchStats()
     started = time.perf_counter()
     _require_nonempty(ks)
-    single = _one_source_answer(g, ks, cfg, stats)
+    sources = sorted(set().union(*ks.sets))
+    single = _one_source_answer(g, ks, sources, cfg, stats)
     if single is not None:
         stats.elapsed = time.perf_counter() - started
         return single, stats
 
     adj = g.adjacency_lists()
     offset, target, _, w_in = adj
-    sources = sorted(set().union(*ks.sets))
     source_sets = [[i for i, s in enumerate(ks.sets) if n in s] for n in sources]
     nsets = len(ks.sets)
     dist: list[dict[int, float]] = [dict() for _ in sources]
@@ -540,7 +541,8 @@ def bidirectional_search(g: DataGraph, ks: KeywordSets,
     stats = SearchStats()
     started = time.perf_counter()
     _require_nonempty(ks)
-    single = _one_source_answer(g, ks, cfg, stats)
+    sources = sorted(set().union(*ks.sets))
+    single = _one_source_answer(g, ks, sources, cfg, stats)
     if single is not None:
         stats.elapsed = time.perf_counter() - started
         return single, stats
@@ -584,7 +586,7 @@ def bidirectional_search(g: DataGraph, ks: KeywordSets,
             stats.nodes_touched += 1
         heapq.heappush(out_heap, (-_activation_total(act.a, node * w, w), node))
 
-    for u in sorted(set().union(*ks.sets)):
+    for u in sources:
         push_in(u)
 
     def lower(x: int, i: int, cand: float, via: int, w_via: float) -> None:

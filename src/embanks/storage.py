@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import os
 import zlib
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -39,7 +40,7 @@ import numpy as np
 
 from .clustering import ClusterGraph, Clustering, ClusteringError, WeightConfig
 from .graph import DataGraph, GraphBuilder, NodeMeta, estimate_memory
-from .keywords import POSTING_DTYPE, KeywordIndex
+from .keywords import KeywordIndex
 
 GRAPH_FILE = "graph.emb"
 TUPLES_FILE = "tuples.emb"
@@ -384,6 +385,32 @@ def make_cluster_payload(g: DataGraph, clustering: Clustering,
 
 # --- keyword index ------------------------------------------------------------
 
+_POSTING_DTYPE = np.dtype("<u4")
+
+
+class _StoredPostings(Mapping):
+    """Posting lists read from an index file, each kept as its stored bytes
+    until first asked for, then decoded to ids and kept; opening a store
+    thus decodes only the terms its queries use."""
+
+    def __init__(self, encoded: dict[str, bytes]) -> None:
+        self._encoded = encoded
+        self._decoded: dict[str, list[int]] = {}
+
+    def __getitem__(self, term: str) -> list[int]:
+        nodes = self._decoded.get(term)
+        if nodes is None:
+            nodes = self._decoded[term] = np.frombuffer(
+                self._encoded[term], _POSTING_DTYPE).tolist()
+        return nodes
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._encoded)
+
+    def __len__(self) -> int:
+        return len(self._encoded)
+
+
 def write_keyword_index(path: str | Path, index: KeywordIndex) -> int:
     w = _Writer()
     w.raw(MAGIC_INDEX)
@@ -393,26 +420,22 @@ def write_keyword_index(path: str | Path, index: KeywordIndex) -> int:
     for term in terms:
         w.string(term)
         postings = index.postings[term]
-        if isinstance(postings, bytes):     # read from a file, not looked up
-            w.u32(len(postings) // POSTING_DTYPE.itemsize)
-            w.raw(postings)
-        else:
-            w.u32(len(postings))
-            w.arr(np.asarray(postings, dtype=np.int64), POSTING_DTYPE)
+        w.u32(len(postings))
+        w.arr(np.asarray(postings, dtype=np.int64), _POSTING_DTYPE)
     return w.finish(Path(path))
 
 
 def read_keyword_index(path: str | Path) -> KeywordIndex:
-    """Check the whole file, then keep each posting list encoded; the index
-    decodes a list on its first lookup."""
+    """Check the whole file, then keep each posting list encoded until its
+    first lookup."""
     r = _Reader(_read_bytes(Path(path)), MAGIC_INDEX, str(path))
     count = r.u32()
-    postings: dict[str, list[int] | bytes] = {}
+    encoded: dict[str, bytes] = {}
     for _ in range(count):
         term = r.string()
-        postings[term] = r.raw(r.u32() * POSTING_DTYPE.itemsize)
+        encoded[term] = r.raw(r.u32() * _POSTING_DTYPE.itemsize)
     r.done()
-    return KeywordIndex(postings)
+    return KeywordIndex(_StoredPostings(encoded))
 
 
 # --- store assembly and expansion ----------------------------------------------

@@ -248,6 +248,7 @@ def _assert_index_round_trips(index, tmp_path):
     write_keyword_index(p1, index)
     back = read_keyword_index(p1)
     assert back.terms() == index.terms() and len(back) == len(index)
+    assert back == index                        # equal before any decode
     write_keyword_index(p2, back)
     assert p1.read_bytes() == p2.read_bytes()
     for term in index.terms():
