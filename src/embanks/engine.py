@@ -50,7 +50,6 @@ class EngineConfig:
     extra_policy: str = EXTRA_KEYWORD
     max_refetch: int = 3
     score: ScoreConfig = field(default_factory=ScoreConfig)
-    attenuation: float = 0.5
     combos: str = COMBOS_ALL
     seed: int = 0
 
@@ -70,13 +69,12 @@ class EngineConfig:
                                  f"expected one of {sorted(allowed)}")
 
     def phase1_search(self) -> SearchConfig:
-        base = SearchConfig(k=self.k, score=self.score,
-                            attenuation=self.attenuation, combos=self.combos)
+        base = SearchConfig(k=self.k, score=self.score, combos=self.combos)
         return base.for_phase1(self.phase1_limit)
 
     def phase2_search(self) -> SearchConfig:
         return SearchConfig(k=self.k, score=self.score, steiner_filter=True,
-                            attenuation=self.attenuation, combos=self.combos)
+                            combos=self.combos)
 
 
 @dataclass
@@ -108,6 +106,8 @@ def ingest_to_store(schema_path: str | Path, data_dir: str | Path,
 
 
 def run_clustering(g: DataGraph, algorithm: str, max_size: int, seed: int = 0):
+    if max_size < 1:
+        raise ClusteringError(f"cluster size must be at least 1, got {max_size}")
     if algorithm not in CLUSTER_ALGORITHMS:
         raise ClusteringError(f"unknown clustering algorithm {algorithm!r}")
     fn = CLUSTER_ALGORITHMS[algorithm]

@@ -7,7 +7,6 @@ root and leaves) with an edge term derived from the total edge weight.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -169,44 +168,3 @@ def is_acceptable(tree: AnswerTree, baseline: list[ScoredAnswer]) -> bool:
     max_nodes = max(a.tree.node_count for a in top)
     max_edges = max(a.tree.edge_count for a in top)
     return tree.node_count <= max_nodes and tree.edge_count <= max_edges
-
-
-class OutputHeap:
-    """Buffers scored answers and releases them under a falling upper bound.
-
-    Answers are pushed as they are generated.  ``update_bound`` feeds the
-    current upper bound on any *future* answer's score; a buffered answer is
-    emitted once its score is at least that bound, so the emitted sequence
-    is nonincreasing in score.  Bounds are clamped to be monotone.
-    """
-
-    def __init__(self) -> None:
-        self._heap: list[tuple] = []
-        self._bound = float("inf")
-        self._emitted_count = 0
-        self._seq = 0
-
-    @property
-    def bound(self) -> float:
-        return self._bound
-
-    @property
-    def emitted_count(self) -> int:
-        """Answers released so far."""
-        return self._emitted_count
-
-    def push(self, answer: ScoredAnswer) -> list[ScoredAnswer]:
-        heapq.heappush(self._heap, (answer.sort_key(), self._seq, answer))
-        self._seq += 1
-        return self._release()
-
-    def update_bound(self, bound: float) -> list[ScoredAnswer]:
-        self._bound = min(self._bound, bound)
-        return self._release()
-
-    def _release(self) -> list[ScoredAnswer]:
-        out: list[ScoredAnswer] = []
-        while self._heap and self._heap[0][2].score >= self._bound:
-            out.append(heapq.heappop(self._heap)[2])
-        self._emitted_count += len(out)
-        return out

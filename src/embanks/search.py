@@ -20,7 +20,7 @@ import numpy as np
 
 from .graph import AdjacencyLists, DataGraph
 from .keywords import KeywordIndex
-from .scoring import (AnswerTree, OutputHeap, ScoreConfig, ScoredAnswer,
+from .scoring import (AnswerTree, ScoreConfig, ScoredAnswer,
                       EDGE_RECIPROCAL_SUM, score_tree, tree_score)
 
 COMBOS_ALL = "all"
@@ -28,7 +28,7 @@ COMBOS_BEST = "best"
 COMBOS = (COMBOS_ALL, COMBOS_BEST)
 
 # Why a search stopped (``SearchStats.stopped``).
-STOPPED_K = "k"                      # the output bound released k answers
+STOPPED_K = "k"                      # the answer pool released k answers
 STOPPED_EXHAUSTED = "exhausted"      # the frontier ran empty
 STOPPED_ONE_SOURCE = "one-source"    # one node is every term's only match
 
@@ -74,7 +74,6 @@ class SearchConfig:
     k: int = 10
     score: ScoreConfig = field(default_factory=ScoreConfig)
     steiner_filter: bool = True
-    attenuation: float = 0.5
     combos: str = COMBOS_ALL
 
     def __post_init__(self) -> None:
@@ -347,33 +346,6 @@ def steiner_minimality_filter(answers: list[ScoredAnswer],
     return keep
 
 
-def _finalize(candidates: dict, ks: KeywordSets, cfg: SearchConfig,
-              stats: SearchStats) -> list[ScoredAnswer]:
-    answers = sorted(candidates.values(), key=ScoredAnswer.sort_key)
-    if cfg.steiner_filter:
-        answers = steiner_minimality_filter(answers, cfg.k)
-    top = answers[:cfg.k]
-    stats.answers_emitted = len(top)
-    return top
-
-
-def _one_source_answer(g: DataGraph, ks: KeywordSets, sources: list[int],
-                       cfg: SearchConfig, stats: SearchStats
-                       ) -> list[ScoredAnswer] | None:
-    """The one-node answer at ``s`` when ``s`` is every term's only keyword
-    node (``sources``, the union of the keyword sets, is ``[s]``), else
-    None.  It touches and settles ``s`` alone and reads no edge.
-    """
-    if len(sources) != 1:
-        return None
-    (s,) = sources
-    stats.nodes_touched = stats.nodes_explored = 1
-    stats.stopped = STOPPED_ONE_SOURCE
-    tree = AnswerTree(s, (), (s,) * len(ks.sets))
-    return _finalize({tree.identity_key(): score_tree(tree, g.prestige, cfg.score)},
-                     ks, cfg, stats)
-
-
 def _score_ceiling(g: DataGraph, ks: KeywordSets) -> float:
     """Largest node score any answer on this graph could reach."""
     best_root = float(np.max(g.prestige)) if g.node_count else 0.0
@@ -386,6 +358,81 @@ def _edge_ceiling(cfg: ScoreConfig, frontier: float) -> float:
     if cfg.edge_variant == EDGE_RECIPROCAL_SUM and frontier > 0.0:
         return 1.0 / (1.0 + frontier)
     return 1.0
+
+
+class _AnswerPool:
+    """The candidate answers of one search, each kept and scored once.
+
+    ``bound`` caps the score of every answer the search has not found yet
+    and only falls.  A candidate whose score has reached it can no longer
+    be overtaken, so it counts as released; the search may stop once
+    ``released`` reaches k.  Released scores are only counted: the ranked
+    answers come from the whole pool at the end (``top``).
+    """
+
+    def __init__(self, g: DataGraph, ks: KeywordSets, cfg: SearchConfig):
+        self.prestige, self.ks, self.cfg = g.prestige, ks, cfg
+        self.ceiling = _score_ceiling(g, ks)
+        self.candidates: dict = {}
+        self.pending: list[float] = []  # negated scores not yet released
+        self.bound = float("inf")
+        self.released = 0
+
+    def add(self, root: int, paths: list[list[tuple[int, int, float]]],
+            keyword_nodes: tuple[int, ...]) -> None:
+        """Merge the paths into a tree and keep it unless it is None,
+        redundant or already pooled."""
+        tree = _union_tree(root, paths, keyword_nodes)
+        if tree is None or root_is_redundant(tree, self.ks):
+            return
+        key = tree.identity_key()
+        if key in self.candidates:
+            return
+        answer = score_tree(tree, self.prestige, self.cfg.score)
+        self.candidates[key] = answer
+        heapq.heappush(self.pending, -answer.score)
+        self._release()
+
+    def lower_bound(self, frontier: float) -> None:
+        """Cap the bound by the best score of an answer found beyond
+        distance ``frontier``."""
+        score = self.cfg.score
+        self.bound = min(self.bound, tree_score(
+            self.ceiling, _edge_ceiling(score, frontier), score))
+        self._release()
+
+    def _release(self) -> None:
+        pending = self.pending
+        while pending and -pending[0] >= self.bound:
+            heapq.heappop(pending)
+            self.released += 1
+
+    def full(self) -> bool:
+        return self.released >= self.cfg.k
+
+    def top(self, stats: SearchStats) -> list[ScoredAnswer]:
+        """The best k answers, Steiner-filtered when configured."""
+        answers = sorted(self.candidates.values(), key=ScoredAnswer.sort_key)
+        if self.cfg.steiner_filter:
+            answers = steiner_minimality_filter(answers, self.cfg.k)
+        top = answers[:self.cfg.k]
+        stats.answers_emitted = len(top)
+        return top
+
+
+def _one_source_answer(pool: _AnswerPool, sources: list[int],
+                       stats: SearchStats) -> list[ScoredAnswer] | None:
+    """The one-node answer at ``s`` when ``s`` is every term's only keyword
+    node (``sources``, the union of the keyword sets, is ``[s]``), else
+    None.  It touches and settles ``s`` alone and reads no edge.
+    """
+    if len(sources) != 1:
+        return None
+    (s,) = sources
+    stats.nodes_touched = stats.nodes_explored = 1
+    stats.stopped = STOPPED_ONE_SOURCE
+    pool.add(s, [], (s,) * len(pool.ks.sets))
+    return pool.top(stats)
 
 
 # --- backward expanding search --------------------------------------------
@@ -424,7 +471,8 @@ def backward_search(g: DataGraph, ks: KeywordSets,
     started = time.perf_counter()
     _require_nonempty(ks)
     sources = sorted(set().union(*ks.sets))
-    single = _one_source_answer(g, ks, sources, cfg, stats)
+    pool = _AnswerPool(g, ks, cfg)
+    single = _one_source_answer(pool, sources, stats)
     if single is not None:
         stats.elapsed = time.perf_counter() - started
         return single, stats
@@ -443,9 +491,6 @@ def backward_search(g: DataGraph, ks: KeywordSets,
 
     arrivals: dict[int, list[list[int]]] = {}
     done_combos: dict[int, set[tuple[int, ...]]] = {}
-    candidates: dict = {}
-    out = OutputHeap()
-    n_ceiling = _score_ceiling(g, ks)
 
     stats.stopped = STOPPED_EXHAUSTED
     while heap:
@@ -453,7 +498,7 @@ def backward_search(g: DataGraph, ks: KeywordSets,
         if x in settled[it]:
             continue
         settled[it].add(x)
-        out.update_bound(tree_score(n_ceiling, _edge_ceiling(cfg.score, d), cfg.score))
+        pool.lower_bound(d)
 
         slots = arrivals.get(x)
         if slots is None:
@@ -471,18 +516,9 @@ def backward_search(g: DataGraph, ks: KeywordSets,
                 iterators = set(combo)
                 if _leaves_by_one_edge(adj, dist, succ, iterators, x):
                     continue
-                paths = {c: _tight_path(adj, dist[c], succ[c], x) for c in iterators}
-                tree = _union_tree(x, list(paths.values()),
-                                   tuple(sources[c] for c in combo))
-                if tree is None or root_is_redundant(tree, ks):
-                    continue
-                key = tree.identity_key()
-                if key in candidates:
-                    continue
-                answer = score_tree(tree, g.prestige, cfg.score)
-                candidates[key] = answer
-                out.push(answer)
-        if out.emitted_count >= cfg.k:
+                pool.add(x, [_tight_path(adj, dist[c], succ[c], x) for c in iterators],
+                         tuple(sources[c] for c in combo))
+        if pool.full():
             stats.stopped = STOPPED_K
             break
 
@@ -497,7 +533,7 @@ def backward_search(g: DataGraph, ks: KeywordSets,
 
     stats.nodes_touched = sum(len(d) for d in dist)
     stats.nodes_explored = sum(len(s) for s in settled)
-    answers = _finalize(candidates, ks, cfg, stats)
+    answers = pool.top(stats)
     stats.elapsed = time.perf_counter() - started
     return answers, stats
 
@@ -542,7 +578,8 @@ def bidirectional_search(g: DataGraph, ks: KeywordSets,
     started = time.perf_counter()
     _require_nonempty(ks)
     sources = sorted(set().union(*ks.sets))
-    single = _one_source_answer(g, ks, sources, cfg, stats)
+    pool = _AnswerPool(g, ks, cfg)
+    single = _one_source_answer(pool, sources, stats)
     if single is not None:
         stats.elapsed = time.perf_counter() - started
         return single, stats
@@ -563,7 +600,7 @@ def bidirectional_search(g: DataGraph, ks: KeywordSets,
                 missing[u] -= 1
             d[u * w + i] = 0.0
 
-    act = init_activation(ks, g.prestige, cfg.attenuation)
+    act = init_activation(ks, g.prestige)
     in_heap: list[tuple[float, int]] = []
     out_heap: list[tuple[float, int]] = []
     in_pushed = [False] * n
@@ -612,20 +649,6 @@ def bidirectional_search(g: DataGraph, ks: KeywordSets,
                     lower(x, i, cand, q, w_in[j])
                     queue.append((x, i))
 
-    def build_root_tree(r: int) -> AnswerTree | None:
-        paths = []
-        kw_nodes = []
-        for i in range(w):
-            path: list[tuple[int, int, float]] = []
-            x = r
-            while d[x * w + i] > 0.0:
-                s = succ[x * w + i]
-                path.append((x, s, succ_w[x * w + i]))
-                x = s
-            paths.append(path)
-            kw_nodes.append(x)
-        return _union_tree(r, paths, tuple(kw_nodes))
-
     def one_root_edge(r: int) -> bool:
         """Every term's path from ``r`` starts with the same edge."""
         base = r * w
@@ -637,24 +660,27 @@ def bidirectional_search(g: DataGraph, ks: KeywordSets,
                 return False
         return True
 
-    candidates: dict = {}
-    out = OutputHeap()
-    n_ceiling = _score_ceiling(g, ks)
-    out.update_bound(tree_score(n_ceiling, 1.0, cfg.score))
-
     def emit(r: int) -> None:
+        """Pool the tree that follows every term's successors from ``r``."""
         emitted_roots[r] = True
         if one_root_edge(r):
             return
-        tree = build_root_tree(r)
-        if tree is None or root_is_redundant(tree, ks):
-            return
-        key = tree.identity_key()
-        if key not in candidates:
-            answer = score_tree(tree, g.prestige, cfg.score)
-            candidates[key] = answer
-            out.push(answer)
+        paths = []
+        kw_nodes = []
+        for i in range(w):
+            path: list[tuple[int, int, float]] = []
+            x = r
+            while d[x * w + i] > 0.0:
+                s = succ[x * w + i]
+                path.append((x, s, succ_w[x * w + i]))
+                x = s
+            paths.append(path)
+            kw_nodes.append(x)
+        pool.add(r, paths, tuple(kw_nodes))
 
+    # activation, not distance, orders the expansion: the bound stays at
+    # frontier 0
+    pool.lower_bound(0.0)
     stats.stopped = STOPPED_EXHAUSTED
     while in_heap or out_heap:
         take_in = bool(in_heap)
@@ -699,11 +725,11 @@ def bidirectional_search(g: DataGraph, ks: KeywordSets,
             r = pending_roots.popleft()
             if not emitted_roots[r]:
                 emit(r)
-        if out.emitted_count >= cfg.k:
+        if pool.full():
             stats.stopped = STOPPED_K
             break
 
-    answers = _finalize(candidates, ks, cfg, stats)
+    answers = pool.top(stats)
     stats.elapsed = time.perf_counter() - started
     return answers, stats
 

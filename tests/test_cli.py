@@ -205,6 +205,18 @@ def test_foreign_or_resized_cluster_file_errors(corpus, tmp_path, capsys):
         assert "clusters.emb" in _query_fails(mine, capsys)
 
 
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_nonpositive_cluster_size_errors(corpus, tmp_path, capsys, size):
+    _, store = corpus
+    copy = tmp_path / "store"
+    shutil.copytree(store, copy)
+    before = {p.name: p.read_bytes() for p in copy.iterdir()}
+    capsys.readouterr()
+    assert cli.main(["cluster", "--store", str(copy), "--size", size]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
+
+
 def test_bad_synth_spec_errors(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"papers": 10, "color": "red"}))

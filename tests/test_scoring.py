@@ -1,12 +1,12 @@
-"""Answer trees, score formulas, and the bounded output heap."""
+"""Answer trees and score formulas."""
 
 import numpy as np
 import pytest
 
 from embanks.scoring import (ADDITIVE, EDGE_AS_WRITTEN, EDGE_RECIPROCAL_SUM,
-                             MULTIPLICATIVE, AnswerTree, OutputHeap,
-                             ScoreConfig, edge_score, is_acceptable,
-                             node_score, score_tree, tree_score)
+                             MULTIPLICATIVE, AnswerTree, ScoreConfig,
+                             edge_score, is_acceptable, node_score,
+                             score_tree, tree_score)
 
 PRESTIGE = np.array([5.0, 1.0, 2.0, 3.0, 0.5], dtype=np.float32)
 
@@ -109,31 +109,3 @@ def test_is_acceptable_against_baseline():
     too_big = _tree(0, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
     assert not is_acceptable(too_big, base)
     assert not is_acceptable(_tree(0, []), [])
-
-
-def test_output_heap_replay():
-    p = np.ones(2, dtype=np.float32)
-
-    def answer(weight):
-        return score_tree(_tree(0, [(0, 1, weight)]), p, ScoreConfig())
-
-    heavy = answer(100.0)   # edge score near 1
-    light = answer(0.125)   # edge score near 0.11
-    heap = OutputHeap()
-    assert heap.push(heavy) == []
-    assert heap.push(light) == []
-    mid = (heavy.score + light.score) / 2
-    assert heap.update_bound(mid) == [heavy]
-    # bounds only fall: a looser bound must not release more
-    assert heap.update_bound(heavy.score + 1.0) == []
-    assert heap.bound == mid
-    assert heap.update_bound(float("-inf")) == [light]
-    assert heap.emitted_count == 2
-
-
-def test_output_heap_emits_on_equality():
-    p = np.ones(2, dtype=np.float32)
-    a = score_tree(_tree(0, [(0, 1, 1.0)]), p, ScoreConfig())
-    heap = OutputHeap()
-    heap.push(a)
-    assert heap.update_bound(a.score) == [a]

@@ -227,10 +227,10 @@ def test_one_source_returns_its_node_without_a_sweep(monkeypatch, rng, name):
 
 @pytest.mark.parametrize("algorithm", [backward_search, bidirectional_search])
 def test_stats_say_why_the_search_stopped(algorithm):
-    """``k`` when the output bound released k answers, ``exhausted`` when
+    """``k`` when the answer pool released k answers, ``exhausted`` when
     the frontier ran empty, ``one-source`` when one node is every term's
     only keyword node.  With zero prestige the one-node answer at ``s``
-    meets the output bound, so it is released as soon as it is found."""
+    meets the pool's bound, so it is released as soon as it is found."""
     b = GraphBuilder()
     s, t, u = (b.add_node(0.0) for _ in range(3))
     b.add_link(u, s, 1.0, 1.0)
@@ -281,6 +281,55 @@ def test_early_termination_saves_exploration():
     _, full = backward_search(g, ks, SearchConfig(
         k=10 ** 6, score=ScoreConfig(edge_variant=EDGE_RECIPROCAL_SUM)))
     assert stats.nodes_explored < full.nodes_explored
+
+
+def _pool_fixture(k=10):
+    """Zero prestige under ``reciprocal-sum``: a tree of weight ``W`` and the
+    bound at frontier ``W`` both score ``0.8 / (1 + W)``.  ``r1`` reaches
+    ``a`` and ``b`` at weight 1 in all, ``r2`` at weight 3."""
+    b = GraphBuilder()
+    a, bb, r1, r2 = (b.add_node(0.0) for _ in range(4))
+    ks = KeywordSets(["a", "b"], [frozenset({a}), frozenset({bb})])
+    cfg = SearchConfig(k=k, score=ScoreConfig(edge_variant=EDGE_RECIPROCAL_SUM))
+    pool = search._AnswerPool(b.build(), ks, cfg)
+    light = (r1, [[(r1, a, 0.5)], [(r1, bb, 0.5)]], (a, bb))
+    heavy = (r2, [[(r2, a, 1.5)], [(r2, bb, 1.5)]], (a, bb))
+    return pool, light, heavy
+
+
+def test_answer_pool_replay():
+    """Each tree is pooled and scored once; a candidate is released once the
+    bound falls to its score, and a looser bound later releases nothing."""
+    pool, light, heavy = _pool_fixture(k=2)
+    r1, _, (a, bb) = light
+    pool.add(*heavy)
+    pool.add(*light)
+    pool.add(*light)
+    # paths that disagree on a parent, then a redundant single-child root
+    pool.add(r1, [[(r1, a, 0.5)], [(r1, bb, 0.5), (bb, a, 0.5)]], (a, bb))
+    pool.add(r1, [[(r1, a, 0.5)], [(r1, a, 0.5), (a, bb, 0.5)]], (a, bb))
+    assert len(pool.candidates) == 2 and pool.released == 0
+    pool.lower_bound(2.0)
+    assert pool.released == 1 and not pool.full()
+    bound = pool.bound
+    pool.lower_bound(0.5)
+    assert pool.bound == bound and pool.released == 1
+    pool.lower_bound(3.0)
+    assert pool.released == 2 and pool.full()
+    stats = SearchStats()
+    top = pool.top(stats)
+    assert [x.tree.root for x in top] == [r1, heavy[0]]
+    assert [x.score for x in top] == [0.4, 0.2]
+    assert stats.answers_emitted == 2
+
+
+def test_answer_pool_releases_on_equality():
+    pool, light, _ = _pool_fixture()
+    pool.lower_bound(1.0)
+    pool.add(*light)
+    (answer,) = pool.candidates.values()
+    assert answer.score == pool.bound
+    assert pool.released == 1
 
 
 def test_answer_paths_scan_each_node_once_per_iterator(monkeypatch):
@@ -648,3 +697,50 @@ def test_bidirectional_regression_pin():
         got.append((stats.nodes_touched, stats.nodes_explored, len(answers),
                     answers_digest(answers)))
     assert got == BIDI_PIN
+
+
+# (nodes_explored, stopped) of backward_search, then bidirectional_search, on
+# _reciprocal_pin_cases().  ``reciprocal-sum`` is the one score under which
+# the pool's bound falls during a search, so these pin when each search
+# reaches k released answers.
+RECIPROCAL_PIN = [
+    (70, "k", 100, "exhausted"), (406, "k", 116, "exhausted"),
+    (15, "k", 28, "exhausted"), (132, "exhausted", 44, "exhausted"),
+    (45, "exhausted", 18, "exhausted"), (273, "exhausted", 78, "exhausted"),
+    (3, "k", 7, "k"), (3, "k", 18, "k"), (1, "k", 1, "k"),
+    (180, "exhausted", 60, "exhausted"), (44, "exhausted", 22, "exhausted"),
+    (178, "k", 96, "exhausted"), (2, "k", 10, "k"),
+    (145, "exhausted", 58, "exhausted"), (129, "k", 110, "exhausted"),
+    (210, "exhausted", 70, "exhausted"), (206, "k", 120, "exhausted"),
+    (145, "k", 52, "exhausted"), (96, "k", 56, "exhausted"),
+    (232, "exhausted", 116, "exhausted"), (95, "k", 70, "exhausted"),
+    (265, "k", 104, "exhausted"), (55, "k", 32, "exhausted"),
+    (116, "exhausted", 58, "exhausted"), (62, "k", 80, "exhausted"),
+    (5, "k", 32, "k"), (44, "k", 32, "exhausted"), (33, "k", 34, "exhausted"),
+    (59, "k", 100, "exhausted"), (220, "exhausted", 88, "exhausted"),
+]
+
+
+def _reciprocal_pin_cases():
+    rng = random.Random(1102)
+    score = ScoreConfig(edge_variant=EDGE_RECIPROCAL_SUM)
+    for _ in range(30):
+        n = rng.randint(4, 60)
+        g = random_graph(rng, n, extra_links=rng.randint(0, n),
+                         prestige_max=rng.choice([0, 1, 5]))
+        ks = random_keyword_sets(rng, n, rng.randint(2, 3))
+        if rng.random() < 0.4:  # a node matching every term ends searches early
+            shared = rng.randrange(n)
+            ks = KeywordSets(ks.terms, [s | {shared} for s in ks.sets])
+        yield g, ks, SearchConfig(k=rng.choice([1, 3, 10]), score=score)
+
+
+def test_reciprocal_sum_stop_pin():
+    got = []
+    for g, ks, cfg in _reciprocal_pin_cases():
+        row = ()
+        for algorithm in (backward_search, bidirectional_search):
+            stats = algorithm(g, ks, cfg)[1]
+            row += (stats.nodes_explored, stats.stopped)
+        got.append(row)
+    assert got == RECIPROCAL_PIN
