@@ -1,10 +1,9 @@
 """Disk-backed keyword search over graph-modeled relational data."""
 
-from .clustering import (CLUSTER_ALGORITHMS, ClusterGraph, ClusterMetadata,
-                         Clustering, ClusteringError, WeightConfig,
-                         answer_cost_bounds, build_cluster_graph,
-                         compute_cluster_metadata, identity_clustering,
-                         min_crossing_weights)
+from .clustering import (CLUSTER_ALGORITHMS, ClusterMetadata, Clustering,
+                         ClusteringError, WeightConfig, answer_cost_bounds,
+                         build_cluster_graph, compute_cluster_metadata,
+                         identity_clustering, min_crossing_weights)
 from .engine import (EngineConfig, PrecisionReport, QueryResult, build_store,
                      compare_precision, ingest_to_store, single_phase_query,
                      two_phase_query)
@@ -22,7 +21,7 @@ from .synth import SynthSpec, generate_synthetic
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnswerTree", "ClusterGraph", "ClusterMetadata", "ClusterStore",
+    "AnswerTree", "ClusterMetadata", "ClusterStore",
     "Clustering", "ClusteringError", "CLUSTER_ALGORITHMS", "DataGraph",
     "EngineConfig", "ExpandedGraph", "GraphBuilder", "GraphError",
     "IngestError", "IngestSpec", "KeywordIndex", "KeywordSets",

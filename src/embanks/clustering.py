@@ -11,11 +11,11 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DataGraph, GraphError
+from .graph import DataGraph, GraphBuilder, GraphError
 from .scoring import AnswerTree
 
 EDGE_INVERSE_SUM = "inverse-sum"
@@ -286,25 +286,19 @@ CLUSTER_ALGORITHMS = {
 }
 
 
-@dataclass
-class ClusterGraph:
-    """Contracted graph plus the combiners that merged its weights."""
-
-    graph: DataGraph
-    wcfg: WeightConfig
-
-
 def build_cluster_graph(g: DataGraph, clustering: Clustering,
-                        wcfg: WeightConfig | None = None) -> ClusterGraph:
+                        wcfg: WeightConfig | None = None) -> DataGraph:
     """Contract member edges between distinct clusters into superedges.
 
-    Parallel member edges collapse into a single superedge per ordered
-    cluster pair with weights merged per ``wcfg``; edges inside one cluster
-    disappear.  With every node in its own singleton cluster the result
-    reproduces the input graph's links and weights.
+    Parallel member edges collapse into one link per unordered cluster pair
+    with each direction's weight merged per ``wcfg``; edges inside one
+    cluster disappear.  A superedge runs forward from the cluster owning the
+    lowest member slot behind it if that slot is forward, and from the other
+    cluster otherwise.  Links go in by ascending pair, so every cluster lists
+    its neighbours in ascending order.  With every node in its own singleton
+    cluster the result reproduces the input graph's links and weights.
     """
     wcfg = wcfg or WeightConfig()
-    k = clustering.cluster_count
     mapping = clustering.node_mapping
     buckets: dict[tuple[int, int], list[int]] = {}
     starts = g.slot_source
@@ -314,49 +308,21 @@ def build_cluster_graph(g: DataGraph, clustering: Clustering,
         if cu != cv:
             buckets.setdefault((cu, cv), []).append(j)
 
-    pairs = sorted(buckets)
-    counts = np.zeros(k, dtype=np.int64)
-    for cu, _ in pairs:
-        counts[cu] += 1
-    offset = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(counts, out=offset[1:])
-    m = len(pairs)
-    adjacent = np.zeros(m, dtype=np.int64)
-    weight = np.zeros(m, dtype=np.float32)
-    direction = np.zeros(m, dtype=bool)
-    pair_slot = np.zeros(m, dtype=np.int64)
-    slot_of: dict[tuple[int, int], int] = {}
-    fill = offset[:-1].copy()
-    for cu, cv in pairs:
-        j = int(fill[cu]); fill[cu] += 1
-        slot_of[(cu, cv)] = j
-        adjacent[j] = cv
-        slots = buckets[(cu, cv)]
-        weight[j] = np.float32(combine_edge_weights(
-            [float(g.edge_weight[s]) for s in slots], wcfg.edge_combiner))
-    for cu, cv in pairs:
-        j = slot_of[(cu, cv)]
-        pair_slot[j] = slot_of[(cv, cu)]
-        if cu < cv:
-            rep = min(buckets[(cu, cv)])
-            direction[j] = bool(g.edge_direction[rep])
-            direction[pair_slot[j]] = not direction[j]
+    def weight(cu: int, cv: int) -> float:
+        return combine_edge_weights(
+            [float(g.edge_weight[s]) for s in buckets[(cu, cv)]], wcfg.edge_combiner)
 
-    prestige = np.zeros(k, dtype=np.float32)
-    for c in range(k):
-        prestige[c] = np.float32(combine_prestige(
+    builder = GraphBuilder()
+    for c in range(clustering.cluster_count):
+        builder.add_node(combine_prestige(
             [float(g.prestige[n]) for n in clustering.members(c)],
             wcfg.prestige_combiner))
-    graph = DataGraph(
-        node_count=k,
-        prestige=prestige,
-        adjacency_offset=offset,
-        adjacent_nodes=adjacent,
-        edge_weight=weight,
-        edge_direction=direction,
-        pair_slot=pair_slot,
-    )
-    return ClusterGraph(graph, wcfg)
+    for lo, hi in sorted(p for p in buckets if p[0] < p[1]):
+        if g.edge_direction[min(buckets[(lo, hi)])]:
+            builder.add_link(lo, hi, weight(lo, hi), weight(hi, lo))
+        else:
+            builder.add_link(hi, lo, weight(hi, lo), weight(lo, hi))
+    return builder.build()
 
 
 def min_crossing_weights(g: DataGraph, clustering: Clustering

@@ -129,7 +129,7 @@ def build_store(store_dir: str | Path, algorithm: str = "close1",
         "nodes": g.node_count,
         "links": g.slot_count // 2,
         "clusters": clustering.cluster_count,
-        "superedges": cluster_graph.graph.slot_count // 2,
+        "superedges": cluster_graph.slot_count // 2,
         "algorithm": algorithm,
     }
 
@@ -172,7 +172,7 @@ def select_extra_clusters(store: ClusterStore, core: set[int],
 
 
 def _adjacent_clusters(store: ClusterStore, have: set[int]) -> list[int]:
-    g = store.cluster_graph.graph
+    g = store.cluster_graph
     out = set()
     for c in have:
         for j in g.slots(c):
@@ -221,7 +221,7 @@ def two_phase_query(store: ClusterStore, terms: list[str],
 
     algo1 = ALGORITHMS[cfg.phase1_algorithm]
     algo2 = ALGORITHMS[cfg.phase2_algorithm]
-    p1_answers, p1_stats = algo1(store.cluster_graph.graph, cluster_sets,
+    p1_answers, p1_stats = algo1(store.cluster_graph, cluster_sets,
                                  cfg.phase1_search())
     core = sorted({c for a in p1_answers for c in a.tree.nodes})
     if not core:

@@ -48,25 +48,20 @@ class KeywordSets:
     terms: list[str]
     sets: list[frozenset[int]]
 
+    def __post_init__(self) -> None:
+        for term, s in zip(self.terms, self.sets):
+            if not s:
+                raise NoMatchError(term)
+
     @classmethod
     def from_index(cls, index: KeywordIndex, terms: list[str]) -> KeywordSets:
-        sets = []
-        for term in terms:
-            nodes = index.lookup(term)
-            if not nodes:
-                raise NoMatchError(term)
-            sets.append(frozenset(nodes))
-        return cls(list(terms), sets)
+        return cls(list(terms), [frozenset(index.lookup(t)) for t in terms])
 
     def restrict(self, keep: dict[int, int]) -> KeywordSets:
         """Intersect with ``keep``'s keys and relabel through it."""
-        sets = []
-        for term, s in zip(self.terms, self.sets):
-            mapped = frozenset(keep[n] for n in s if n in keep)
-            if not mapped:
-                raise NoMatchError(term)
-            sets.append(mapped)
-        return KeywordSets(list(self.terms), sets)
+        return KeywordSets(list(self.terms),
+                           [frozenset(keep[n] for n in s if n in keep)
+                            for s in self.sets])
 
 
 @dataclass
@@ -469,7 +464,6 @@ def backward_search(g: DataGraph, ks: KeywordSets,
     cfg = cfg or SearchConfig()
     stats = SearchStats()
     started = time.perf_counter()
-    _require_nonempty(ks)
     sources = sorted(set().union(*ks.sets))
     pool = _AnswerPool(g, ks, cfg)
     single = _one_source_answer(pool, sources, stats)
@@ -576,7 +570,6 @@ def bidirectional_search(g: DataGraph, ks: KeywordSets,
     cfg = cfg or SearchConfig()
     stats = SearchStats()
     started = time.perf_counter()
-    _require_nonempty(ks)
     sources = sorted(set().union(*ks.sets))
     pool = _AnswerPool(g, ks, cfg)
     single = _one_source_answer(pool, sources, stats)
@@ -732,9 +725,3 @@ def bidirectional_search(g: DataGraph, ks: KeywordSets,
     answers = pool.top(stats)
     stats.elapsed = time.perf_counter() - started
     return answers, stats
-
-
-def _require_nonempty(ks: KeywordSets) -> None:
-    for term, s in zip(ks.terms, ks.sets):
-        if not s:
-            raise NoMatchError(term)

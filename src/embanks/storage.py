@@ -1,6 +1,6 @@
 """On-disk store: one compressed cluster-level graph plus one packed cluster file.
 
-Layout under a store directory (format 5)::
+Layout under a store directory (format 6)::
 
     graph.emb       cluster graph, the clustering's node order and cluster
                     offsets, per-cluster link counts, and each cluster
@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .clustering import ClusterGraph, Clustering, ClusteringError, WeightConfig
+from .clustering import Clustering, ClusteringError
 from .graph import DataGraph, GraphBuilder, NodeMeta, estimate_memory
 from .keywords import KeywordIndex
 
@@ -51,12 +51,7 @@ MAGIC_GRAPH = b"EMBK"
 MAGIC_TUPLES = b"EMBT"
 MAGIC_CLUSTER = b"EMBC"
 MAGIC_INDEX = b"EMBI"
-FORMAT_VERSION = 5
-
-_EDGE_COMBINER_IDS = {"inverse-sum": 0, "harmonic-mean": 1, "min": 2}
-_PRESTIGE_COMBINER_IDS = {"sum": 0, "max": 1, "avg": 2}
-_EDGE_COMBINER_NAMES = {v: k for k, v in _EDGE_COMBINER_IDS.items()}
-_PRESTIGE_COMBINER_NAMES = {v: k for k, v in _PRESTIGE_COMBINER_IDS.items()}
+FORMAT_VERSION = 6
 
 
 class StorageError(Exception):
@@ -73,12 +68,6 @@ class _Writer:
 
     def raw(self, data: bytes) -> None:
         self._parts.append(data)
-
-    def u8(self, v: int) -> None:
-        self.raw(int(v).to_bytes(1, "little"))
-
-    def u16(self, v: int) -> None:
-        self.raw(int(v).to_bytes(2, "little"))
 
     def u32(self, v: int) -> None:
         self.raw(int(v).to_bytes(4, "little"))
@@ -140,12 +129,6 @@ class _Reader:
         out = self._body[self._pos:self._pos + n]
         self._pos += n
         return out
-
-    def u8(self) -> int:
-        return int.from_bytes(self.raw(1), "little")
-
-    def u16(self) -> int:
-        return int.from_bytes(self.raw(2), "little")
 
     def u32(self) -> int:
         return int.from_bytes(self.raw(4), "little")
@@ -232,7 +215,7 @@ def read_tuple_graph(path: str | Path) -> tuple[DataGraph, NodeMeta]:
 
 @dataclass
 class StoreHeader:
-    cluster_graph: ClusterGraph
+    cluster_graph: DataGraph
     clustering: Clustering
     intra_links: np.ndarray     # per cluster, link records inside it
     crossing_links: np.ndarray  # per cluster, crossing links incident to it
@@ -243,18 +226,14 @@ class StoreHeader:
 def write_compressed_graph(path: str | Path, header: StoreHeader) -> int:
     cg = header.cluster_graph
     cl = header.clustering
-    k = cg.graph.node_count
     w = _Writer()
     w.raw(MAGIC_GRAPH)
     w.u32(FORMAT_VERSION)
-    w.u32(k)
-    w.u32(cg.graph.slot_count)
+    w.u32(cg.node_count)
+    w.u32(cg.slot_count)
     w.u32(cl.node_count)
     w.u32(cl.max_cluster_size)
-    w.u8(_EDGE_COMBINER_IDS[cg.wcfg.edge_combiner])
-    w.u8(_PRESTIGE_COMBINER_IDS[cg.wcfg.prestige_combiner])
-    w.u16(0)
-    _write_graph_arrays(w, cg.graph)
+    _write_graph_arrays(w, cg)
     w.arr(cl.node_order, "<u4")
     w.arr(cl.cluster_offset, "<u4")
     w.arr(header.intra_links, "<u4")
@@ -270,11 +249,6 @@ def read_compressed_graph(path: str | Path) -> StoreHeader:
     m = r.u32()
     n = r.u32()
     max_size = r.u32()
-    edge_comb = r.u8()
-    prestige_comb = r.u8()
-    r.u16()
-    if edge_comb not in _EDGE_COMBINER_NAMES or prestige_comb not in _PRESTIGE_COMBINER_NAMES:
-        raise StorageFormatError(f"{path}: unknown combiner ids")
     graph = _read_graph_arrays(r, k, m)
     order = r.arr(n, "<u4").astype(np.int64)
     cluster_offset = r.arr(k + 1, "<u4").astype(np.int64)
@@ -287,10 +261,7 @@ def read_compressed_graph(path: str | Path) -> StoreHeader:
         clustering = Clustering.from_order(order, cluster_offset, max_size)
     except ClusteringError as exc:
         raise StorageFormatError(f"{path}: {exc}") from exc
-    wcfg = WeightConfig(_EDGE_COMBINER_NAMES[edge_comb],
-                        _PRESTIGE_COMBINER_NAMES[prestige_comb])
-    return StoreHeader(ClusterGraph(graph, wcfg), clustering, intra, crossing,
-                       offset, crc)
+    return StoreHeader(graph, clustering, intra, crossing, offset, crc)
 
 
 # --- cluster records --------------------------------------------------------
@@ -441,7 +412,7 @@ def read_keyword_index(path: str | Path) -> KeywordIndex:
 # --- store assembly and expansion ----------------------------------------------
 
 def write_store(store_dir: str | Path, g: DataGraph, clustering: Clustering,
-                cluster_graph: ClusterGraph) -> None:
+                cluster_graph: DataGraph) -> None:
     """Write clusters.emb, then graph.emb, for a finished clustering."""
     store_dir = Path(store_dir)
     store_dir.mkdir(parents=True, exist_ok=True)
@@ -501,7 +472,7 @@ class ClusterStore:
         return cls(store_dir, header)
 
     @property
-    def cluster_graph(self) -> ClusterGraph:
+    def cluster_graph(self) -> DataGraph:
         return self.header.cluster_graph
 
     @property

@@ -138,7 +138,7 @@ def test_criterion_03_memory_model_and_compression():
         k = cl.cluster_count
         assert n / 100 <= k <= 1.1 * (n / 100)
         original = estimate_memory(g.node_count, g.slot_count)
-        compressed = estimate_memory(k, cg.graph.slot_count)
+        compressed = estimate_memory(k, cg.slot_count)
         assert compressed <= 0.40 * original
         ratios.append(compressed / original)
     print(f"criterion 3: PASS (exact byte model, cluster counts within "
@@ -182,7 +182,7 @@ def test_criterion_05_cost_bounds_bracket_expanded_optimum():
         cluster_sets = [frozenset(int(cl.node_mapping[x]) for x in s)
                         for s in ks.sets]
         ks_cl = KeywordSets(list(ks.terms), cluster_sets)
-        answers, _ = backward_search(cg.graph, ks_cl,
+        answers, _ = backward_search(cg, ks_cl,
                                      SearchConfig(k=5, steiner_filter=False))
         crossing = min_crossing_weights(g, cl)
         kw_clusters = set().union(*cluster_sets)

@@ -3,9 +3,13 @@
 import json
 import shutil
 
+import numpy as np
 import pytest
 
 from embanks import cli
+from embanks.clustering import (WeightConfig, build_cluster_graph,
+                                cluster_close_to_1)
+from embanks.storage import ClusterStore, read_tuple_graph
 from embanks.synth import low_pair
 
 
@@ -203,6 +207,35 @@ def test_foreign_or_resized_cluster_file_errors(corpus, tmp_path, capsys):
                  good + b"\x00"):
         (mine / "clusters.emb").write_bytes(data)
         assert "clusters.emb" in _query_fails(mine, capsys)
+
+
+def test_combiner_flags_set_the_stored_cluster_graph(corpus, tmp_path, capsys):
+    _, store = corpus
+    copy = tmp_path / "store"
+    shutil.copytree(store, copy)
+    g, _ = read_tuple_graph(copy / "tuples.emb")
+    clustering = cluster_close_to_1(g, 5)
+    prestiges, weights = set(), set()
+    for edge_flag, edge in [("invsum", "inverse-sum"),
+                            ("harmonic", "harmonic-mean"), ("min", "min")]:
+        for prestige in ("sum", "max", "avg"):
+            assert cli.main(["cluster", "--store", str(copy), "--algo", "close1",
+                             "--size", "5", "--edge-combiner", edge_flag,
+                             "--prestige", prestige]) == 0
+            stored = ClusterStore.open(copy).cluster_graph
+            built = build_cluster_graph(g, clustering,
+                                        WeightConfig(edge, prestige))
+            assert stored.node_count == built.node_count
+            for name in ("prestige", "adjacency_offset", "adjacent_nodes",
+                         "edge_weight", "edge_direction", "pair_slot"):
+                assert np.array_equal(getattr(stored, name),
+                                      getattr(built, name)), (edge, prestige, name)
+            prestiges.add(stored.prestige.tobytes())
+            weights.add(stored.edge_weight.tobytes())
+    capsys.readouterr()
+    # every prestige flag and at least two edge flags change what is stored;
+    # this corpus's member edges all weigh the same, so min and harmonic agree
+    assert len(prestiges) == 3 and len(weights) >= 2
 
 
 @pytest.mark.parametrize("size", ["0", "-3"])

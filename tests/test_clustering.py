@@ -1,5 +1,6 @@
 """Bounded clustering, the contracted cluster graph, and answer cost bounds."""
 
+import hashlib
 import math
 import random
 
@@ -201,8 +202,8 @@ def test_cluster_graph_matches_bucket_oracle(rng):
             cl = grown_clustering(rng, rng.choice(GROWN), g, rng.randint(2, 5))
         wcfg = WeightConfig(rng.choice(combiners), rng.choice(prestiges))
         cg = build_cluster_graph(g, cl, wcfg)
-        cg.graph.validate()
-        assert cg.graph.node_count == cl.cluster_count
+        cg.validate()
+        assert cg.node_count == cl.cluster_count
 
         buckets = {}
         for u, v, wf, wb in g.links():
@@ -213,8 +214,8 @@ def test_cluster_graph_matches_bucket_oracle(rng):
             buckets.setdefault((cv, cu), []).append(wb)
 
         got = {}
-        for cu in range(cg.graph.node_count):
-            for _, cv, w in cg.graph.out_edges(cu):
+        for cu in range(cg.node_count):
+            for _, cv, w in cg.out_edges(cu):
                 assert (cu, cv) not in got, "duplicate superedge"
                 got[(cu, cv)] = w
         assert set(got) == set(buckets)
@@ -229,7 +230,7 @@ def test_cluster_graph_matches_bucket_oracle(rng):
             expected = combine_prestige(
                 [float(g.prestige[x]) for x in cl.members(c)],
                 wcfg.prestige_combiner)
-            assert cg.graph.prestige[c] == np.float32(expected)
+            assert cg.prestige[c] == np.float32(expected)
 
 
 def test_cluster_graph_direction_follows_representative(rng):
@@ -246,14 +247,14 @@ def test_cluster_graph_direction_follows_representative(rng):
             cv = int(cl.node_mapping[g.adjacent_nodes[j]])
             if cu < cv and (cu, cv) not in rep:
                 rep[(cu, cv)] = j
-        for cu in range(cg.graph.node_count):
-            for j, cv, _ in cg.graph.out_edges(cu):
+        for cu in range(cg.node_count):
+            for j, cv, _ in cg.out_edges(cu):
                 if cu < cv:
                     r = rep[(cu, cv)]
-                    assert bool(cg.graph.edge_direction[j]) == \
+                    assert bool(cg.edge_direction[j]) == \
                         bool(g.edge_direction[r])
-                    assert bool(cg.graph.edge_direction[cg.graph.pair_slot[j]]) \
-                        != bool(cg.graph.edge_direction[j])
+                    assert bool(cg.edge_direction[cg.pair_slot[j]]) \
+                        != bool(cg.edge_direction[j])
 
 
 def test_identity_cluster_graph_reproduces_input(rng):
@@ -263,15 +264,15 @@ def test_identity_cluster_graph_reproduces_input(rng):
         g = random_graph(rng, n, extra_links=rng.randint(0, n))
         cg = build_cluster_graph(g, identity_clustering(n))
         crossing = min_crossing_weights(g, identity_clustering(n))
-        assert cg.graph.node_count == g.node_count
+        assert cg.node_count == g.node_count
         buckets = {}
         for u, v, wf, wb in g.links():
             buckets.setdefault((u, v), []).append(wf)
             buckets.setdefault((v, u), []).append(wb)
         seen = set()
         for u in range(n):
-            assert cg.graph.prestige[u] == g.prestige[u]
-            for _, v, w in cg.graph.out_edges(u):
+            assert cg.prestige[u] == g.prestige[u]
+            for _, v, w in cg.out_edges(u):
                 assert (u, v) not in seen
                 seen.add((u, v))
                 ws = buckets[(u, v)]
@@ -283,6 +284,52 @@ def test_identity_cluster_graph_reproduces_input(rng):
                         w, combine_edge_weights(ws, "inverse-sum"),
                         rel_tol=1e-5)
         assert seen == set(buckets)
+
+
+EDGE_COMBINERS = ["inverse-sum", "harmonic-mean", "min"]
+PRESTIGE_COMBINERS = ["sum", "max", "avg"]
+
+# sha256 of every cluster graph array and its dtype, per algorithm, over 40
+# seeded graphs and all nine combiner pairs; slot order, dtype and every
+# weight bit are pinned.
+PINNED_CLUSTER_GRAPH_DIGESTS = {
+    "close1":
+        "522587bf6905800008b80b53982eb578b8de51b22979c207d15b71443237ebf9",
+    "greedymin":
+        "630d7872e47c5072cf31aba3accaf0d9b9b96659ef6e4756e0d1972af7047238",
+    "connection":
+        "e278ed1780e7c804c519c939d5a57be4a3bd986e8224260f6196b00640862308",
+    "adjacency":
+        "ab26046aaca23c8ed9e5e6afef9967de0710d3dbec93b8e6393edf6911bbe6b3",
+}
+
+
+def cluster_graph_digest(algorithm):
+    h = hashlib.sha256()
+    for seed in range(40):
+        rng = random.Random(seed)
+        n = rng.randint(4, 30)
+        g = random_graph(rng, n, extra_links=rng.randint(0, n))
+        max_size = rng.randint(2, 6)
+        fn = CLUSTER_ALGORITHMS[algorithm]
+        if algorithm in ("greedymin", "connection"):
+            cl = fn(g, max_size, random.Random(seed))
+        else:
+            cl = fn(g, max_size)
+        for edge in EDGE_COMBINERS:
+            for prestige in PRESTIGE_COMBINERS:
+                cg = build_cluster_graph(g, cl, WeightConfig(edge, prestige))
+                for arr in (cg.prestige, cg.adjacency_offset, cg.adjacent_nodes,
+                            cg.edge_weight, cg.edge_direction, cg.pair_slot):
+                    h.update(arr.dtype.str.encode())
+                    h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("algorithm", sorted(PINNED_CLUSTER_GRAPH_DIGESTS))
+def test_cluster_graph_arrays_pinned(algorithm):
+    assert cluster_graph_digest(algorithm) == \
+        PINNED_CLUSTER_GRAPH_DIGESTS[algorithm]
 
 
 def test_metadata_matches_apsp_oracle(rng):
@@ -372,7 +419,7 @@ def test_bounds_sandwich_brute_force(rng):
         cluster_sets = [frozenset(int(cl.node_mapping[x]) for x in s)
                         for s in ks.sets]
         ks_cl = KeywordSets(list(ks.terms), cluster_sets)
-        answers, _ = backward_search(cg.graph, ks_cl,
+        answers, _ = backward_search(cg, ks_cl,
                                      SearchConfig(k=5, steiner_filter=False))
         crossing = min_crossing_weights(g, cl)
         kw_clusters = set().union(*cluster_sets)

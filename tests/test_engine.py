@@ -131,7 +131,7 @@ def test_select_extra_clusters_policies(rng, tmp_path):
 def test_refetch_candidates_order_and_dedup(rng, tmp_path):
     _, _, _, store = make_store(rng, tmp_path, n=36, max_size=3)
     have = {0}
-    g = store.cluster_graph.graph
+    g = store.cluster_graph
     adjacent = sorted({int(g.adjacent_nodes[j]) for j in g.slots(0)} - have)
     kw = [adjacent[0], 0] if adjacent else [0]
     got = refetch_candidates(store, have, kw, 10 ** 9)

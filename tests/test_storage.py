@@ -92,7 +92,7 @@ def test_compressed_graph_round_trip(rng, tmp_path):
     cl = random_clustering(rng, 30, 5)
     cg = build_cluster_graph(g, cl, WeightConfig("min", "avg"))
     k = cl.cluster_count
-    m = cg.graph.slot_count
+    m = cg.slot_count
     header = StoreHeader(cg, cl,
                          np.arange(k, dtype=np.int64),
                          np.arange(k, dtype=np.int64) * 2,
@@ -106,13 +106,12 @@ def test_compressed_graph_round_trip(rng, tmp_path):
     clustering_arrays = 4 * cl.node_count + 4 * (k + 1)
     record_arrays = 8 * k + 8 * (k + 1) + 4 * k
     assert p1.stat().st_size == \
-        28 + graph_arrays + clustering_arrays + record_arrays + 4
+        24 + graph_arrays + clustering_arrays + record_arrays + 4
     h2 = read_compressed_graph(p1)
-    assert h2.cluster_graph.wcfg == cg.wcfg
-    assert np.array_equal(h2.cluster_graph.graph.adjacent_nodes,
-                          cg.graph.adjacent_nodes)
-    assert np.array_equal(h2.cluster_graph.graph.edge_weight,
-                          cg.graph.edge_weight)
+    assert np.array_equal(h2.cluster_graph.adjacent_nodes,
+                          cg.adjacent_nodes)
+    assert np.array_equal(h2.cluster_graph.edge_weight,
+                          cg.edge_weight)
     assert np.array_equal(h2.clustering.node_mapping, cl.node_mapping)
     assert np.array_equal(h2.clustering.node_order, cl.node_order)
     assert np.array_equal(h2.clustering.cluster_offset, cl.cluster_offset)
@@ -190,11 +189,12 @@ def test_graph_file_of_another_version_is_rejected(rng, tmp_path):
     built_store(rng, tmp_path, n=12)
     path = tmp_path / "graph.emb"
     raw = bytearray(path.read_bytes())
-    for version in (3, 4, 6):
+    for version in (3, 4, 5, 7):
         raw[4] = version
         body = bytes(raw[:-4])
         path.write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))
-        with pytest.raises(StorageFormatError, match="unsupported version"):
+        with pytest.raises(StorageFormatError,
+                           match=f"unsupported version {version}$"):
             ClusterStore.open(tmp_path)
 
 
@@ -329,16 +329,16 @@ def test_corruption_detection(rng, tmp_path):
         body = bytes(versioned[:-4])
         return body + zlib.crc32(body).to_bytes(4, "little")
 
-    path.write_bytes(restamped(raw, 5))
+    path.write_bytes(restamped(raw, 6))
     read_tuple_graph(path)
-    for version in (1, 2, 3, 4, 99):
+    for version in (1, 2, 3, 4, 5, 99):
         path.write_bytes(restamped(raw, version))
         with pytest.raises(StorageFormatError, match="unsupported version"):
             read_tuple_graph(path)
 
     record = write_cluster(make_cluster_payload(g, random_clustering(rng, 12, 4), 0))
-    read_cluster(restamped(record, 5))
-    for version in (1, 2, 3, 4, 99):
+    read_cluster(restamped(record, 6))
+    for version in (1, 2, 3, 4, 5, 99):
         with pytest.raises(StorageFormatError, match="unsupported version"):
             read_cluster(restamped(record, version))
 
