@@ -8,8 +8,8 @@ from .engine import (EngineConfig, PrecisionReport, QueryResult, build_store,
                      compare_precision, ingest_to_store, single_phase_query,
                      two_phase_query)
 from .graph import (DataGraph, GraphBuilder, GraphError, IngestError,
-                    IngestSpec, NodeMeta, build_graph, degree,
-                    estimate_memory, ingest, parse_schema, prune_transitive)
+                    IngestSpec, NodeMeta, build_graph, estimate_memory,
+                    ingest, parse_schema, prune_transitive)
 from .keywords import KeywordIndex, build_index, tokenize
 from .scoring import AnswerTree, ScoreConfig, ScoredAnswer, score_tree
 from .search import (KeywordSets, NoMatchError, SearchConfig, SearchStats,
@@ -30,7 +30,7 @@ __all__ = [
     "StorageError", "StorageFormatError", "SynthSpec", "WeightConfig",
     "answer_cost_bounds", "backward_search", "bidirectional_search",
     "build_cluster_graph", "build_graph", "build_index", "build_store",
-    "compare_precision", "compute_cluster_metadata", "degree",
+    "compare_precision", "compute_cluster_metadata",
     "estimate_memory", "expand_clusters", "generate_synthetic",
     "identity_clustering", "ingest", "ingest_to_store", "min_crossing_weights",
     "parse_schema", "prune_transitive", "score_tree",

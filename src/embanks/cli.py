@@ -82,7 +82,7 @@ def _engine_config(args) -> EngineConfig:
         k=args.k, phase1_limit=args.limit,
         phase1_algorithm=args.algo1, phase2_algorithm=args.algo2,
         gamma=args.gamma, budget=args.budget, extra_policy=args.extra,
-        combos=args.combos, seed=args.seed)
+        combos=args.combos)
 
 
 def cmd_query(args) -> int:
@@ -165,7 +165,6 @@ def _add_query_flags(p: argparse.ArgumentParser) -> None:
                    help="extra-cluster policy")
     p.add_argument("--combos", choices=COMBOS, default=COMBOS_ALL,
                    help="keyword combination coverage")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--stats", action="store_true",
                    help="print search statistics to stderr")
 

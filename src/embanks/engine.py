@@ -35,8 +35,7 @@ ALGORITHMS = {
 
 EXTRA_NONE = "none"
 EXTRA_KEYWORD = "keyword"
-EXTRA_KEYWORD_FILL = "keyword-fill"
-EXTRA_POLICIES = (EXTRA_NONE, EXTRA_KEYWORD, EXTRA_KEYWORD_FILL)
+EXTRA_POLICIES = (EXTRA_NONE, EXTRA_KEYWORD)
 
 
 @dataclass
@@ -51,7 +50,6 @@ class EngineConfig:
     max_refetch: int = 3
     score: ScoreConfig = field(default_factory=ScoreConfig)
     combos: str = COMBOS_ALL
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -59,6 +57,10 @@ class EngineConfig:
         if self.phase1_limit < 1:
             raise ValueError(
                 f"phase-1 limit must be at least 1, got {self.phase1_limit}")
+        for what, value in (("budget", self.budget),
+                            ("max refetch", self.max_refetch)):
+            if value < 0:
+                raise ValueError(f"{what} must be nonnegative, got {value}")
         for what, value, allowed in (
                 ("phase-1 algorithm", self.phase1_algorithm, ALGORITHMS),
                 ("phase-2 algorithm", self.phase2_algorithm, ALGORITHMS),
@@ -157,18 +159,14 @@ def _budget_fill(store: ClusterStore, candidates: list[int], budget: int) -> lis
 
 def select_extra_clusters(store: ClusterStore, core: set[int],
                           keyword_clusters: list[int], policy: str,
-                          budget: int, rng: random.Random) -> list[int]:
+                          budget: int) -> list[int]:
     """Clusters fetched beyond the phase-1 core, kept inside the budget."""
     if policy == EXTRA_NONE:
         return []
     if policy not in EXTRA_POLICIES:
         raise ValueError(f"unknown extra-cluster policy {policy!r}")
-    want = [c for c in keyword_clusters if c not in core]
-    if policy == EXTRA_KEYWORD_FILL:
-        total = sum(store.cluster_cost(c) for c in want)
-        if total > budget:
-            rng.shuffle(want)
-    return _budget_fill(store, want, budget)
+    return _budget_fill(store, [c for c in keyword_clusters if c not in core],
+                        budget)
 
 
 def _adjacent_clusters(store: ClusterStore, have: set[int]) -> list[int]:
@@ -229,25 +227,24 @@ def two_phase_query(store: ClusterStore, terms: list[str],
 
     read_clusters0 = store.clusters_read
     read_bytes0 = store.bytes_read
-    rng = random.Random(cfg.seed)
-    extras = select_extra_clusters(store, set(core), keyword_clusters,
-                                   cfg.extra_policy, cfg.budget, rng)
-    sub = expand_clusters(store, set(core) | set(extras))
+    have = set(core)
+    have.update(select_extra_clusters(store, have, keyword_clusters,
+                                      cfg.extra_policy, cfg.budget))
     p2cfg = cfg.phase2_search()
-    answers, p2_stats = _run_phase2(sub, node_sets, algo2, p2cfg)
-
+    p2_stats = SearchStats()
     refetch_events = 0
-    while refetch_events < cfg.max_refetch:
-        if not gamma_trigger([a.score for a in answers], cfg.gamma):
+    while True:
+        sub = expand_clusters(store, have)
+        answers, more = _run_phase2(sub, node_sets, algo2, p2cfg)
+        p2_stats = p2_stats + more
+        if (refetch_events >= cfg.max_refetch
+                or not gamma_trigger([a.score for a in answers], cfg.gamma)):
             break
-        new = refetch_candidates(store, set(sub.clusters), keyword_clusters,
-                                 cfg.budget)
+        new = refetch_candidates(store, have, keyword_clusters, cfg.budget)
         if not new:
             break
         refetch_events += 1
-        sub = expand_clusters(store, set(sub.clusters) | set(new))
-        answers, more = _run_phase2(sub, node_sets, algo2, p2cfg)
-        p2_stats = p2_stats + more
+        have |= set(new)
 
     final = [_remap_answer(a, sub.global_ids) for a in answers]
     final.sort(key=lambda a: a.sort_key())

@@ -238,22 +238,6 @@ class GraphBuilder:
         )
 
 
-def degree(g: DataGraph, node: int, mode: str = "out") -> int:
-    """Count adjacency slots of ``node`` by direction bit.
-
-    ``out`` counts forward slots (links the node's tuple makes), ``in``
-    counts backward slots (links made to it).  In this both-direction
-    representation a node with a balanced span of s slots has
-    in = out = s / 2.
-    """
-    span = g.edge_direction[g.adjacency_offset[node]:g.adjacency_offset[node + 1]]
-    if mode == "out":
-        return int(np.count_nonzero(span))
-    if mode == "in":
-        return int(len(span) - np.count_nonzero(span))
-    raise ValueError(f"mode must be 'in' or 'out', got {mode!r}")
-
-
 def estimate_memory(nodes: int, edges: int) -> int:
     """Bytes needed to hold a graph of the given size in the flat arrays.
 
@@ -453,11 +437,10 @@ def ingest(spec: IngestSpec, data_dir: str | Path) -> IngestResult:
 
     graph = builder.build()
     # Default prestige is the foreign-key in-degree (count of backward slots).
-    for node in range(graph.node_count):
-        if node in explicit_prestige:
-            graph.prestige[node] = np.float32(explicit_prestige[node])
-        else:
-            graph.prestige[node] = np.float32(degree(graph, node, "in"))
+    graph.prestige[:] = np.bincount(graph.slot_source[~graph.edge_direction],
+                                    minlength=graph.node_count)
+    for node, value in explicit_prestige.items():
+        graph.prestige[node] = np.float32(value)
     meta = NodeMeta(
         relation_names=[t.name for t in spec.tables],
         node_relation=np.asarray(node_relation, dtype=np.uint16),

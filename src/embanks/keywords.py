@@ -36,19 +36,10 @@ class KeywordIndex:
         return len(self.postings)
 
 
-def build_index(meta: NodeMeta, include_relation_names: bool = False) -> KeywordIndex:
-    """Index every node's text; optionally index relation names too.
-
-    With ``include_relation_names`` set, each relation's name becomes a
-    term whose postings are all of that relation's tuples.
-    """
+def build_index(meta: NodeMeta) -> KeywordIndex:
+    """Index every token of every node's text; relation names are not indexed."""
     acc: dict[str, set[int]] = {}
     for node, text in enumerate(meta.node_text):
         for term in tokenize(text):
             acc.setdefault(term, set()).add(node)
-    if include_relation_names:
-        for node in range(len(meta)):
-            name = meta.relation_names[int(meta.node_relation[node])]
-            for term in tokenize(name):
-                acc.setdefault(term, set()).add(node)
     return KeywordIndex({term: sorted(nodes) for term, nodes in sorted(acc.items())})

@@ -11,8 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-ADDITIVE = "additive"
-MULTIPLICATIVE = "multiplicative"
 EDGE_AS_WRITTEN = "as-written"
 EDGE_RECIPROCAL_SUM = "reciprocal-sum"
 
@@ -21,16 +19,15 @@ EDGE_RECIPROCAL_SUM = "reciprocal-sum"
 class ScoreConfig:
     """Knobs for tree scoring.
 
-    ``node_weight`` is the mixing factor for the node term: the additive
-    combination is ``nw * N + (1 - nw) * E``; the multiplicative one is
-    ``E * N ** nw``.  ``edge_variant`` selects how the summed edge weight
+    A tree scores ``nw * N + (1 - nw) * E``, the additive BANKS
+    combination of its node term ``N`` and edge term ``E``, where ``nw`` is
+    ``node_weight``.  ``edge_variant`` selects how the summed edge weight
     becomes a score in (0, 1]: ``as-written`` uses 1 / (1 + 1 / sum) and so
     rewards heavier trees; ``reciprocal-sum`` uses 1 / (1 + sum) and rewards
     lighter ones.
     """
 
     node_weight: float = 0.2
-    combine: str = ADDITIVE
     edge_variant: str = EDGE_AS_WRITTEN
 
 
@@ -131,11 +128,7 @@ def edge_score(tree: AnswerTree, cfg: ScoreConfig) -> float:
 
 
 def tree_score(n_score: float, e_score: float, cfg: ScoreConfig) -> float:
-    if cfg.combine == ADDITIVE:
-        return cfg.node_weight * n_score + (1.0 - cfg.node_weight) * e_score
-    if cfg.combine == MULTIPLICATIVE:
-        return e_score * n_score ** cfg.node_weight
-    raise ValueError(f"unknown combination {cfg.combine!r}")
+    return cfg.node_weight * n_score + (1.0 - cfg.node_weight) * e_score
 
 
 @dataclass(frozen=True)

@@ -93,11 +93,12 @@ class SearchStats:
     stopped: str = ""
 
     def __add__(self, other: SearchStats) -> SearchStats:
-        """Counts add up; ``stopped`` is the later search's."""
+        """Work counts add up; ``answers_emitted`` and ``stopped`` are the
+        later search's, whose answers replace the earlier ones."""
         return SearchStats(
             self.nodes_touched + other.nodes_touched,
             self.nodes_explored + other.nodes_explored,
-            self.answers_emitted + other.answers_emitted,
+            other.answers_emitted,
             self.clusters_read + other.clusters_read,
             self.bytes_read + other.bytes_read,
             self.elapsed + other.elapsed,
@@ -600,7 +601,6 @@ def bidirectional_search(g: DataGraph, ks: KeywordSets,
     out_pushed = [False] * n
     in_done = [False] * n
     out_done = [False] * n
-    is_root = [False] * n
     emitted_roots = [False] * n
     pending_roots: deque[int] = deque()
 
@@ -624,7 +624,7 @@ def bidirectional_search(g: DataGraph, ks: KeywordSets,
         j = x * w + i
         if d[j] == INF:
             missing[x] -= 1
-            if missing[x] == 0 and is_root[x] and not emitted_roots[x]:
+            if missing[x] == 0 and in_done[x] and not emitted_roots[x]:
                 pending_roots.append(x)
         d[j] = cand
         succ[j] = via
@@ -685,7 +685,6 @@ def bidirectional_search(g: DataGraph, ks: KeywordSets,
                 continue
             in_done[u] = True
             stats.nodes_explored += 1
-            is_root[u] = True
             push_out(u)
             if missing[u] == 0 and not emitted_roots[u]:
                 pending_roots.append(u)

@@ -101,10 +101,7 @@ def score_answer(root, edges, keyword_nodes, prestige, cfg) -> RefAnswer:
         e = 1.0 / (1.0 + 1.0 / total)
     else:
         e = 1.0 / (1.0 + total)
-    if cfg.combine == "additive":
-        s = cfg.node_weight * n + (1.0 - cfg.node_weight) * e
-    else:
-        s = e * n ** cfg.node_weight
+    s = cfg.node_weight * n + (1.0 - cfg.node_weight) * e
     return RefAnswer(root, edges, tuple(keyword_nodes), n, e, s)
 
 

@@ -361,8 +361,7 @@ def test_criterion_10_cli_determinism(tmp_path):
         ["ingest", "--schema", "data/schema.txt", "--data", "data",
          "--out", "store"],
         ["cluster", "--store", "store", "--algo", "close1", "--size", "5"],
-        ["query", "--store", "store", "--seed", "7",
-         " ".join(low_pair(0))],
+        ["query", "--store", "store", " ".join(low_pair(0))],
         ["baseline", "--data", "data", " ".join(high_pair(0))],
         ["compare", "--store", "store", "--data", "data",
          "--queries", "data/queries.txt"],

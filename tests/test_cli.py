@@ -42,7 +42,7 @@ def test_pipeline_prints_summaries(corpus, capsys, tmp_path):
 def test_query_output_and_determinism(corpus, capsys):
     _, store = corpus
     terms = " ".join(low_pair(0))
-    argv = ["query", "--store", str(store), "--seed", "7", terms]
+    argv = ["query", "--store", str(store), terms]
     capsys.readouterr()
     assert cli.main(argv) == 0
     first = capsys.readouterr().out
@@ -162,6 +162,19 @@ def test_nonpositive_k_or_limit_exits_one(corpus, capsys, command, flag,
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert f"at least 1, got {value}" in captured.err
+
+
+@pytest.mark.parametrize("command", ["query", "compare"])
+def test_negative_budget_exits_one(corpus, capsys, command):
+    data, store = corpus
+    where = {"query": ["--store", str(store), " ".join(low_pair(0))],
+             "compare": ["--store", str(store), "--data", str(data),
+                         "--queries", str(data / "queries.txt")]}
+    capsys.readouterr()
+    assert cli.main([command, "--budget", "-1"] + where[command]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: budget must be nonnegative, got -1\n"
 
 
 def test_missing_store_errors(tmp_path, capsys):

@@ -9,7 +9,7 @@ import pytest
 from embanks.graph import (BYTES_PER_EDGE, BYTES_PER_NODE, DataGraph,
                            ForeignKey, GraphBuilder, GraphError, IngestError,
                            IngestSpec, TableSpec, apply_remap,
-                           assign_backward_weights, build_graph, degree,
+                           assign_backward_weights, build_graph,
                            estimate_memory, ingest, parse_schema,
                            prune_transitive)
 
@@ -22,36 +22,6 @@ def test_memory_estimate_reference_points():
     assert estimate_memory(500_000, 5_000_000) == 70_000_000
     assert estimate_memory(0, 0) == 0
     assert estimate_memory(3, 7) == 3 * BYTES_PER_NODE + 7 * BYTES_PER_EDGE
-
-
-def test_degree_matches_link_scan(rng):
-    for _ in range(25):
-        g = random_graph(rng, rng.randint(2, 30))
-        out_deg = [0] * g.node_count
-        in_deg = [0] * g.node_count
-        for u, v, *_ in g.links():
-            out_deg[u] += 1
-            in_deg[v] += 1
-        for n in range(g.node_count):
-            assert degree(g, n, "out") == out_deg[n]
-            assert degree(g, n, "in") == in_deg[n]
-            span = len(g.slots(n))
-            assert degree(g, n, "out") + degree(g, n, "in") == span
-
-
-def test_degree_balanced_node_is_half_span():
-    b = GraphBuilder()
-    hub = b.add_node()
-    for i in range(6):
-        other = b.add_node()
-        if i < 3:
-            b.add_link(hub, other, 1.0, 1.0)
-        else:
-            b.add_link(other, hub, 1.0, 1.0)
-    g = b.build()
-    assert len(g.slots(hub)) == 6
-    assert degree(g, hub, "out") == 3 == len(g.slots(hub)) // 2
-    assert degree(g, hub, "in") == 3
 
 
 def test_pair_slots_are_an_involution(rng):

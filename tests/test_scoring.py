@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from embanks.scoring import (ADDITIVE, EDGE_AS_WRITTEN, EDGE_RECIPROCAL_SUM,
-                             MULTIPLICATIVE, AnswerTree, ScoreConfig,
-                             edge_score, is_acceptable, node_score,
-                             score_tree, tree_score)
+from embanks.scoring import (EDGE_AS_WRITTEN, EDGE_RECIPROCAL_SUM, AnswerTree,
+                             ScoreConfig, edge_score, is_acceptable,
+                             node_score, score_tree, tree_score)
 
 PRESTIGE = np.array([5.0, 1.0, 2.0, 3.0, 0.5], dtype=np.float32)
 
@@ -56,10 +55,8 @@ def test_edge_score_variants():
 
 
 def test_tree_score_combinations():
-    cfg = ScoreConfig(node_weight=0.2, combine=ADDITIVE)
+    cfg = ScoreConfig(node_weight=0.2)
     assert tree_score(7.0, 0.8, cfg) == 0.2 * 7.0 + 0.8 * 0.8
-    cfg = ScoreConfig(node_weight=0.5, combine=MULTIPLICATIVE)
-    assert tree_score(9.0, 0.5, cfg) == 0.5 * 3.0
 
 
 def test_score_tree_assembles_parts():

@@ -237,7 +237,7 @@ def test_keyword_index_round_trip(tmp_path):
 
 def test_keyword_index_round_trips_build_index(rng, tmp_path):
     meta = random_meta(rng, 40)
-    index = build_index(meta, include_relation_names=True)
+    index = build_index(meta)
     _assert_index_round_trips(index, tmp_path)
 
 
