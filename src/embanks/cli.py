@@ -20,7 +20,7 @@ from .graph import GraphError, build_graph, parse_schema
 from .keywords import build_index, tokenize
 from .scoring import ScoredAnswer
 from .search import COMBOS, COMBOS_ALL, NoMatchError, SearchConfig, SearchStats
-from .storage import ClusterStore, StorageError
+from .storage import TUPLES_FILE, ClusterStore, StorageError, read_tuple_graph
 from .synth import SynthSpec, generate_synthetic
 
 _EDGE_COMBINERS = {
@@ -100,19 +100,14 @@ def cmd_query(args) -> int:
     return 0
 
 
-def _load_baseline(args):
+def cmd_baseline(args) -> int:
+    cfg = SearchConfig(k=args.k, combos=args.combos)
     schema = args.schema or str(Path(args.data) / "schema.txt")
     g, meta, warnings = build_graph(parse_schema(schema), args.data)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    return g, build_index(meta)
-
-
-def cmd_baseline(args) -> int:
-    cfg = SearchConfig(k=args.k, combos=args.combos)
-    g, index = _load_baseline(args)
-    answers, stats = single_phase_query(g, index, _terms(args.terms),
-                                        args.algo, cfg)
+    answers, stats = single_phase_query(g, build_index(meta),
+                                        _terms(args.terms), args.algo, cfg)
     _print_answers(answers)
     if args.stats:
         _print_stats("search", stats)
@@ -122,7 +117,8 @@ def cmd_baseline(args) -> int:
 def cmd_compare(args) -> int:
     cfg = _engine_config(args)
     store = ClusterStore.open(args.store)
-    g, index = _load_baseline(args)
+    g, _ = read_tuple_graph(store.dir / TUPLES_FILE)
+    index = store.keyword_index()
     for line in Path(args.queries).read_text(encoding="utf-8").splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
@@ -216,8 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare",
                        help="two-phase vs single-phase answer quality")
     p.add_argument("--store", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--schema", default=None)
     p.add_argument("--queries", required=True,
                    help="file with one query per line")
     _add_query_flags(p)

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from collections.abc import Iterable
+from dataclasses import dataclass
+
+import numpy as np
 
 from .graph import NodeMeta
 
@@ -15,25 +19,41 @@ def tokenize(text: str) -> list[str]:
     return TOKEN_RE.findall(text.lower())
 
 
-@dataclass
+@dataclass(eq=False)
 class KeywordIndex:
-    """Sorted, duplicate-free posting lists per term.
+    """Node ids per term, in CSR form.
 
-    The same shape serves both node-level and cluster-level indexes; the
-    posting entries are node ids in the first case and cluster ids in the
-    second.
+    ``terms`` ascend strictly; the ids of ``terms[i]`` are
+    ``ids[offsets[i]:offsets[i + 1]]``, ascending and duplicate-free.  Both
+    arrays are uint32, the form ``index.kwi`` stores them in, so a read
+    index is the stored arrays and a lookup turns only its own list into
+    ids.
     """
 
-    postings: dict[str, list[int]] = field(default_factory=dict)
+    terms: list[str]
+    offsets: np.ndarray  # uint32 [len(terms) + 1], from 0
+    ids: np.ndarray      # uint32 [offsets[-1]]
+
+    @classmethod
+    def from_postings(cls, postings: dict[str, Iterable[int]]) -> KeywordIndex:
+        """Sort the terms, and sort and deduplicate each term's node ids."""
+        terms = sorted(postings)
+        lists = [sorted(set(postings[t])) for t in terms]
+        offsets = np.zeros(len(terms) + 1, dtype=np.uint32)
+        offsets[1:] = np.cumsum([len(nodes) for nodes in lists])
+        ids = np.fromiter((n for nodes in lists for n in nodes),
+                          dtype=np.uint32, count=int(offsets[-1]))
+        return cls(terms, offsets, ids)
 
     def lookup(self, term: str) -> list[int]:
-        return self.postings.get(term.lower(), [])
-
-    def terms(self) -> list[str]:
-        return sorted(self.postings)
+        term = term.lower()
+        i = bisect_left(self.terms, term)
+        if i == len(self.terms) or self.terms[i] != term:
+            return []
+        return self.ids[self.offsets[i]:self.offsets[i + 1]].tolist()
 
     def __len__(self) -> int:
-        return len(self.postings)
+        return len(self.terms)
 
 
 def build_index(meta: NodeMeta) -> KeywordIndex:
@@ -42,4 +62,4 @@ def build_index(meta: NodeMeta) -> KeywordIndex:
     for node, text in enumerate(meta.node_text):
         for term in tokenize(text):
             acc.setdefault(term, set()).add(node)
-    return KeywordIndex({term: sorted(nodes) for term, nodes in sorted(acc.items())})
+    return KeywordIndex.from_postings(acc)

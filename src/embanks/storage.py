@@ -1,6 +1,6 @@
 """On-disk store: one compressed cluster-level graph plus one packed cluster file.
 
-Layout under a store directory (format 6)::
+Layout under a store directory (format 7)::
 
     graph.emb       cluster graph, the clustering's node order and cluster
                     offsets, per-cluster link counts, and each cluster
@@ -8,9 +8,11 @@ Layout under a store directory (format 6)::
     clusters.emb    the cluster records in id order: a cluster's member
                     count and prestige, and its intra and boundary links,
                     each with both direction weights
-    index.kwi       keyword index over the original nodes (optional)
+    index.kwi       keyword index over the original nodes: its sorted terms,
+                    then every term's node ids as one offsets-plus-ids pair
     tuples.emb      the ingested tuple graph with node relations, texts and
-                    keys, read only by ``cluster`` to write the first two
+                    keys, read by ``cluster`` to write the first two and by
+                    ``compare`` for its single-phase reference
 
 Each fact is stored once, except the link counts and CRCs graph.emb keeps
 to budget for and check a record before reading it.  A graph stores per
@@ -18,12 +20,14 @@ node only its prestige and per slot only its target, weight, direction bit
 and partner slot; node relations live in the tuple metadata.  A cluster's
 members are its span of the node order in graph.emb, and the node-to-cluster
 mapping is rebuilt from that order on read.  All integers are little-endian
-and ids fit 32 bits; weights are 32-bit floats; strings carry a 32-bit byte
-length.  Every file and every cluster record begins with a four-byte magic
-and the format version and ends with a CRC32 of everything before it;
-graph.emb also fixes the length and record CRCs of clusters.emb.  Any other
-version is rejected, so a store written by an older release must be rebuilt
-with ``ingest`` then ``cluster``.  Cluster cost bounds are not stored:
+and ids fit 32 bits; weights are 32-bit floats.  Every variable-length list
+(relation names, node texts and keys, index terms, posting lists) is one
+column: ``count + 1`` offsets from 0, then the bytes or ids they delimit.
+Every file and every cluster record begins with a four-byte magic and the
+format version and ends with a CRC32 of everything before it; graph.emb also
+fixes the length and record CRCs of clusters.emb.  Any other version is
+rejected, so a store written by an older release must be rebuilt with
+``ingest`` then ``cluster``.  Cluster cost bounds are not stored:
 ``clustering`` derives them from the tuple graph and the clustering when
 they are needed.
 """
@@ -32,7 +36,6 @@ from __future__ import annotations
 
 import os
 import zlib
-from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -51,7 +54,7 @@ MAGIC_GRAPH = b"EMBK"
 MAGIC_TUPLES = b"EMBT"
 MAGIC_CLUSTER = b"EMBC"
 MAGIC_INDEX = b"EMBI"
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 
 
 class StorageError(Exception):
@@ -78,10 +81,13 @@ class _Writer:
     def bits(self, flags: np.ndarray) -> None:
         self.raw(np.packbits(np.asarray(flags, dtype=bool)).tobytes())
 
-    def string(self, text: str) -> None:
-        data = text.encode("utf-8")
-        self.u32(len(data))
-        self.raw(data)
+    def strings(self, texts: list[str]) -> None:
+        """A string column: ``len(texts) + 1`` byte offsets, then the bytes."""
+        blobs = [t.encode("utf-8") for t in texts]
+        offsets = np.zeros(len(blobs) + 1, dtype=np.int64)
+        offsets[1:] = np.cumsum([len(b) for b in blobs])
+        self.arr(offsets, "<u4")
+        self.raw(b"".join(blobs))
 
     def blob(self) -> bytes:
         body = b"".join(self._parts)
@@ -141,8 +147,18 @@ class _Reader:
         packed = np.frombuffer(self.raw((count + 7) // 8), dtype=np.uint8)
         return np.unpackbits(packed, count=count).astype(bool)
 
-    def string(self) -> str:
-        return self.raw(self.u32()).decode("utf-8")
+    def offsets(self, count: int) -> np.ndarray:
+        """``count + 1`` uint32 offsets into the column that follows them."""
+        offsets = self.arr(count + 1, "<u4")
+        if offsets[0] != 0 or np.any(offsets[1:] < offsets[:-1]):
+            raise StorageFormatError(f"{self.name}: column offsets must start "
+                                     "at 0 and never decrease")
+        return offsets
+
+    def strings(self, count: int) -> list[str]:
+        bounds = self.offsets(count).tolist()
+        blob = self.raw(bounds[-1])
+        return [blob[a:b].decode("utf-8") for a, b in zip(bounds, bounds[1:])]
 
     def done(self) -> None:
         if self._pos != len(self._body):
@@ -181,15 +197,10 @@ def write_tuple_graph(path: str | Path, g: DataGraph, meta: NodeMeta) -> int:
     w.u32(g.slot_count)
     w.u32(len(meta.relation_names))
     _write_graph_arrays(w, g)
-    for name in meta.relation_names:
-        w.string(name)
+    w.strings(meta.relation_names)
     w.arr(meta.node_relation, "<u2")
-    for texts in (meta.node_text, meta.node_key):
-        blobs = [t.encode("utf-8") for t in texts]
-        offsets = np.zeros(len(blobs) + 1, dtype=np.int64)
-        np.cumsum([len(b) for b in blobs], out=offsets[1:])
-        w.arr(offsets, "<u4")
-        w.raw(b"".join(blobs))
+    w.strings(meta.node_text)
+    w.strings(meta.node_key)
     return w.finish(Path(path))
 
 
@@ -199,16 +210,10 @@ def read_tuple_graph(path: str | Path) -> tuple[DataGraph, NodeMeta]:
     m = r.u32()
     relations = r.u32()
     g = _read_graph_arrays(r, n, m)
-    names = [r.string() for _ in range(relations)]
-    node_relation = r.arr(n, "<u2")
-    texts: list[list[str]] = []
-    for _ in range(2):
-        offsets = r.arr(n + 1, "<u4")
-        blob = r.raw(int(offsets[-1]))
-        texts.append([blob[offsets[i]:offsets[i + 1]].decode("utf-8")
-                      for i in range(n)])
+    meta = NodeMeta(r.strings(relations), r.arr(n, "<u2"), r.strings(n),
+                    r.strings(n))
     r.done()
-    return g, NodeMeta(names, node_relation, texts[0], texts[1])
+    return g, meta
 
 
 # --- compressed cluster graph -----------------------------------------------
@@ -356,57 +361,28 @@ def make_cluster_payload(g: DataGraph, clustering: Clustering,
 
 # --- keyword index ------------------------------------------------------------
 
-_POSTING_DTYPE = np.dtype("<u4")
-
-
-class _StoredPostings(Mapping):
-    """Posting lists read from an index file, each kept as its stored bytes
-    until first asked for, then decoded to ids and kept; opening a store
-    thus decodes only the terms its queries use."""
-
-    def __init__(self, encoded: dict[str, bytes]) -> None:
-        self._encoded = encoded
-        self._decoded: dict[str, list[int]] = {}
-
-    def __getitem__(self, term: str) -> list[int]:
-        nodes = self._decoded.get(term)
-        if nodes is None:
-            nodes = self._decoded[term] = np.frombuffer(
-                self._encoded[term], _POSTING_DTYPE).tolist()
-        return nodes
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._encoded)
-
-    def __len__(self) -> int:
-        return len(self._encoded)
-
-
 def write_keyword_index(path: str | Path, index: KeywordIndex) -> int:
     w = _Writer()
     w.raw(MAGIC_INDEX)
     w.u32(FORMAT_VERSION)
-    terms = index.terms()
-    w.u32(len(terms))
-    for term in terms:
-        w.string(term)
-        postings = index.postings[term]
-        w.u32(len(postings))
-        w.arr(np.asarray(postings, dtype=np.int64), _POSTING_DTYPE)
+    w.u32(len(index.terms))
+    w.strings(index.terms)
+    w.arr(index.offsets, "<u4")
+    w.arr(index.ids, "<u4")
     return w.finish(Path(path))
 
 
 def read_keyword_index(path: str | Path) -> KeywordIndex:
-    """Check the whole file, then keep each posting list encoded until its
-    first lookup."""
+    """Check the whole file and keep its posting ids as stored; a lookup
+    turns only its own list into ids."""
     r = _Reader(_read_bytes(Path(path)), MAGIC_INDEX, str(path))
-    count = r.u32()
-    encoded: dict[str, bytes] = {}
-    for _ in range(count):
-        term = r.string()
-        encoded[term] = r.raw(r.u32() * _POSTING_DTYPE.itemsize)
+    terms = r.strings(r.u32())
+    offsets = r.offsets(len(terms))
+    ids = r.arr(int(offsets[-1]), "<u4")
     r.done()
-    return KeywordIndex(_StoredPostings(encoded))
+    if not all(map(str.__lt__, terms, terms[1:])):
+        raise StorageFormatError(f"{path}: terms are not strictly ascending")
+    return KeywordIndex(terms, offsets, ids)
 
 
 # --- store assembly and expansion ----------------------------------------------

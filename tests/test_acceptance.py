@@ -363,8 +363,7 @@ def test_criterion_10_cli_determinism(tmp_path):
         ["cluster", "--store", "store", "--algo", "close1", "--size", "5"],
         ["query", "--store", "store", " ".join(low_pair(0))],
         ["baseline", "--data", "data", " ".join(high_pair(0))],
-        ["compare", "--store", "store", "--data", "data",
-         "--queries", "data/queries.txt"],
+        ["compare", "--store", "store", "--queries", "data/queries.txt"],
     )
     # The children run with cwd=tmp_path, where a relative PYTHONPATH entry
     # such as `src` finds nothing, so the package's absolute source root

@@ -104,7 +104,7 @@ def test_baseline_stats_say_why_the_search_stopped(corpus, capsys):
 def test_compare_reports_each_query(corpus, capsys):
     data, store = corpus
     capsys.readouterr()
-    assert cli.main(["compare", "--store", str(store), "--data", str(data),
+    assert cli.main(["compare", "--store", str(store),
                      "--queries", str(data / "queries.txt")]) == 0
     out = capsys.readouterr().out
     lines = out.splitlines()
@@ -113,6 +113,23 @@ def test_compare_reports_each_query(corpus, capsys):
     assert len(lines) == len(queries)
     for line in lines:
         assert "overlap=" in line or "no-match=" in line
+
+
+def test_compare_reference_is_the_stored_graph(corpus, tmp_path, capsys):
+    """The single-phase reference searches the store's own tuple graph, so
+    on an unpruned store both sides number the nodes alike and a rare pair
+    the two-phase search answers in full overlaps fully."""
+    data, _ = corpus
+    store = tmp_path / "unpruned"
+    assert cli.main(["ingest", "--schema", str(data / "schema.txt"),
+                     "--data", str(data), "--out", str(store),
+                     "--no-prune"]) == 0
+    assert cli.main(["cluster", "--store", str(store), "--size", "5"]) == 0
+    capsys.readouterr()
+    assert cli.main(["compare", "--store", str(store),
+                     "--queries", str(data / "queries.txt")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "zephyr quasar\toverlap=1.000 acceptable=4/4" in lines
 
 
 @pytest.mark.parametrize("combos", ["all", "best"])
@@ -126,7 +143,7 @@ def test_compare_reference_follows_combos(corpus, monkeypatch, combos):
         return real(g, index, terms, algorithm, cfg)
 
     monkeypatch.setattr(cli, "single_phase_query", recording)
-    assert cli.main(["compare", "--store", str(store), "--data", str(data),
+    assert cli.main(["compare", "--store", str(store),
                      "--queries", str(data / "queries.txt"), "--k", "4",
                      "--combos", combos]) == 0
     assert seen
@@ -153,7 +170,7 @@ def test_nonpositive_k_or_limit_exits_one(corpus, capsys, command, flag,
                                           value):
     data, store = corpus
     where = {"query": ["--store", str(store), " ".join(low_pair(0))],
-             "compare": ["--store", str(store), "--data", str(data),
+             "compare": ["--store", str(store),
                          "--queries", str(data / "queries.txt")],
              "baseline": ["--data", str(data), " ".join(low_pair(0))]}
     capsys.readouterr()
@@ -168,7 +185,7 @@ def test_nonpositive_k_or_limit_exits_one(corpus, capsys, command, flag,
 def test_negative_budget_exits_one(corpus, capsys, command):
     data, store = corpus
     where = {"query": ["--store", str(store), " ".join(low_pair(0))],
-             "compare": ["--store", str(store), "--data", str(data),
+             "compare": ["--store", str(store),
                          "--queries", str(data / "queries.txt")]}
     capsys.readouterr()
     assert cli.main([command, "--budget", "-1"] + where[command]) == 1

@@ -36,7 +36,7 @@ def test_postings_sorted_and_deduped():
     index = build_index(_meta(["ash ash oak", "oak", "ash"]))
     assert index.lookup("ash") == [0, 2]
     assert index.lookup("oak") == [0, 1]
-    assert index.terms() == ["ash", "oak"]
+    assert index.terms == ["ash", "oak"]
     assert len(index) == 2
 
 
@@ -45,6 +45,24 @@ def test_lookup_case_insensitive():
     assert index.lookup("MAPLE") == [0]
     assert index.lookup("maple") == [0]
     assert index.lookup("absent") == []
+
+
+def test_lookup_misses_and_edges():
+    index = build_index(_meta(["ash oak", "oak elm", "elm"]))
+    assert index.terms == ["ash", "elm", "oak"]
+    assert index.lookup("aaa") == []        # before the first term
+    assert index.lookup("zzz") == []        # after the last term
+    assert index.lookup("oa") == []         # a strict prefix of a term
+    assert index.lookup("oaks") == []       # a term plus one character
+    assert index.lookup("oak") == [0, 1]    # the last term
+    assert index.lookup("ASH") == [0]       # uppercase
+    assert index.lookup("ash") == [0]       # the first term
+
+
+def test_empty_index_finds_nothing():
+    index = build_index(_meta([""]))
+    assert len(index) == 0 and index.terms == []
+    assert index.lookup("") == [] and index.lookup("a") == []
 
 
 def test_relation_names_flag():

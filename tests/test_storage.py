@@ -80,11 +80,11 @@ def test_tuple_graph_byte_length(rng, tmp_path):
     write_tuple_graph(path, g, meta)
     m = g.slot_count
     graph_arrays = 4 * n + 4 * (n + 1) + 12 * m + (m + 7) // 8
-    names = sum(4 + len(r.encode()) for r in meta.relation_names)
-    texts = sum(4 * (n + 1) + sum(len(t.encode()) for t in column)
-                for column in (meta.node_text, meta.node_key))
-    assert path.stat().st_size == \
-        20 + graph_arrays + names + 2 * n + texts + 4
+    # relation names, node texts and node keys: one string column each
+    columns = sum(4 * (len(column) + 1) + sum(len(t.encode()) for t in column)
+                  for column in (meta.relation_names, meta.node_text,
+                                 meta.node_key))
+    assert path.stat().st_size == 20 + graph_arrays + 2 * n + columns + 4
 
 
 def test_compressed_graph_round_trip(rng, tmp_path):
@@ -189,7 +189,7 @@ def test_graph_file_of_another_version_is_rejected(rng, tmp_path):
     built_store(rng, tmp_path, n=12)
     path = tmp_path / "graph.emb"
     raw = bytearray(path.read_bytes())
-    for version in (3, 4, 5, 7):
+    for version in (3, 4, 5, 6, 8):
         raw[4] = version
         body = bytes(raw[:-4])
         path.write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))
@@ -228,10 +228,10 @@ def test_member_count_differing_from_graph_file_is_rejected(rng, tmp_path):
 
 
 def test_keyword_index_round_trip(tmp_path):
-    # a term longer than 65,535 bytes needs the 32-bit string length
+    # a term longer than 65,535 bytes needs the 32-bit column offsets
     long_term = "x" * 70_000
-    index = KeywordIndex({"apple": [0, 2, 9], "pear": [1], "zx81": [3, 4],
-                          long_term: [5]})
+    index = KeywordIndex.from_postings({"apple": [0, 2, 9], "pear": [1],
+                                        "zx81": [3, 4], long_term: [5]})
     _assert_index_round_trips(index, tmp_path)
 
 
@@ -241,30 +241,40 @@ def test_keyword_index_round_trips_build_index(rng, tmp_path):
     _assert_index_round_trips(index, tmp_path)
 
 
+def test_empty_keyword_index_round_trips(tmp_path):
+    index = KeywordIndex.from_postings({})
+    assert len(index) == 0 and index.lookup("apple") == []
+    _assert_index_round_trips(index, tmp_path)
+
+
 def _assert_index_round_trips(index, tmp_path):
-    """A read index holds the written one's terms and ids, and writing it
-    again, before and after every list is decoded, gives the same bytes."""
+    """A read index holds the written one's terms and ids, in the stored
+    32-bit form, answers every lookup the same, and writes the same bytes."""
     p1, p2 = tmp_path / "a.kwi", tmp_path / "b.kwi"
     write_keyword_index(p1, index)
     back = read_keyword_index(p1)
-    assert back.terms() == index.terms() and len(back) == len(index)
-    assert back == index                        # equal before any decode
+    assert back.terms == index.terms and len(back) == len(index)
+    assert back.offsets.dtype == back.ids.dtype == np.uint32
     write_keyword_index(p2, back)
     assert p1.read_bytes() == p2.read_bytes()
-    for term in index.terms():
+    for term in index.terms:
         nodes = back.lookup(term)
-        assert nodes == index.lookup(term)
+        assert nodes == index.lookup(term) != []
         assert all(type(x) is int for x in nodes)
-        assert back.lookup(term) is nodes       # decoded once, then kept
-    assert back.postings == index.postings
-    write_keyword_index(p2, back)
-    assert p1.read_bytes() == p2.read_bytes()
+    misses = ["", "0", "~", *(t[:-1] for t in index.terms),
+              *(t + "a" for t in index.terms)]
+    for probe in misses:
+        assert back.lookup(probe) == index.lookup(probe)
+
+
+def _resealed(body):
+    return body + zlib.crc32(body).to_bytes(4, "little")
 
 
 def test_keyword_index_damage_fails_at_read(tmp_path):
     """A flipped byte or a cut file is rejected when the index is read,
     not at the first lookup of the damaged list."""
-    index = KeywordIndex({"apple": [0, 2, 9], "pear": [1, 70_000]})
+    index = KeywordIndex.from_postings({"apple": [0, 2, 9], "pear": [1, 70_000]})
     path = tmp_path / "i.kwi"
     write_keyword_index(path, index)
     raw = path.read_bytes()
@@ -280,20 +290,57 @@ def test_keyword_index_damage_fails_at_read(tmp_path):
             read_keyword_index(path)
 
     # with a valid checksum, the layout itself is still checked at read
-    def resealed(body):
-        return body + zlib.crc32(body).to_bytes(4, "little")
-
     body = raw[:-4]
-    last_count = body.rindex((2).to_bytes(4, "little"))  # "pear" holds 2 ids
     for damaged, message in [
             (body + b"\x00", "trailing bytes"),
             (body[:-1], "truncated"),
-            (body[:last_count] + (3).to_bytes(4, "little") + body[last_count + 4:],
-             "truncated"),
-            (body[:4] + (4).to_bytes(4, "little") + body[8:], "unsupported version")]:
-        path.write_bytes(resealed(damaged))
+            (body[:4] + (6).to_bytes(4, "little") + body[8:], "unsupported version")]:
+        path.write_bytes(_resealed(damaged))
         with pytest.raises(StorageFormatError, match=message):
             read_keyword_index(path)
+
+
+def _u32s(values):
+    return np.asarray(values, dtype="<u4").tobytes()
+
+
+@pytest.mark.parametrize("term_offsets, posting_offsets, message", [
+    ([0, 5, 9], [0, 3, 5], None),
+    ([1, 5, 9], [0, 3, 5], "must start at 0"),
+    ([0, 5, 9], [1, 3, 5], "must start at 0"),
+    ([0, 5, 4], [0, 3, 5], "never decrease"),
+    ([0, 5, 9], [0, 6, 5], "never decrease"),
+    ([0, 5, 9], [0, 3, 6], "truncated"),         # ends past the stored ids
+    ([0, 5, 9], [0, 3, 4], "trailing bytes"),    # ends before the last id
+])
+def test_keyword_index_offsets_are_checked(tmp_path, term_offsets,
+                                           posting_offsets, message):
+    """index.kwi: magic, version, term count, the term column, the posting
+    offsets, then the ids; offsets that would misplace a list are rejected
+    even under a valid checksum."""
+    body = (b"EMBI" + _u32s([7, 2] + term_offsets) + b"applepear"
+            + _u32s(posting_offsets) + _u32s([0, 2, 9, 1, 70_000]))
+    path = tmp_path / "i.kwi"
+    path.write_bytes(_resealed(body))
+    if message is None:
+        index = read_keyword_index(path)
+        assert index.lookup("apple") == [0, 2, 9]
+        assert index.lookup("pear") == [1, 70_000]
+        return
+    with pytest.raises(StorageFormatError, match=message):
+        read_keyword_index(path)
+
+
+@pytest.mark.parametrize("terms", [["pear", "apple"], ["pear", "pear"]])
+def test_keyword_index_terms_must_ascend(tmp_path, terms):
+    """lookup bisects the terms, so an unsorted or repeated term list,
+    which would make lookups miss, is rejected at read."""
+    ids = np.array([0, 1], dtype=np.uint32)
+    index = KeywordIndex(terms, np.array([0, 1, 2], dtype=np.uint32), ids)
+    path = tmp_path / "i.kwi"
+    write_keyword_index(path, index)
+    with pytest.raises(StorageFormatError, match="not strictly ascending"):
+        read_keyword_index(path)
 
 
 def test_corruption_detection(rng, tmp_path):
@@ -326,19 +373,18 @@ def test_corruption_detection(rng, tmp_path):
     def restamped(blob, version):
         versioned = bytearray(blob)
         versioned[4] = version
-        body = bytes(versioned[:-4])
-        return body + zlib.crc32(body).to_bytes(4, "little")
+        return _resealed(bytes(versioned[:-4]))
 
-    path.write_bytes(restamped(raw, 6))
+    path.write_bytes(restamped(raw, 7))
     read_tuple_graph(path)
-    for version in (1, 2, 3, 4, 5, 99):
+    for version in (1, 2, 3, 4, 5, 6, 99):
         path.write_bytes(restamped(raw, version))
         with pytest.raises(StorageFormatError, match="unsupported version"):
             read_tuple_graph(path)
 
     record = write_cluster(make_cluster_payload(g, random_clustering(rng, 12, 4), 0))
-    read_cluster(restamped(record, 6))
-    for version in (1, 2, 3, 4, 5, 99):
+    read_cluster(restamped(record, 7))
+    for version in (1, 2, 3, 4, 5, 6, 99):
         with pytest.raises(StorageFormatError, match="unsupported version"):
             read_cluster(restamped(record, version))
 
