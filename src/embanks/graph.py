@@ -184,12 +184,20 @@ class GraphBuilder:
 
     def __init__(self) -> None:
         self._prestige: list[float] = []
-        # (u, v, w_fwd, w_bwd) with u -> v the FK direction
-        self._links: list[tuple[int, int, float, float]] = []
+        # link columns (u, v, w_fwd, w_bwd), u -> v the FK direction, in
+        # insertion order: whole chunks, then links added one by one
+        self._chunks: list[tuple[np.ndarray, ...]] = []
+        self._pending: list[tuple[int, int, float, float]] = []
 
     def add_node(self, prestige: float = 0.0) -> int:
         self._prestige.append(prestige)
         return len(self._prestige) - 1
+
+    def add_nodes(self, prestige: np.ndarray) -> range:
+        """Add one node per prestige value; returns their ids."""
+        first = len(self._prestige)
+        self._prestige.extend(np.asarray(prestige, dtype=np.float64).tolist())
+        return range(first, len(self._prestige))
 
     def add_link(self, u: int, v: int, forward_weight: float,
                  backward_weight: float) -> None:
@@ -200,41 +208,72 @@ class GraphBuilder:
             raise GraphError("link weights must be finite")
         if forward_weight <= 0 or backward_weight <= 0:
             raise GraphError("link weights must be positive")
-        self._links.append((u, v, forward_weight, backward_weight))
+        self._pending.append((u, v, forward_weight, backward_weight))
+
+    def add_links(self, u, v, w_fwd, w_bwd) -> None:
+        """``add_link`` for every row of four equal-length columns, in order;
+        nothing is added when a row fails a check."""
+        u = np.asarray(u, dtype=np.int64)
+        v = np.asarray(v, dtype=np.int64)
+        wf = np.asarray(w_fwd, dtype=np.float64)
+        wb = np.asarray(w_bwd, dtype=np.float64)
+        if not u.shape == v.shape == wf.shape == wb.shape or u.ndim != 1:
+            raise GraphError("link columns must be one-dimensional and "
+                             "of equal length")
+        n = len(self._prestige)
+        bad = (u < 0) | (u >= n) | (v < 0) | (v >= n)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise GraphError(f"link ({u[i]}, {v[i]}) references an unknown node")
+        if not (np.isfinite(wf).all() and np.isfinite(wb).all()):
+            raise GraphError("link weights must be finite")
+        if (wf <= 0).any() or (wb <= 0).any():
+            raise GraphError("link weights must be positive")
+        self._flush()
+        self._chunks.append((u, v, wf, wb))
+
+    def _flush(self) -> None:
+        if self._pending:
+            u, v, wf, wb = zip(*self._pending)
+            self._pending = []
+            self._chunks.append((np.array(u, dtype=np.int64),
+                                 np.array(v, dtype=np.int64),
+                                 np.array(wf), np.array(wb)))
 
     def build(self) -> DataGraph:
+        """Freeze into a DataGraph.
+
+        Every link ``i`` is two events, ``2i`` its forward slot at ``u`` and
+        ``2i + 1`` its backward slot at ``v``.  A node's slots are its
+        events in order, so one stable sort of the events by owner lays out
+        every span: links in insertion order, a self-loop's forward slot
+        before its backward one.
+        """
         n = len(self._prestige)
-        m = 2 * len(self._links)
-        counts = np.zeros(n, dtype=np.int64)
-        for u, v, *_ in self._links:
-            counts[u] += 1
-            counts[v] += 1
+        self._flush()
+        chunks = self._chunks or [(np.zeros(0, dtype=np.int64),) * 2
+                                  + (np.zeros(0),) * 2]
+        u, v, wf, wb = (col[0] if len(col) == 1 else np.concatenate(col)
+                        for col in zip(*chunks))
+        m = 2 * len(u)
+        owner = np.empty(m, dtype=np.int64)        # event -> node
+        owner[0::2], owner[1::2] = u, v
+        weight = np.empty(m, dtype=np.float32)
+        weight[0::2], weight[1::2] = wf, wb
+        order = np.argsort(owner, kind="stable")   # slot -> event
+        slot = np.empty(m, dtype=np.int64)         # event -> slot
+        slot[order] = np.arange(m, dtype=np.int64)
+        partner = order ^ 1                        # slot -> the link's other event
         offset = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=offset[1:])
-        fill = offset[:-1].copy()
-        adjacent = np.zeros(m, dtype=np.int64)
-        weight = np.zeros(m, dtype=np.float32)
-        direction = np.zeros(m, dtype=bool)
-        pair = np.zeros(m, dtype=np.int64)
-        for u, v, wf, wb in self._links:
-            jf = int(fill[u]); fill[u] += 1
-            jb = int(fill[v]); fill[v] += 1
-            adjacent[jf] = v
-            weight[jf] = wf
-            direction[jf] = True
-            adjacent[jb] = u
-            weight[jb] = wb
-            direction[jb] = False
-            pair[jf] = jb
-            pair[jb] = jf
+        np.cumsum(np.bincount(owner, minlength=n), out=offset[1:])
         return DataGraph(
             node_count=n,
             prestige=np.asarray(self._prestige, dtype=np.float32),
             adjacency_offset=offset,
-            adjacent_nodes=adjacent,
-            edge_weight=weight,
-            edge_direction=direction,
-            pair_slot=pair,
+            adjacent_nodes=owner[partner],
+            edge_weight=weight[order],
+            edge_direction=order % 2 == 0,
+            pair_slot=slot[partner],
         )
 
 

@@ -69,18 +69,21 @@ class AnswerTree:
         return out
 
     def leaves(self) -> list[int]:
-        """Nodes with no outgoing tree edge; the root is a leaf only when alone."""
+        """Nodes with no outgoing tree edge, ascending; none for a lone root,
+        which ``node_score`` counts once, as the root."""
         if not self.edges:
             return []
-        parents = {u for u, _, _ in self.edges}
-        return sorted(n for n in self.nodes if n not in parents)
+        parents, children, _ = zip(*self.edges)
+        return sorted({self.root, *children}.difference(parents))
 
     def total_weight(self) -> float:
         return float(sum(w for _, _, w in self.edges))
 
     def shape_key(self) -> tuple[int, tuple[tuple[int, int], ...]]:
         """Root and weight-free edge set; trees compare equal by this."""
-        return self.root, tuple(sorted((u, v) for u, v, _ in self.edges))
+        pairs = [(u, v) for u, v, _ in self.edges]
+        pairs.sort()  # linear when the edges are sorted already
+        return self.root, tuple(pairs)
 
     def identity_key(self):
         return self.root, tuple(sorted(self.edges))

@@ -153,32 +153,51 @@ def init_activation(ks: KeywordSets, prestige: np.ndarray,
     return ActivationState(a, w, mu)
 
 
+def _spread(a: list[float], w: int, mu: float, source: int,
+            target: list[int], weight: list[float], lo: int, hi: int,
+            offered: list[tuple[int, list[float]]] | None = None) -> None:
+    """Push a fraction mu of the source's activation along slots ``lo:hi``.
+
+    Slot ``j`` leads to ``target[j]`` at weight ``weight[j]``; ``a`` is an
+    ``ActivationState`` table of ``w`` terms.  The source's held activation
+    stays put; of the mass it forwards, each slot's share is inversely
+    proportional to its weight, and a receiving node keeps the maximum of
+    old and offered activation.  With ``offered``, every slot's
+    ``(node, offer)`` is appended to it.
+    """
+    if lo == hi:
+        return
+    # an offer is mu * r * share / total_inv, evaluated as
+    # (mu * r) * (share / total_inv)
+    forwarded = [mu * r for r in a[source * w:source * w + w]]
+    inv = [1.0 / weight[j] for j in range(lo, hi)]
+    total_inv = sum(inv)
+    for j, share in zip(range(lo, hi), inv):
+        f = share / total_inv
+        node = target[j]
+        if offered is not None:
+            offered.append((node, [m * f for m in forwarded]))
+        i = node * w
+        for m in forwarded:
+            o = m * f
+            if o > a[i]:
+                a[i] = o
+            i += 1
+
+
 def spread_activation(state: ActivationState, source: int,
                       neighbors: list[tuple[int, float]]) -> SpreadRecord:
-    """Push a fraction mu of the source's activation to its neighbors.
-
-    The source's held activation stays put; of the mass it forwards, each
-    neighbor's share is inversely proportional to the connecting edge
-    weight, and a receiving node keeps the maximum of old and offered
-    activation.  Returns the conservation record for the step: retained
-    plus distributed equals received.
-    """
+    """``_spread`` over ``(node, weight)`` neighbors, with the conservation
+    record for the step: retained plus distributed equals received."""
     received = state.row(source)
+    offered: list[tuple[int, list[float]]] = []
+    _spread(state.a, state.terms, state.mu, source,
+            [node for node, _ in neighbors], [wt for _, wt in neighbors],
+            0, len(neighbors), offered)
     if not neighbors:
         return SpreadRecord(received, list(received), [])
-    a, w, mu = state.a, state.terms, state.mu
-    inv = [1.0 / wt for _, wt in neighbors]
-    total_inv = sum(inv)
-    retained = [(1.0 - mu) * r for r in received]
-    offered: list[tuple[int, list[float]]] = []
-    for (node, _), share in zip(neighbors, inv):
-        offer = [mu * r * (share / total_inv) for r in received]
-        offered.append((node, offer))
-        base = node * w
-        for i, o in enumerate(offer):
-            if o > a[base + i]:
-                a[base + i] = o
-    return SpreadRecord(received, retained, offered)
+    return SpreadRecord(received, [(1.0 - state.mu) * r for r in received],
+                        offered)
 
 
 def _activation_total(a: list[float], base: int, w: int) -> float:
@@ -289,8 +308,15 @@ def _leaves_by_one_edge(adj: AdjacencyLists, dist: list[dict[int, float]],
 
 
 def _union_tree(root: int, paths: list[list[tuple[int, int, float]]],
-                keyword_nodes: tuple[int, ...]) -> AnswerTree | None:
-    """Merge root-to-keyword paths; None when they disagree on a parent."""
+                keyword_nodes: tuple[int, ...]
+                ) -> tuple[AnswerTree, dict[int, tuple[int, float]]] | None:
+    """Merge root-to-keyword paths into a tree with sorted edges, returned
+    with its parent map (child -> (parent, weight)); None when the paths
+    disagree on a parent or re-enter the root.
+
+    Every path starts at the root and each edge starts where the last one
+    ended, so the map's keys are the tree's nodes other than the root.
+    """
     parent: dict[int, tuple[int, float]] = {}
     for path in paths:
         for u, v, w in path:
@@ -301,8 +327,18 @@ def _union_tree(root: int, paths: list[list[tuple[int, int, float]]],
                 return None
     if root in parent:
         return None
-    edges = tuple(sorted((u, v, w) for v, (u, w) in parent.items()))
-    return AnswerTree(root, edges, keyword_nodes)
+    edges = tuple(sorted([(u, v, w) for v, (u, w) in parent.items()]))
+    return AnswerTree(root, edges, keyword_nodes), parent
+
+
+def _redundant_root(root: int, parent: dict[int, tuple[int, float]],
+                    ks: KeywordSets) -> bool:
+    """``root_is_redundant`` read off a ``_union_tree`` parent map."""
+    kids = 0
+    for u, _ in parent.values():
+        if u == root:
+            kids += 1
+    return kids == 1 and not any(s.isdisjoint(parent) for s in ks.sets)
 
 
 def root_is_redundant(tree: AnswerTree, ks: KeywordSets) -> bool:
@@ -376,13 +412,18 @@ class _AnswerPool:
 
     def add(self, root: int, paths: list[list[tuple[int, int, float]]],
             keyword_nodes: tuple[int, ...]) -> None:
-        """Merge the paths into a tree and keep it unless it is None,
-        redundant or already pooled."""
-        tree = _union_tree(root, paths, keyword_nodes)
-        if tree is None or root_is_redundant(tree, self.ks):
+        """Merge the paths into a tree and keep it unless the paths
+        conflict, the tree is already pooled or its root is redundant.
+
+        Whether a root is redundant depends on the tree alone, so a tree
+        already pooled was not, and the identity check may come first.
+        """
+        merged = _union_tree(root, paths, keyword_nodes)
+        if merged is None:
             return
-        key = tree.identity_key()
-        if key in self.candidates:
+        tree, parent = merged
+        key = (root, tree.edges)  # the identity key: the edges are sorted
+        if key in self.candidates or _redundant_root(root, parent, self.ks):
             return
         answer = score_tree(tree, self.prestige, self.cfg.score)
         self.candidates[key] = answer
@@ -548,6 +589,11 @@ def bidirectional_search(g: DataGraph, ks: KeywordSets,
     term: answers reachable exclusively through a second-best path are
     lost, which is the price of the smaller frontier.
 
+    Exploring a node propagates only its distances of 0, which no
+    improvement has propagated yet.  Every other finite distance was set
+    by an improvement and propagated then, at its current value, so
+    relaxing it again would lower nothing.
+
     A root whose every term has a distance above 0 and the same successor
     ``(succ, succ_w)`` is dropped without building its tree, which is
     exact.  Once propagation settles, each node's distance is its
@@ -595,29 +641,44 @@ def bidirectional_search(g: DataGraph, ks: KeywordSets,
             d[u * w + i] = 0.0
 
     act = init_activation(ks, g.prestige)
+    a, mu = act.a, act.mu
     in_heap: list[tuple[float, int]] = []
     out_heap: list[tuple[float, int]] = []
-    in_pushed = [False] * n
-    out_pushed = [False] * n
+    # the priority each node was last queued at, None before its first push
+    in_queued: list[float | None] = [None] * n
+    out_queued: list[float | None] = [None] * n
     in_done = [False] * n
     out_done = [False] * n
     emitted_roots = [False] * n
     pending_roots: deque[int] = deque()
 
-    def push_in(node: int) -> None:
-        if not in_pushed[node]:
-            in_pushed[node] = True
-            stats.nodes_touched += 1
-        heapq.heappush(in_heap, (-_activation_total(act.a, node * w, w), node))
+    def push(heap: list[tuple[float, int]], queued: list[float | None],
+             node: int) -> None:
+        """Queue ``node`` by its total activation, ``_activation_total``
+        summed inline for fewer than 8 terms.
 
-    def push_out(node: int) -> None:
-        if not out_pushed[node]:
-            out_pushed[node] = True
+        A node queued again at an unchanged priority is skipped: its
+        earlier entry is still in the heap unless the node is done, and an
+        entry equal to another, or one for a done node, changes no pop and
+        no choice between the heaps.
+        """
+        base = node * w
+        if w < 8:
+            t = 0.0
+            for j in range(base, base + w):
+                t += a[j]
+        else:
+            t = _activation_total(a, base, w)
+        last = queued[node]
+        if last is None:
             stats.nodes_touched += 1
-        heapq.heappush(out_heap, (-_activation_total(act.a, node * w, w), node))
+        elif last == -t:
+            return
+        queued[node] = -t
+        heapq.heappush(heap, (-t, node))
 
     for u in sources:
-        push_in(u)
+        push(in_heap, in_queued, u)
 
     def lower(x: int, i: int, cand: float, via: int, w_via: float) -> None:
         """Record ``cand`` as x's distance to term i, reached through ``via``."""
@@ -631,15 +692,23 @@ def bidirectional_search(g: DataGraph, ks: KeywordSets,
         succ_w[j] = w_via
 
     def propagate(queue: deque[tuple[int, int]]) -> None:
-        """Repair shortest-known distances after improvements at the queued nodes."""
+        """Repair shortest-known distances after improvements at the queued
+        nodes; ``lower`` is inlined."""
         while queue:
             q, i = queue.popleft()
             base = d[q * w + i]
             for j in range(offset[q], offset[q + 1]):
                 x = target[j]
                 cand = w_in[j] + base
-                if cand < d[x * w + i]:
-                    lower(x, i, cand, q, w_in[j])
+                xi = x * w + i
+                if cand < d[xi]:
+                    if d[xi] == INF:
+                        missing[x] -= 1
+                        if missing[x] == 0 and in_done[x] and not emitted_roots[x]:
+                            pending_roots.append(x)
+                    d[xi] = cand
+                    succ[xi] = q
+                    succ_w[xi] = w_in[j]
                     queue.append((x, i))
 
     def one_root_edge(r: int) -> bool:
@@ -685,34 +754,37 @@ def bidirectional_search(g: DataGraph, ks: KeywordSets,
                 continue
             in_done[u] = True
             stats.nodes_explored += 1
-            push_out(u)
+            push(out_heap, out_queued, u)
             if missing[u] == 0 and not emitted_roots[u]:
                 pending_roots.append(u)
-            propagate(deque((u, i) for i in range(w) if d[u * w + i] < INF))
-            record = spread_activation(
-                act, u, [(target[j], w_in[j]) for j in range(offset[u], offset[u + 1])])
-            for x, _ in record.offered:
+            propagate(deque((u, i) for i in range(w) if d[u * w + i] == 0.0))
+            lo, hi = offset[u], offset[u + 1]
+            _spread(a, w, mu, u, target, w_in, lo, hi)
+            for j in range(lo, hi):
+                x = target[j]
                 if not in_done[x]:
-                    push_in(x)
+                    push(in_heap, in_queued, x)
         else:
             _, v = heapq.heappop(out_heap)
             if out_done[v]:
                 continue
             out_done[v] = True
             stats.nodes_explored += 1
-            neighbors = [(target[j], w_out[j]) for j in range(offset[v], offset[v + 1])]
+            lo, hi = offset[v], offset[v + 1]
             improved = deque()
-            for y, w_vy in neighbors:
+            for j in range(lo, hi):
+                y, w_vy = target[j], w_out[j]
                 for i in range(w):
                     cand = w_vy + d[y * w + i]
                     if cand < d[v * w + i]:
                         lower(v, i, cand, y, w_vy)
                         improved.append((v, i))
             propagate(improved)
-            record = spread_activation(act, v, neighbors)
-            for y, _ in record.offered:
+            _spread(a, w, mu, v, target, w_out, lo, hi)
+            for j in range(lo, hi):
+                y = target[j]
                 if not out_done[y]:
-                    push_out(y)
+                    push(out_heap, out_queued, y)
         while pending_roots:
             r = pending_roots.popleft()
             if not emitted_roots[r]:

@@ -500,35 +500,30 @@ class ClusterStore:
 def expand_clusters(store: ClusterStore, cluster_ids) -> ExpandedGraph:
     """Materialize the subgraph induced by the given clusters.
 
-    Intra links come straight from each record; boundary links are included
-    only when both endpoints' clusters are requested, and the stored record
-    provides the weights of both directions.
+    Nodes are numbered cluster by cluster in ascending id, members in
+    clustering order.  Each record adds its intra links, then its boundary
+    links whose far end lies in a requested cluster, as columns; the stored
+    record provides the weights of both directions.
     """
     ids = tuple(sorted(set(int(c) for c in cluster_ids)))
-    wanted = set(ids)
-    mapping = store.clustering.node_mapping
-    builder = GraphBuilder()
-    global_ids: list[int] = []
-    local: dict[int, int] = {}
+    clustering = store.clustering
     payloads = [store.read_cluster(c) for c in ids]
+    global_ids = np.concatenate([clustering.members(c) for c in ids]
+                                or [np.zeros(0, dtype=np.int64)])
+    local = np.full(clustering.node_count, -1, dtype=np.int64)
+    local[global_ids] = np.arange(len(global_ids), dtype=np.int64)
+    builder = GraphBuilder()
+    u, v, w_fwd, w_bwd = [], [], [], []
     for payload in payloads:
-        members = store.clustering.members(payload.cluster_id)
-        for i, n in enumerate(members):
-            local[int(n)] = builder.add_node(float(payload.prestige[i]))
-            global_ids.append(int(n))
-    for payload in payloads:
-        members = store.clustering.members(payload.cluster_id)
-        for i in range(len(payload.intra_src)):
-            u = local[int(members[payload.intra_src[i]])]
-            v = local[int(members[payload.intra_dst[i]])]
-            builder.add_link(u, v,
-                             float(payload.intra_w[i, 0]), float(payload.intra_w[i, 1]))
-        for i in range(len(payload.bound_src)):
-            if int(mapping[payload.bound_dst[i]]) not in wanted:
-                continue
-            u = local[int(members[payload.bound_src[i]])]
-            v = local[int(payload.bound_dst[i])]
-            builder.add_link(u, v,
-                             float(payload.bound_w[i, 0]), float(payload.bound_w[i, 1]))
-    return ExpandedGraph(builder.build(), np.asarray(global_ids, dtype=np.int64),
-                         local, ids)
+        first = builder.add_nodes(payload.prestige).start
+        far = local[payload.bound_dst]
+        kept = far >= 0
+        u += (payload.intra_src + first, payload.bound_src[kept] + first)
+        v += (payload.intra_dst + first, far[kept])
+        w_fwd += (payload.intra_w[:, 0], payload.bound_w[kept, 0])
+        w_bwd += (payload.intra_w[:, 1], payload.bound_w[kept, 1])
+    if payloads:
+        builder.add_links(*map(np.concatenate, (u, v, w_fwd, w_bwd)))
+    return ExpandedGraph(builder.build(), global_ids,
+                         dict(zip(global_ids.tolist(), range(len(global_ids)))),
+                         ids)

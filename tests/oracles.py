@@ -2,7 +2,8 @@
 
 Everything here is deliberately brute force: canonical paths come from
 enumerating all simple paths, answers from trying every root with every
-keyword-node combination.  Only the public graph accessors and the scoring
+keyword-node combination; graphs are laid out one link at a time.  Only
+the public graph accessors, the ``DataGraph`` container and the scoring
 constants are shared with the engine.
 """
 
@@ -10,6 +11,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+
+import numpy as np
+
+from embanks.graph import DataGraph
 
 
 @dataclass(frozen=True)
@@ -199,3 +204,67 @@ def graph_adjacency(g):
     for u in range(g.node_count):
         adj[u] = [(v, w) for _, v, w in g.out_edges(u)]
     return adj
+
+
+def build_graph_reference(prestige, links) -> DataGraph:
+    """``GraphBuilder.build`` as a loop over ``(u, v, w_fwd, w_bwd)`` links.
+
+    Each link takes the next free slot at ``u`` for its forward direction,
+    then the next free slot at ``v`` for its backward one.
+    """
+    n, m = len(prestige), 2 * len(links)
+    counts = np.zeros(n, dtype=np.int64)
+    for u, v, *_ in links:
+        counts[u] += 1
+        counts[v] += 1
+    offset = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=offset[1:])
+    fill = offset[:-1].copy()
+    adjacent = np.zeros(m, dtype=np.int64)
+    weight = np.zeros(m, dtype=np.float32)
+    direction = np.zeros(m, dtype=bool)
+    pair = np.zeros(m, dtype=np.int64)
+    for u, v, wf, wb in links:
+        jf = int(fill[u]); fill[u] += 1
+        jb = int(fill[v]); fill[v] += 1
+        adjacent[jf], weight[jf], direction[jf] = v, wf, True
+        adjacent[jb], weight[jb], direction[jb] = u, wb, False
+        pair[jf], pair[jb] = jb, jf
+    return DataGraph(n, np.asarray(prestige, dtype=np.float32), offset,
+                     adjacent, weight, direction, pair)
+
+
+def expand_reference(store, cluster_ids):
+    """``expand_clusters`` one node and one link at a time: returns the
+    graph and the local -> original node ids."""
+    ids = sorted(set(int(c) for c in cluster_ids))
+    mapping = store.clustering.node_mapping
+    payloads = [store.read_cluster(c) for c in ids]
+    prestige, global_ids, local, links = [], [], {}, []
+    for p in payloads:
+        for i, node in enumerate(store.clustering.members(p.cluster_id)):
+            local[int(node)] = len(prestige)
+            prestige.append(float(p.prestige[i]))
+            global_ids.append(int(node))
+    for p in payloads:
+        members = store.clustering.members(p.cluster_id)
+        for i in range(len(p.intra_src)):
+            links.append((local[int(members[p.intra_src[i]])],
+                          local[int(members[p.intra_dst[i]])],
+                          float(p.intra_w[i, 0]), float(p.intra_w[i, 1])))
+        for i in range(len(p.bound_src)):
+            if int(mapping[p.bound_dst[i]]) in ids:
+                links.append((local[int(members[p.bound_src[i]])],
+                              local[int(p.bound_dst[i])],
+                              float(p.bound_w[i, 0]), float(p.bound_w[i, 1])))
+    return build_graph_reference(prestige, links), global_ids
+
+
+def assert_same_graph(got: DataGraph, want: DataGraph) -> None:
+    """Equal array for array, dtypes included."""
+    assert got.node_count == want.node_count
+    for name in ("prestige", "adjacency_offset", "adjacent_nodes",
+                 "edge_weight", "edge_direction", "pair_slot"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name

@@ -14,7 +14,8 @@ from embanks.graph import (BYTES_PER_EDGE, BYTES_PER_NODE, DataGraph,
                            prune_transitive)
 
 from conftest import WEIGHT_GRID, random_graph
-from oracles import dijkstra_oracle, graph_adjacency
+from oracles import (assert_same_graph, build_graph_reference,
+                     dijkstra_oracle, graph_adjacency)
 
 
 def test_memory_estimate_reference_points():
@@ -50,6 +51,73 @@ def test_add_link_rejects_bad_weights():
         with pytest.raises(GraphError):
             b.add_link(u, v, wf, wb)
     assert b.build().slot_count == 0
+
+
+def test_builder_matches_per_link_reference(rng):
+    """The array build lays out slots as the per-link loop does, whether
+    links arrive one at a time, as columns, or both interleaved; the graphs
+    have self-loops, parallel links and a node with no link."""
+    for trial in range(40):
+        n = rng.randint(1, 12)
+        prestige = [float(rng.randint(0, 5)) for _ in range(n + 1)]
+        links = [(rng.randrange(n), rng.randrange(n), rng.choice(WEIGHT_GRID),
+                  rng.choice(WEIGHT_GRID)) for _ in range(rng.randint(0, 3 * n))]
+        u = rng.randrange(n)
+        links.insert(rng.randint(0, len(links)), (u, u, 0.25, 4.0))
+        b = GraphBuilder()
+        if trial % 2:
+            b.add_nodes(np.array(prestige, dtype=np.float32))
+        else:
+            for x in prestige:
+                b.add_node(x)
+        i = 0
+        while i < len(links):
+            take = rng.randint(1, 4)
+            chunk = links[i:i + take]
+            if rng.random() < 0.5:
+                b.add_links(*(np.array(col) for col in zip(*chunk)))
+            else:
+                for link in chunk:
+                    b.add_link(*link)
+            i += take
+        g = b.build()
+        g.validate()
+        assert_same_graph(g, build_graph_reference(prestige, links))
+        assert g.slot_count == 2 * len(links)
+        assert g.adjacency_offset[-1] == g.adjacency_offset[-2]  # node n
+
+
+def test_empty_builder_matches_reference():
+    b = GraphBuilder()
+    assert_same_graph(b.build(), build_graph_reference([], []))
+    b.add_node(2.0)
+    b.add_links([], [], [], [])
+    assert_same_graph(b.build(), build_graph_reference([2.0], []))
+
+
+def test_add_links_rejects_like_add_link():
+    b = GraphBuilder()
+    b.add_nodes(np.ones(3))
+    good = ([0, 1], [1, 2], [1.0, 2.0], [1.0, 1.0])
+    bad = [
+        (([0, 3], [1, 2]), "unknown node"),
+        (([-1, 1], [1, 2]), "unknown node"),
+        (([0, 1], [1, 7]), "unknown node"),
+    ]
+    for (u, v), message in bad:
+        with pytest.raises(GraphError, match=message):
+            b.add_links(u, v, *good[2:])
+    for col in (2, 3):
+        for value in (math.nan, math.inf, 0.0, -1.0):
+            cols = [list(c) for c in good]
+            cols[col][1] = value
+            with pytest.raises(GraphError):
+                b.add_links(*cols)
+    with pytest.raises(GraphError):
+        b.add_links([0, 1], [1], [1.0], [1.0])
+    assert b.build().slot_count == 0
+    b.add_links(*good)
+    assert b.build().slot_count == 4
 
 
 def test_validate_rejects_broken_pairing(rng):

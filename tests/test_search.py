@@ -1,23 +1,27 @@
 """Ranked answer search: backward expanding and bidirectional."""
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from embanks import search
 from embanks.graph import DataGraph, GraphBuilder
-from embanks.scoring import EDGE_RECIPROCAL_SUM, ScoreConfig, score_tree
-from embanks.search import (COMBOS_ALL, COMBOS_BEST, STOPPED_EXHAUSTED,
+from embanks.scoring import (EDGE_RECIPROCAL_SUM, AnswerTree, ScoreConfig,
+                             score_tree)
+from embanks.search import (COMBOS, COMBOS_ALL, COMBOS_BEST, STOPPED_EXHAUSTED,
                             STOPPED_K, STOPPED_ONE_SOURCE, ActivationState,
                             KeywordSets, NoMatchError, SearchConfig,
                             SearchStats, backward_search, bidirectional_search,
                             _activation_total, _tight_path, init_activation,
-                            spread_activation, steiner_minimality_filter)
+                            root_is_redundant, spread_activation,
+                            steiner_minimality_filter)
 
 from conftest import answers_digest, random_graph, random_keyword_sets
 from oracles import (best_combo_answers, canonical_path, dijkstra_oracle,
-                     exhaustive_answers, graph_adjacency)
+                     exhaustive_answers, graph_adjacency, score_answer,
+                     union_paths)
 
 REST_TOL = 1e-9
 
@@ -332,6 +336,69 @@ def test_answer_pool_releases_on_equality():
     assert pool.released == 1
 
 
+def _spy_pool(monkeypatch):
+    """Record every ``_AnswerPool.add`` call as (pool, root, paths, keyword
+    nodes, whether the pool grew), and every ``search.score_tree`` call."""
+    calls, scored = [], []
+    add, score = search._AnswerPool.add, search.score_tree
+
+    def spy_add(pool, root, paths, keyword_nodes):
+        before = len(pool.candidates)
+        add(pool, root, paths, keyword_nodes)
+        calls.append((pool, root, paths, keyword_nodes,
+                      len(pool.candidates) > before))
+
+    def counting(*args):
+        scored.append(args[0])
+        return score(*args)
+
+    monkeypatch.setattr(search._AnswerPool, "add", spy_add)
+    monkeypatch.setattr(search, "score_tree", counting)
+    return calls, scored
+
+
+@pytest.mark.parametrize("algorithm", [backward_search, bidirectional_search])
+def test_answer_pool_agrees_with_oracles(monkeypatch, rng, algorithm):
+    """Every kept candidate scores as ``oracles.score_answer`` does; every
+    dropped one has conflicting paths, is pooled already, or has a root
+    ``root_is_redundant`` rejects.  Each pooled candidate is scored once."""
+    calls, scored = _spy_pool(monkeypatch)
+    redundant = 0
+    for _ in range(60):
+        n = rng.randint(2, 12)
+        g = random_graph(rng, n, extra_links=rng.randint(0, n))
+        ks = random_keyword_sets(rng, n, rng.randint(1, 3))
+        if rng.random() < 0.3:  # a node matching two terms
+            shared = rng.randrange(n)
+            ks = KeywordSets(ks.terms, [s | {shared} for s in ks.sets])
+        cfg = SearchConfig(k=rng.choice([1, 10 ** 6]), combos=rng.choice(COMBOS),
+                           score=ScoreConfig(edge_variant=rng.choice(
+                               ["as-written", EDGE_RECIPROCAL_SUM])))
+        calls.clear()
+        scored.clear()
+        algorithm(g, ks, cfg)
+        pooled = set()
+        for pool, root, paths, keyword_nodes, kept in calls:
+            edges = union_paths(root, paths)
+            key = (root, edges)
+            if kept:
+                assert key not in pooled
+                pooled.add(key)
+                got = pool.candidates[key]
+                ref = score_answer(root, edges, keyword_nodes, g.prestige, cfg.score)
+                assert (got.tree.root, got.tree.edges, got.tree.keyword_nodes) == \
+                    (ref.root, ref.edges, ref.keyword_nodes)
+                assert (got.node_score, got.edge_score, got.score) == \
+                    (ref.node_score, ref.edge_score, ref.score)
+                assert not root_is_redundant(got.tree, ks)
+            elif edges is not None and key not in pooled:
+                assert root_is_redundant(AnswerTree(root, edges, keyword_nodes), ks)
+                redundant += 1
+        pools = {id(c[0]): c[0] for c in calls}.values()
+        assert len(scored) == len(pooled) == sum(len(p.candidates) for p in pools)
+    assert redundant > 0
+
+
 def test_answer_paths_scan_each_node_once_per_iterator(monkeypatch):
     """Roots that share a high-degree node on their paths do not rescan it.
 
@@ -548,6 +615,42 @@ def test_activation_spread_matches_array_reference(rng):
                 assert offer == expected.tolist()
                 np.maximum(ref[v], expected, out=ref[v])
             assert state.a == ref.ravel().tolist()
+
+
+def test_bidirectional_spread_kernel_matches_spread_activation(monkeypatch, rng):
+    """The search's spread over neighbour slots gives the answers and stats
+    it gives when every step goes through ``spread_activation`` with a
+    ``(node, weight)`` list and a record; every step leaves the table at
+    the elementwise maximum of its old rows and the recorded offers."""
+    kernel = search._spread
+    records = []
+
+    def stepped(a, w, mu, source, target, weight, lo, hi):
+        expected = list(a)
+        neighbors = [(target[j], weight[j]) for j in range(lo, hi)]
+        with monkeypatch.context() as m:
+            m.setattr(search, "_spread", kernel)
+            record = spread_activation(ActivationState(a, w, mu), source, neighbors)
+        assert [x for x, _ in record.offered] == [x for x, _ in neighbors]
+        for x, offer in record.offered:
+            for i, o in enumerate(offer, x * w):
+                expected[i] = max(expected[i], o)
+        assert a == expected
+        records.append(record)
+
+    for t in range(40):
+        n = rng.randint(2, 40)
+        g = random_graph(rng, n, extra_links=rng.randint(0, n))
+        ks = random_keyword_sets(rng, n, rng.randint(8, 9) if t % 8 == 0
+                                 else rng.randint(1, 3))
+        cfg = SearchConfig(k=rng.choice([1, 3, 10]))
+        answers, stats = bidirectional_search(g, ks, cfg)
+        with monkeypatch.context() as m:
+            m.setattr(search, "_spread", stepped)
+            got, got_stats = bidirectional_search(g, ks, cfg)
+        assert got == answers
+        assert replace(got_stats, elapsed=0.0) == replace(stats, elapsed=0.0)
+    assert records
 
 
 def test_activation_total_sums_in_numpy_order():

@@ -22,6 +22,7 @@ from embanks.storage import (CLUSTERS_FILE, ClusterStore, StorageError,
 from embanks.graph import BYTES_PER_EDGE, BYTES_PER_NODE
 
 from conftest import random_graph
+from oracles import assert_same_graph, expand_reference
 from test_clustering import grown_clustering, random_clustering
 
 
@@ -462,6 +463,24 @@ def test_expand_subset_keeps_internal_links_only(rng, tmp_path):
         if int(cl.node_mapping[u]) in wanted and int(cl.node_mapping[v]) in wanted:
             expected[(u, v, wf, wb)] += 1
     assert link_multiset(exp.graph, exp.global_ids) == expected
+
+
+def test_expand_clusters_matches_reference(rng, tmp_path):
+    """Columnar expansion builds the same arrays as adding every node and
+    link one at a time, for empty, single, duplicated and full cluster sets."""
+    for trial in range(8):
+        d = tmp_path / f"s{trial}"
+        g, cl, store = built_store(rng, d, n=rng.randint(2, 30))
+        k = cl.cluster_count
+        some = [rng.randrange(k) for _ in range(rng.randint(1, k))]
+        for ids in ([], [rng.randrange(k)], some + some[:2], range(k)):
+            exp = expand_clusters(store, ids)
+            want, global_ids = expand_reference(store, ids)
+            assert_same_graph(exp.graph, want)
+            assert exp.global_ids.dtype == np.int64
+            assert exp.global_ids.tolist() == global_ids
+            assert exp.global_to_local == {n: i for i, n in enumerate(global_ids)}
+            assert exp.clusters == tuple(sorted(set(ids)))
 
 
 def test_store_read_stats_and_cache(rng, tmp_path):
