@@ -19,7 +19,7 @@ from .engine import (ALGORITHMS, EXTRA_POLICIES, EngineConfig, build_store,
 from .graph import GraphError, build_graph, parse_schema
 from .keywords import build_index, tokenize
 from .scoring import ScoredAnswer
-from .search import COMBOS, COMBOS_ALL, NoMatchError, SearchConfig, SearchStats
+from .search import COMBOS, NoMatchError, SearchConfig, SearchStats
 from .storage import TUPLES_FILE, ClusterStore, StorageError, read_tuple_graph
 from .synth import SynthSpec, generate_synthetic
 
@@ -159,10 +159,16 @@ def _add_query_flags(p: argparse.ArgumentParser) -> None:
                    help="phase-2 algorithm")
     p.add_argument("--extra", choices=EXTRA_POLICIES, default="keyword",
                    help="extra-cluster policy")
-    p.add_argument("--combos", choices=COMBOS, default=COMBOS_ALL,
-                   help="keyword combination coverage")
+    _add_combos_flag(p)
     p.add_argument("--stats", action="store_true",
                    help="print search statistics to stderr")
+
+
+def _add_combos_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--combos", choices=COMBOS, default=SearchConfig.combos,
+                   help="answers per root: 'best' joins each term's nearest "
+                        "keyword node; 'all' tries every combination "
+                        "(BANKS-I, far slower on frequent words)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -204,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="defaults to <data>/schema.txt")
     p.add_argument("--algo", choices=sorted(ALGORITHMS), default="backward")
     p.add_argument("--k", type=int, default=10)
-    p.add_argument("--combos", choices=COMBOS, default=COMBOS_ALL)
+    _add_combos_flag(p)
     p.add_argument("--stats", action="store_true")
     p.add_argument("terms", help="space-separated keywords")
     p.set_defaults(func=cmd_baseline)

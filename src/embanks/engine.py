@@ -21,7 +21,7 @@ from .clustering import (CLUSTER_ALGORITHMS, ClusteringError, WeightConfig,
 from .graph import DataGraph, NodeMeta, build_graph, parse_schema
 from .keywords import KeywordIndex, build_index
 from .scoring import AnswerTree, ScoreConfig, ScoredAnswer, is_acceptable
-from .search import (COMBOS, COMBOS_ALL, KeywordSets, SearchConfig, SearchStats,
+from .search import (COMBOS, KeywordSets, SearchConfig, SearchStats,
                      backward_search, bidirectional_search)
 from .storage import (CLUSTERS_FILE, GRAPH_FILE, INDEX_FILE, TUPLES_FILE,
                       ClusterStore, ExpandedGraph, expand_clusters,
@@ -49,7 +49,7 @@ class EngineConfig:
     extra_policy: str = EXTRA_KEYWORD
     max_refetch: int = 3
     score: ScoreConfig = field(default_factory=ScoreConfig)
-    combos: str = COMBOS_ALL
+    combos: str = SearchConfig.combos
 
     def __post_init__(self) -> None:
         if self.k < 1:

@@ -1,11 +1,15 @@
 """Keyword search over the tuple graph.
 
 Two strategies share the same answer model.  Backward expanding search
-runs one shortest-path iterator per keyword node, walking edges in
-reverse; a node every term can reach becomes the root of an answer tree
-assembled from the iterators' shortest paths.  Bidirectional search adds a
-forward iterator from candidate roots and orders all expansion by spread
-activation, trading guaranteed answers for a smaller search frontier.
+walks edges in reverse from the keyword nodes; a node every term can reach
+becomes the root of an answer tree assembled from shortest paths.  Under
+``combos=best``, the default, it runs one shortest-path iterator per term,
+seeded at all of the term's keyword nodes, and joins each root to every
+term's nearest keyword node; under ``combos=all`` (BANKS-I) it runs one
+iterator per keyword node and tries every combination of them.
+Bidirectional search adds a forward iterator from candidate roots and
+orders all expansion by spread activation, trading guaranteed answers for
+a smaller search frontier.
 """
 
 from __future__ import annotations
@@ -69,7 +73,7 @@ class SearchConfig:
     k: int = 10
     score: ScoreConfig = field(default_factory=ScoreConfig)
     steiner_filter: bool = True
-    combos: str = COMBOS_ALL
+    combos: str = COMBOS_BEST
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -232,17 +236,24 @@ def _activation_total(a: list[float], base: int, w: int) -> float:
 # --- answer assembly ------------------------------------------------------
 
 def _tight_successor(adj: AdjacencyLists, dist: dict[int, float],
-                     x: int) -> tuple[int, float]:
+                     x: int, label: dict[int, int] | None = None
+                     ) -> tuple[int, float]:
     """The smallest-id out-neighbor ``v`` of settled ``x`` whose distance
     plus the edge weight ``w`` exactly reproduces ``dist[x]``, as ``(v, w)``.
+
+    With ``label``, a map from every node in ``dist`` to a source, ``v``
+    must also carry ``x``'s label.
     """
     offset, target, w_out, _ = adj
     dx = dist[x]
+    lx = None if label is None else label[x]
     step = None
     for j in range(offset[x], offset[x + 1]):
         v = target[j]
         dv = dist.get(v)
         if dv is None or w_out[j] + dv != dx:
+            continue
+        if lx is not None and label[v] != lx:
             continue
         if step is None or v < step[0]:
             step = (v, w_out[j])
@@ -253,12 +264,13 @@ def _tight_successor(adj: AdjacencyLists, dist: dict[int, float],
 
 def _tight_path(adj: AdjacencyLists, dist: dict[int, float],
                 succ: dict[int, tuple[int, float]],
-                start: int) -> list[tuple[int, int, float]]:
+                start: int, label: dict[int, int] | None = None
+                ) -> list[tuple[int, int, float]]:
     """Walk from settled ``start`` to the distance-0 node along tight edges.
 
     At every step the successor is the one ``_tight_successor`` picks,
     which makes the extracted path the lexicographically smallest of the
-    minimum-cost ones.
+    minimum-cost ones.  ``label``, when given, is passed on to it.
 
     ``succ`` is the iterator's tight-successor table: it maps a node to its
     ``(v, w)`` and is filled the first time a walk passes through the node,
@@ -278,7 +290,7 @@ def _tight_path(adj: AdjacencyLists, dist: dict[int, float],
     while dist[x] > 0.0:
         step = succ.get(x)
         if step is None:
-            step = succ[x] = _tight_successor(adj, dist, x)
+            step = succ[x] = _tight_successor(adj, dist, x, label)
         edges.append((x, step[0], step[1]))
         x = step[0]
     return edges
@@ -286,12 +298,14 @@ def _tight_path(adj: AdjacencyLists, dist: dict[int, float],
 
 def _leaves_by_one_edge(adj: AdjacencyLists, dist: list[dict[int, float]],
                         succ: list[dict[int, tuple[int, float]]],
+                        labels: list[dict[int, int] | None],
                         iterators: set[int], x: int) -> bool:
     """True when every iterator's path from root ``x`` starts with one edge.
 
     That needs each iterator at a distance above 0 at ``x`` and the same
     tight successor ``(v, w)`` of ``x`` for all of them; the successor
-    tables are filled as ``_tight_path`` would fill them.
+    tables are filled as ``_tight_path`` would fill them, under each
+    iterator's label restriction (None for none).
     """
     first = None
     for c in iterators:
@@ -299,7 +313,7 @@ def _leaves_by_one_edge(adj: AdjacencyLists, dist: list[dict[int, float]],
             return False
         step = succ[c].get(x)
         if step is None:
-            step = succ[c][x] = _tight_successor(adj, dist[c], x)
+            step = succ[c][x] = _tight_successor(adj, dist[c], x, labels[c])
         if first is None:
             first = step
         elif step != first:
@@ -357,25 +371,53 @@ def steiner_minimality_filter(answers: list[ScoredAnswer],
     With ``k``, stop once ``k`` answers are kept.  Whether an answer is
     kept depends only on the whole input list, never on what was kept
     before it, so the result is the full filter's first ``k``.
+
+    A node set is built only when a comparison reads it: an answer is
+    compared only with answers of fewer nodes, and only with those whose
+    root lies in its node set.
     """
-    node_sets = [a.tree.nodes for a in answers]
-    by_size = sorted(range(len(answers)), key=lambda i: len(node_sets[i]))
+    counts = [a.tree.node_count for a in answers]
+    node_sets: list[frozenset[int] | None] = [None] * len(answers)
+
+    def nodes(i: int) -> frozenset[int]:
+        s = node_sets[i]
+        if s is None:
+            s = node_sets[i] = answers[i].tree.nodes
+        return s
+
+    by_size = sorted(range(len(answers)), key=counts.__getitem__)
     keep = []
     for i, a in enumerate(answers):
         if len(keep) == k:
             break
-        si = node_sets[i]
         dominated = False
+        si = None
         for j in by_size:
-            sj = node_sets[j]
-            if len(sj) >= len(si):
+            if counts[j] >= counts[i]:
                 break
-            if sj < si:
+            if si is None:
+                si = nodes(i)
+            if answers[j].tree.root in si and nodes(j) < si:
                 dominated = True
                 break
         if not dominated:
             keep.append(a)
     return keep
+
+
+def _ranked(answers) -> list[ScoredAnswer]:
+    """``answers`` sorted by ``ScoredAnswer.sort_key``, building each shape
+    key only to break a tie of score, node count and root."""
+    answers = list(answers)
+    heads = [(-a.score, a.tree.node_count, a.tree.root) for a in answers]
+    order = sorted(range(len(answers)), key=heads.__getitem__)
+    out: list[ScoredAnswer] = []
+    for _, group in itertools.groupby(order, key=heads.__getitem__):
+        tied = [answers[i] for i in group]
+        if len(tied) > 1:
+            tied.sort(key=lambda a: a.tree.shape_key()[1])
+        out.extend(tied)
+    return out
 
 
 def _score_ceiling(g: DataGraph, ks: KeywordSets) -> float:
@@ -449,7 +491,7 @@ class _AnswerPool:
 
     def top(self, stats: SearchStats) -> list[ScoredAnswer]:
         """The best k answers, Steiner-filtered when configured."""
-        answers = sorted(self.candidates.values(), key=ScoredAnswer.sort_key)
+        answers = _ranked(self.candidates.values())
         if self.cfg.steiner_filter:
             answers = steiner_minimality_filter(answers, self.cfg.k)
         top = answers[:self.cfg.k]
@@ -477,15 +519,44 @@ def _one_source_answer(pool: _AnswerPool, sources: list[int],
 def backward_search(g: DataGraph, ks: KeywordSets,
                     cfg: SearchConfig | None = None
                     ) -> tuple[list[ScoredAnswer], SearchStats]:
-    """One reverse shortest-path iterator per keyword node.
+    """Reverse shortest-path iterators grown from the keyword nodes.
 
-    Iterators advance globally by smallest tentative distance.  Whenever a
-    node has been settled by at least one iterator per term, each fresh
-    combination of arrived iterators yields an answer tree made of the
-    lexicographically canonical shortest paths from that root, read from
-    each iterator's tight-successor table (see ``_tight_path``).  Runs
-    until the frontier is exhausted or the output bound releases ``cfg.k``
-    answers.
+    Under ``combos=all`` (BANKS-I) there is one iterator per keyword node;
+    under ``combos=best`` one per term, seeded at every keyword node of the
+    term (BANKS-II).  Iterators advance globally by smallest tentative
+    distance, with heap entries ordered ``(distance, source id, iterator,
+    node)``.  Whenever a node has been settled by at least one iterator per
+    term, each new combination of arrived iterators, one per term, yields
+    an answer tree made of the lexicographically canonical shortest paths
+    from that root, read from each iterator's tight-successor table (see
+    ``_tight_path``).  A combination is new when it uses the iterator that
+    just arrived, so each is assembled once and no combination is stored.
+    Runs until the frontier is exhausted or the output bound releases
+    ``cfg.k`` answers.
+
+    Under ``combos=best`` a root has one combination: for each term, the
+    keyword node nearest to it by ``(distance, id)``, its label for that
+    term.  A term's iterator keeps each node's least ``(distance, source)``
+    and pushes an entry whenever that pair falls, so the first entry popped
+    for a node carries its term distance and its label.  The iterator's
+    tight-successor table accepts a successor only if it carries the same
+    label, and then reproduces the path a single-source iterator at the
+    label would extract, which is exact:
+
+    - Any node ``v`` on a shortest path from ``x`` to its label ``c`` has
+      label ``c``, and its term distance equals its distance to ``c``.  Were
+      ``v`` nearer to the term than to ``c``, or as near to a smaller source
+      ``c'``, then ``x``, through ``v``, would be nearer to the term than to
+      ``c``, or as near to ``c'``; either contradicts ``x``'s label.
+    - So every successor that is tight towards ``c`` carries label ``c`` and
+      is tight in term distance.  Conversely a successor with label ``c``
+      that is tight in term distance is tight towards ``c``, since there
+      the two distances agree at both ends.  The candidates, and the
+      smallest id among them, are those of ``c``'s own iterator.
+
+    Each node settles at most once per term, so this search settles at most
+    terms times nodes.  Like ``_tight_path``, the argument needs sums of
+    weights that are exact enough to order paths.
 
     A combination whose paths all leave the root by one edge is dropped
     before any path is walked (``_leaves_by_one_edge``), which is exact.
@@ -498,9 +569,9 @@ def backward_search(g: DataGraph, ks: KeywordSets,
 
     When one node ``s`` is every term's only keyword node, the search
     returns the one-node answer at ``s`` without sweeping, which is exact.
-    There is one iterator, so every combination is that iterator alone.  At
-    ``s`` its distance is 0 and its paths are empty: the one-node tree.  At
-    any other root its single path leaves by one edge, so the rule above
+    Every iterator is seeded at ``s`` alone, so all of them hold the same
+    distances and paths.  At ``s`` these are 0 and empty: the one-node tree.
+    At any other root every path leaves by the same edge, so the rule above
     drops the combination.  No other candidate ever enters the pool.
     """
     cfg = cfg or SearchConfig()
@@ -515,57 +586,76 @@ def backward_search(g: DataGraph, ks: KeywordSets,
 
     adj = g.adjacency_lists()
     offset, target, _, w_in = adj
-    source_sets = [[i for i, s in enumerate(ks.sets) if n in s] for n in sources]
     nsets = len(ks.sets)
-    dist: list[dict[int, float]] = [dict() for _ in sources]
-    settled: list[set[int]] = [set() for _ in sources]
-    succ: list[dict[int, tuple[int, float]]] = [dict() for _ in sources]
-    heap: list[tuple[float, int, int]] = []
-    for it, n in enumerate(sources):
-        dist[it][n] = 0.0
-        heapq.heappush(heap, (0.0, it, n))
+    # per iterator: its seeds, the terms it covers and its label table,
+    # None for an iterator with one seed, whose label is always that seed
+    if cfg.combos == COMBOS_BEST:
+        seeds = [sorted(s) for s in ks.sets]
+        covers = [[i] for i in range(nsets)]
+    else:
+        seeds = [[n] for n in sources]
+        covers = [[i for i, s in enumerate(ks.sets) if n in s] for n in sources]
+    labels = [{n: n for n in s} if len(s) > 1 else None for s in seeds]
+    dist = [dict.fromkeys(s, 0.0) for s in seeds]
+    settled: list[set[int]] = [set() for _ in seeds]
+    succ: list[dict[int, tuple[int, float]]] = [dict() for _ in seeds]
+    heap = [(0.0, n, it, n) for it, s in enumerate(seeds) for n in s]
+    heapq.heapify(heap)
+    heappop, heappush = heapq.heappop, heapq.heappush
 
     arrivals: dict[int, list[list[int]]] = {}
-    done_combos: dict[int, set[tuple[int, ...]]] = {}
-
+    frontier = -1.0
     stats.stopped = STOPPED_EXHAUSTED
     while heap:
-        d, it, x = heapq.heappop(heap)
-        if x in settled[it]:
+        d, src, it, x = heappop(heap)
+        done = settled[it]
+        if x in done:
             continue
-        settled[it].add(x)
-        pool.lower_bound(d)
+        done.add(x)
+        if d != frontier:
+            # the bound depends on the frontier alone, and an answer added
+            # at an unchanged frontier was checked against it then
+            frontier = d
+            pool.lower_bound(d)
 
         slots = arrivals.get(x)
         if slots is None:
-            slots = arrivals.setdefault(x, [[] for _ in range(nsets)])
-        for i in source_sets[it]:
-            if cfg.combos == COMBOS_BEST and slots[i]:
-                continue
+            slots = arrivals[x] = [[] for _ in range(nsets)]
+        cover = covers[it]
+        for i in cover:
             slots[i].append(it)
         if all(slots):
-            seen = done_combos.setdefault(x, set())
-            for combo in itertools.product(*slots):
-                if combo in seen:
-                    continue
-                seen.add(combo)
+            # the combinations that are new: those using ``it``, in
+            # product order
+            if len(cover) == 1:
+                choice = slots.copy()
+                choice[cover[0]] = [it]
+                combos = itertools.product(*choice)
+            else:
+                combos = (c for c in itertools.product(*slots) if it in c)
+            for combo in combos:
                 iterators = set(combo)
-                if _leaves_by_one_edge(adj, dist, succ, iterators, x):
+                if _leaves_by_one_edge(adj, dist, succ, labels, iterators, x):
                     continue
-                pool.add(x, [_tight_path(adj, dist[c], succ[c], x) for c in iterators],
-                         tuple(sources[c] for c in combo))
+                pool.add(x, [_tight_path(adj, dist[c], succ[c], x, labels[c])
+                             for c in iterators],
+                         tuple(seeds[c][0] if labels[c] is None else labels[c][x]
+                               for c in combo))
         if pool.full():
             stats.stopped = STOPPED_K
             break
 
-        dist_it = dist[it]
+        dist_it, label_it = dist[it], labels[it]
         for j in range(offset[x], offset[x + 1]):
             y = target[j]
             nd = w_in[j] + d
             old = dist_it.get(y)
-            if old is None or nd < old:
+            if (old is None or nd < old
+                    or (nd == old and label_it is not None and src < label_it[y])):
                 dist_it[y] = nd
-                heapq.heappush(heap, (nd, it, y))
+                if label_it is not None:
+                    label_it[y] = src
+                heappush(heap, (nd, src, it, y))
 
     stats.nodes_touched = sum(len(d) for d in dist)
     stats.nodes_explored = sum(len(s) for s in settled)

@@ -18,8 +18,10 @@ WEIGHT_GRID = [i / 4 for i in range(1, 17)]
 
 
 def random_graph(rng: random.Random, n: int, extra_links: int | None = None,
-                 prestige_max: int = 5, connected: bool = True) -> DataGraph:
-    """A random link graph; link direction is random per link."""
+                 prestige_max: int = 5, connected: bool = True,
+                 weights: list[float] = WEIGHT_GRID) -> DataGraph:
+    """A random link graph; link direction is random per link, and each
+    link's two weights are drawn from ``weights``."""
     b = GraphBuilder()
     for _ in range(n):
         b.add_node(float(rng.randint(0, prestige_max)))
@@ -27,14 +29,14 @@ def random_graph(rng: random.Random, n: int, extra_links: int | None = None,
         for i in range(1, n):
             t = rng.randrange(i)
             u, v = (i, t) if rng.random() < 0.5 else (t, i)
-            b.add_link(u, v, rng.choice(WEIGHT_GRID), rng.choice(WEIGHT_GRID))
+            b.add_link(u, v, rng.choice(weights), rng.choice(weights))
     extra = n // 2 if extra_links is None else extra_links
     for _ in range(extra):
         u = rng.randrange(n)
         v = rng.randrange(n)
         if u == v:
             continue
-        b.add_link(u, v, rng.choice(WEIGHT_GRID), rng.choice(WEIGHT_GRID))
+        b.add_link(u, v, rng.choice(weights), rng.choice(weights))
     return b.build()
 
 

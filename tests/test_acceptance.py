@@ -29,7 +29,7 @@ from embanks.engine import (EngineConfig, build_store, compare_precision,
 from embanks.graph import GraphBuilder, NodeMeta, estimate_memory
 from embanks.keywords import build_index
 from embanks.scoring import ScoreConfig
-from embanks.search import (COMBOS_BEST, KeywordSets, NoMatchError,
+from embanks.search import (COMBOS_ALL, COMBOS_BEST, KeywordSets, NoMatchError,
                             SearchConfig, backward_search, init_activation,
                             spread_activation)
 from embanks.storage import (CLUSTERS_FILE, INDEX_FILE, TUPLES_FILE,
@@ -66,7 +66,7 @@ def planted_store(rng, store_dir, n, terms, per_term, max_size):
 def test_criterion_01_backward_search_matches_exhaustive_oracle():
     """Top-10 answers and scores equal brute-force enumeration."""
     rng = random.Random(101)
-    cfg = SearchConfig(k=10)
+    cfg = SearchConfig(k=10, combos=COMBOS_ALL)
     start = time.perf_counter()
     graphs = 0
     for _ in range(200):
@@ -93,7 +93,7 @@ def test_criterion_02_identity_clustering_matches_single_phase(tmp_path):
     rng = random.Random(202)
     terms = ["alpha", "beta"]
     cfg = EngineConfig(k=10, phase1_limit=10, extra_policy="keyword",
-                       gamma=1e9, max_refetch=400)
+                       gamma=1e9, max_refetch=400, combos=COMBOS_ALL)
     for trial in range(50):
         n = rng.randint(20, 200)
         g, index, store = planted_store(
@@ -102,7 +102,7 @@ def test_criterion_02_identity_clustering_matches_single_phase(tmp_path):
         res = two_phase_query(store, terms, cfg)
         assert len(res.expanded_clusters) == n
         ref, _ = single_phase_query(g, index, terms, "backward",
-                                    SearchConfig(k=10))
+                                    SearchConfig(k=10, combos=COMBOS_ALL))
         ref = sorted(ref, key=lambda a: a.sort_key())
         assert len(res.answers) == len(ref)
         for a, b in zip(res.answers, ref):

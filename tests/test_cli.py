@@ -9,6 +9,8 @@ import pytest
 from embanks import cli
 from embanks.clustering import (WeightConfig, build_cluster_graph,
                                 cluster_close_to_1)
+from embanks.engine import EngineConfig
+from embanks.search import SearchConfig
 from embanks.storage import ClusterStore, read_tuple_graph
 from embanks.synth import low_pair
 
@@ -149,6 +151,17 @@ def test_compare_reference_follows_combos(corpus, monkeypatch, combos):
     assert seen
     assert all(cfg.combos == combos and cfg.k == 4 for cfg in seen)
 
+
+
+def test_combos_defaults_to_the_search_config():
+    """``query``, ``baseline`` and ``compare`` share one ``--combos``
+    default, ``SearchConfig``'s, which ``EngineConfig`` shares too."""
+    parser = cli.build_parser()
+    argvs = [["query", "--store", "s", "a b"],
+             ["baseline", "--data", "d", "a b"],
+             ["compare", "--store", "s", "--queries", "q"]]
+    assert {parser.parse_args(a).combos for a in argvs} == \
+        {SearchConfig.combos} == {EngineConfig().combos} == {"best"}
 
 def test_no_match_exits_one(corpus, capsys):
     _, store = corpus

@@ -410,7 +410,7 @@ def test_one_cluster_pairs_stop_phase1_at_their_cluster(tmp_path):
 def test_two_phase_grid_regression_pin(tmp_path):
     """Answers, clusters, refetch rounds and per-phase counts over a grid
     of engine settings on 30 seeded random stores hash to the recorded
-    digest.
+    digests: one under ``combos=all``, one under the default ``best``.
 
     Each phase's work counts are pinned; of the answer counts only the
     total's, the number of answers returned.  Each query opens the store
@@ -428,21 +428,27 @@ def test_two_phase_grid_regression_pin(tmp_path):
         return (s.nodes_touched, s.nodes_explored, s.clusters_read,
                 s.bytes_read, s.stopped)
 
-    rows = []
-    refetches = 0
+    rows = {"all": [], "default": []}
+    refetches = dict.fromkeys(rows, 0)
     for seed in range(30):
         rng = random.Random(seed)
         store_dir = tmp_path / str(seed)
         make_store(rng, store_dir, n=rng.randint(12, 30), max_size=3,
                    planted=("alpha", "beta", "alpha", "beta"))
-        for settings in grid:
-            r = two_phase_query(ClusterStore.open(store_dir),
-                                ["alpha", "beta"], EngineConfig(**settings))
-            refetches += r.refetch_events
-            rows.append((answers_digest(r.answers), r.core_clusters,
-                         r.expanded_clusters, r.refetch_events,
-                         counts(r.phase1_stats), counts(r.phase2_stats),
-                         counts(r.stats), r.stats.answers_emitted))
-    assert refetches == 582
-    assert hashlib.sha256(repr(rows).encode()).hexdigest()[:16] == \
-        "1494c4c594c95370"
+        for name, combos in (("all", dict(combos="all")), ("default", {})):
+            for settings in grid:
+                r = two_phase_query(ClusterStore.open(store_dir),
+                                    ["alpha", "beta"],
+                                    EngineConfig(**settings, **combos))
+                refetches[name] += r.refetch_events
+                rows[name].append((
+                    answers_digest(r.answers), r.core_clusters,
+                    r.expanded_clusters, r.refetch_events,
+                    counts(r.phase1_stats), counts(r.phase2_stats),
+                    counts(r.stats), r.stats.answers_emitted))
+    digests = {name: hashlib.sha256(repr(r).encode()).hexdigest()[:16]
+               for name, r in rows.items()}
+    assert refetches["all"] == 582
+    assert digests["all"] == "1494c4c594c95370"
+    assert refetches["default"] == 594
+    assert digests["default"] == "30054193fb0c1ab1"

@@ -9,7 +9,7 @@ import pytest
 from embanks import search
 from embanks.graph import DataGraph, GraphBuilder
 from embanks.scoring import (EDGE_RECIPROCAL_SUM, AnswerTree, ScoreConfig,
-                             score_tree)
+                             ScoredAnswer, score_tree)
 from embanks.search import (COMBOS, COMBOS_ALL, COMBOS_BEST, STOPPED_EXHAUSTED,
                             STOPPED_K, STOPPED_ONE_SOURCE, ActivationState,
                             KeywordSets, NoMatchError, SearchConfig,
@@ -18,7 +18,8 @@ from embanks.search import (COMBOS, COMBOS_ALL, COMBOS_BEST, STOPPED_EXHAUSTED,
                             root_is_redundant, spread_activation,
                             steiner_minimality_filter)
 
-from conftest import answers_digest, random_graph, random_keyword_sets
+from conftest import (WEIGHT_GRID, answers_digest, random_graph,
+                      random_keyword_sets)
 from oracles import (best_combo_answers, canonical_path, dijkstra_oracle,
                      exhaustive_answers, graph_adjacency, score_answer,
                      union_paths)
@@ -38,7 +39,7 @@ def _assert_matches_oracle(answers, expected):
 
 
 def test_backward_matches_exhaustive_oracle(rng):
-    cfg = SearchConfig(k=10)
+    cfg = SearchConfig(k=10, combos=COMBOS_ALL)
     for _ in range(60):
         n = rng.randint(2, 10)
         g = random_graph(rng, n, extra_links=rng.randint(0, n))
@@ -177,21 +178,92 @@ def test_combos_best_is_subset_of_full_pool(rng):
 
 def test_combos_best_matches_its_oracle(rng):
     """``combos=best`` answers, keyword nodes included, are the oracle's:
-    per root, each term's nearest keyword node by (distance, id)."""
+    per root, each term's nearest keyword node by (distance, id).
+
+    Half the graphs have integer weights, so many nodes lie at equal
+    distance from several keyword nodes of a term and the per-term
+    iterator's labels decide the answers; queries have up to three terms,
+    often with a node that matches two.  A node settles at most once per
+    term."""
     configs = [SearchConfig(k=10, combos=COMBOS_BEST),
                SearchConfig(k=10 ** 6, steiner_filter=False, combos=COMBOS_BEST)]
-    for _ in range(60):
-        n = rng.randint(2, 10)
-        g = random_graph(rng, n, extra_links=rng.randint(0, n))
-        ks = random_keyword_sets(rng, n, rng.randint(1, 3))
+    shared = three_terms = 0
+    for trial in range(140):
+        n = rng.randint(2, 14)
+        weights = [1.0, 2.0, 3.0] if trial % 2 else WEIGHT_GRID
+        g = random_graph(rng, n, extra_links=rng.randint(0, n), weights=weights)
+        ks = random_keyword_sets(rng, n, rng.randint(1, 3), max_size=4)
+        if len(ks.sets) > 1 and rng.random() < 0.4:  # a node matching two terms
+            both = rng.randrange(n)
+            ks = KeywordSets(ks.terms, [ks.sets[0] | {both}, ks.sets[1] | {both},
+                                        *ks.sets[2:]])
+        shared += len(ks.sets) > 1 and bool(ks.sets[0] & ks.sets[1])
+        three_terms += len(ks.sets) == 3
         for cfg in configs:
-            answers, _ = backward_search(g, ks, cfg)
+            answers, stats = backward_search(g, ks, cfg)
             expected = best_combo_answers(g, ks, cfg.score, k=cfg.k,
                                           steiner=cfg.steiner_filter)
             _assert_matches_oracle(answers, expected)
             assert [a.tree.keyword_nodes for a in answers] == \
                 [e.keyword_nodes for e in expected]
+            assert stats.nodes_explored <= len(ks.sets) * g.node_count
+    assert shared and three_terms
 
+
+def test_combos_best_settles_each_node_once_per_term():
+    """A hub above forty keyword nodes of one term: one iterator per
+    keyword node settles the hub's side of the graph forty times over, the
+    per-term iterator once per term."""
+    b = GraphBuilder()
+    hub, other = b.add_node(1.0), b.add_node(1.0)
+    b.add_link(hub, other, 1.0, 1.0)
+    chain = [hub] + [b.add_node(1.0) for _ in range(20)]
+    for u, v in zip(chain[1:], chain):
+        b.add_link(u, v, 1.0, 1.0)
+    many = [b.add_node(1.0) for _ in range(40)]
+    for k in many:
+        b.add_link(hub, k, 1.0, 1.0)
+    g = b.build()
+    ks = KeywordSets(["a", "b"], [frozenset(many), frozenset({other})])
+    best, best_stats = backward_search(g, ks, SearchConfig(k=10 ** 6))
+    _, all_stats = backward_search(g, ks, SearchConfig(k=10 ** 6,
+                                                       combos=COMBOS_ALL))
+    assert best_stats.stopped == STOPPED_EXHAUSTED
+    assert best_stats.nodes_explored <= len(ks.sets) * g.node_count
+    assert all_stats.nodes_explored > 20 * g.node_count
+    assert [a.tree.keyword_nodes for a in best] == \
+        [e.keyword_nodes for e in best_combo_answers(g, ks, ScoreConfig())]
+
+
+def test_ranking_builds_shapes_only_for_ties(monkeypatch, rng):
+    """The pool's ranking equals sorting by ``ScoredAnswer.sort_key``, ties
+    included, and reads a shape key only where score, node count and root
+    all tie."""
+    shapes = []
+    shape_key = AnswerTree.shape_key
+
+    def counting(tree):
+        shapes.append(tree)
+        return shape_key(tree)
+
+    tied = 0
+    for _ in range(40):
+        n = rng.randint(2, 12)
+        g = random_graph(rng, n, extra_links=rng.randint(0, n),
+                         weights=[1.0, 2.0], prestige_max=1)
+        ks = random_keyword_sets(rng, n, rng.randint(1, 3))
+        pool, _ = backward_search(g, ks, SearchConfig(
+            k=10 ** 6, steiner_filter=False, combos=COMBOS_ALL))
+        rng.shuffle(pool)
+        heads = [(-a.score, a.tree.node_count, a.tree.root) for a in pool]
+        monkeypatch.setattr(AnswerTree, "shape_key", counting)
+        shapes.clear()
+        ranked = search._ranked(pool)
+        monkeypatch.setattr(AnswerTree, "shape_key", shape_key)
+        assert ranked == sorted(pool, key=ScoredAnswer.sort_key)
+        assert len(shapes) == sum(heads.count(h) > 1 for h in heads)
+        tied += bool(shapes)
+    assert tied
 
 ONE_SOURCE_CONFIGS = {
     "all": SearchConfig(k=10),
@@ -261,11 +333,11 @@ def test_early_termination_reciprocal_sum(rng):
         n = rng.randint(4, 11)
         g = random_graph(rng, n, extra_links=n)
         ks = random_keyword_sets(rng, n, 2)
-        cfg = SearchConfig(k=3, score=score_cfg)
+        cfg = SearchConfig(k=3, score=score_cfg, combos=COMBOS_ALL)
         answers, stats = backward_search(g, ks, cfg)
         expected = exhaustive_answers(g, ks, score_cfg, k=3)
         assert [a.score for a in answers] == [e.score for e in expected]
-        exhaust = SearchConfig(k=10 ** 6, score=score_cfg)
+        exhaust = replace(cfg, k=10 ** 6)
         _, full_stats = backward_search(g, ks, exhaust)
         assert stats.nodes_explored <= full_stats.nodes_explored
 
@@ -422,12 +494,13 @@ def test_answer_paths_scan_each_node_once_per_iterator(monkeypatch):
     scans = {}
     original = search._tight_successor
 
-    def counting(adj, dist, node):
+    def counting(adj, dist, node, label=None):
         scans[node] = scans.get(node, 0) + 1
-        return original(adj, dist, node)
+        return original(adj, dist, node, label)
 
     monkeypatch.setattr(search, "_tight_successor", counting)
-    answers, stats = backward_search(g, ks, SearchConfig(k=10 ** 6))
+    answers, stats = backward_search(g, ks, SearchConfig(k=10 ** 6,
+                                                         combos=COMBOS_ALL))
     assert answers
     assert stats.nodes_explored == n_iterators * g.node_count  # all settled
     assert max(scans.values()) <= n_iterators
@@ -531,7 +604,7 @@ def test_roots_left_by_two_edges_build_their_tree(monkeypatch, algorithm):
 def test_backward_full_pool_matches_exhaustive_oracle(rng):
     """Without a k cut or the Steiner filter the whole candidate pool equals
     the oracle's, so dropping single-child roots early loses no answer."""
-    cfg = SearchConfig(k=10 ** 6, steiner_filter=False)
+    cfg = SearchConfig(k=10 ** 6, steiner_filter=False, combos=COMBOS_ALL)
     for _ in range(60):
         n = rng.randint(2, 10)
         g = random_graph(rng, n, extra_links=rng.randint(0, n))
@@ -698,7 +771,7 @@ def _miss_example():
 
 def test_bidirectional_can_miss_answers_backward_finds():
     g, ks, n1, n2, n3, n4, n5 = _miss_example()
-    back, _ = backward_search(g, ks, SearchConfig(k=10))
+    back, _ = backward_search(g, ks, SearchConfig(k=10, combos=COMBOS_ALL))
     back_shapes = {a.tree.shape_key() for a in back}
     via_n2 = (n4, ((n1, n2), (n4, n1), (n4, n5)))
     via_n3 = (n4, ((n1, n3), (n4, n1), (n4, n5)))
@@ -802,8 +875,8 @@ def test_bidirectional_regression_pin():
     assert got == BIDI_PIN
 
 
-# (nodes_explored, stopped) of backward_search, then bidirectional_search, on
-# _reciprocal_pin_cases().  ``reciprocal-sum`` is the one score under which
+# (nodes_explored, stopped) of backward_search under combos=all, then
+# bidirectional_search, on _reciprocal_pin_cases().  ``reciprocal-sum`` is the one score under which
 # the pool's bound falls during a search, so these pin when each search
 # reaches k released answers.
 RECIPROCAL_PIN = [
@@ -835,7 +908,8 @@ def _reciprocal_pin_cases():
         if rng.random() < 0.4:  # a node matching every term ends searches early
             shared = rng.randrange(n)
             ks = KeywordSets(ks.terms, [s | {shared} for s in ks.sets])
-        yield g, ks, SearchConfig(k=rng.choice([1, 3, 10]), score=score)
+        yield g, ks, SearchConfig(k=rng.choice([1, 3, 10]), score=score,
+                                  combos=COMBOS_ALL)
 
 
 def test_reciprocal_sum_stop_pin():
