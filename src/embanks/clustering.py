@@ -9,6 +9,7 @@ what the first search phase runs on.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -146,7 +147,8 @@ def cluster_close_to_1(g: DataGraph,
     whose forward/backward weight ratio is closest to 1, closing the
     cluster at ``max_size`` or when the frontier is exhausted.
     """
-    used = np.zeros(g.node_count, dtype=bool)
+    offset, target, w_out, w_in = g.adjacency_lists()
+    used = [False] * g.node_count
     members: list[list[int]] = []
     for seed in range(g.node_count):
         if used[seed]:
@@ -154,19 +156,14 @@ def cluster_close_to_1(g: DataGraph,
         used[seed] = True
         cluster = [seed]
         heap: list[tuple[float, int, int]] = []
-        seq = 0
+        seq = itertools.count()
 
         def offer(node: int) -> None:
-            nonlocal seq
-            for j in g.slots(node):
-                v = int(g.adjacent_nodes[j])
-                if used[v]:
-                    continue
-                w1 = float(g.edge_weight[j])
-                w2 = float(g.edge_weight[g.pair_slot[j]])
-                ratio = max(w1, w2) / min(w1, w2)
-                heapq.heappush(heap, (ratio, seq, v))
-                seq += 1
+            for j in range(offset[node], offset[node + 1]):
+                v = target[j]
+                if not used[v]:
+                    ratio = max(w_out[j], w_in[j]) / min(w_out[j], w_in[j])
+                    heapq.heappush(heap, (ratio, next(seq), v))
 
         offer(seed)
         while len(cluster) < max_size and heap:
@@ -191,7 +188,8 @@ def cluster_greedy_minimum(g: DataGraph, max_size: int = DEFAULT_MAX_CLUSTER_SIZ
     rng = rng or random.Random(0)
     scan = list(range(g.node_count))
     rng.shuffle(scan)
-    used = np.zeros(g.node_count, dtype=bool)
+    offset, target, w_out, _ = g.adjacency_lists()
+    used = [False] * g.node_count
     members: list[list[int]] = []
     for seed in scan:
         if used[seed]:
@@ -199,17 +197,16 @@ def cluster_greedy_minimum(g: DataGraph, max_size: int = DEFAULT_MAX_CLUSTER_SIZ
         used[seed] = True
         cluster = [seed]
         pending: list[tuple[float, int, int]] = [(0.0, 0, seed)]
-        seq = 1
+        seq = itertools.count(1)
         while pending and len(cluster) < max_size:
             dist, _, node = heapq.heappop(pending)
-            for j in g.slots(node):
-                v = int(g.adjacent_nodes[j])
+            for j in range(offset[node], offset[node + 1]):
+                v = target[j]
                 if used[v]:
                     continue
                 used[v] = True
                 cluster.append(v)
-                heapq.heappush(pending, (dist + float(g.edge_weight[j]), seq, v))
-                seq += 1
+                heapq.heappush(pending, (dist + w_out[j], next(seq), v))
                 if len(cluster) >= max_size:
                     break
         members.append(cluster)
@@ -222,7 +219,8 @@ def cluster_connection_naive(g: DataGraph, max_size: int = DEFAULT_MAX_CLUSTER_S
     rng = rng or random.Random(0)
     scan = list(range(g.node_count))
     rng.shuffle(scan)
-    used = np.zeros(g.node_count, dtype=bool)
+    offset, target, _, _ = g.adjacency_lists()
+    used = [False] * g.node_count
     members: list[list[int]] = []
     for seed in scan:
         if used[seed]:
@@ -230,12 +228,8 @@ def cluster_connection_naive(g: DataGraph, max_size: int = DEFAULT_MAX_CLUSTER_S
         used[seed] = True
         cluster = [seed]
         while len(cluster) < max_size:
-            frontier = []
-            for node in cluster:
-                for j in g.slots(node):
-                    v = int(g.adjacent_nodes[j])
-                    if not used[v]:
-                        frontier.append(v)
+            frontier = [v for node in cluster
+                        for v in target[offset[node]:offset[node + 1]] if not used[v]]
             if not frontier:
                 break
             v = rng.choice(frontier)
@@ -254,11 +248,12 @@ def cluster_adjacency_naive(g: DataGraph,
     clusters have no connectivity guarantee at all, which is the point of
     keeping this one around as a baseline.
     """
+    offset, target, _, _ = g.adjacency_lists()
+    forward = g.edge_direction.tolist()
     groups: dict[tuple, list[int]] = {}
     for n in range(g.node_count):
-        fp = tuple(sorted((int(g.adjacent_nodes[j]), bool(g.edge_direction[j]))
-                          for j in g.slots(n)))
-        groups.setdefault(fp, []).append(n)
+        a, b = offset[n], offset[n + 1]
+        groups.setdefault(tuple(sorted(zip(target[a:b], forward[a:b]))), []).append(n)
     members: list[list[int]] = []
     current: list[int] = []
     for fp in sorted(groups):
@@ -299,29 +294,40 @@ def build_cluster_graph(g: DataGraph, clustering: Clustering,
     cluster the result reproduces the input graph's links and weights.
     """
     wcfg = wcfg or WeightConfig()
-    mapping = clustering.node_mapping
-    buckets: dict[tuple[int, int], list[int]] = {}
-    starts = g.slot_source
-    for j in range(g.slot_count):
-        cu = int(mapping[starts[j]])
-        cv = int(mapping[g.adjacent_nodes[j]])
-        if cu != cv:
-            buckets.setdefault((cu, cv), []).append(j)
-
-    def weight(cu: int, cv: int) -> float:
-        return combine_edge_weights(
-            [float(g.edge_weight[s]) for s in buckets[(cu, cv)]], wcfg.edge_combiner)
+    mapping, k = clustering.node_mapping, clustering.cluster_count
+    cu, cv = mapping[g.slot_source], mapping[g.adjacent_nodes]
+    cross = np.flatnonzero(cu != cv)
+    # group crossing slots by ordered cluster pair; first[i] is the lowest
+    # slot of group i, and sums over a group run in slot order
+    pairs, first, gid = np.unique(cu[cross] * k + cv[cross], return_index=True,
+                                  return_inverse=True)
+    w = g.edge_weight[cross].astype(np.float64)
+    inv = np.bincount(gid, weights=1.0 / w, minlength=len(pairs))
+    least = np.full(len(pairs), np.inf)
+    np.minimum.at(least, gid, w)
+    sizes = np.diff(clustering.cluster_offset)
+    if np.any(sizes == 0):
+        raise ClusteringError("cannot combine an empty prestige list")
+    p = g.prestige[clustering.node_order].astype(np.float64)
+    total = np.bincount(np.repeat(np.arange(k), sizes), weights=p, minlength=k)
+    edge = {EDGE_INVERSE_SUM: 1.0 / inv, EDGE_MIN: least,
+            EDGE_HARMONIC_MEAN: np.bincount(gid, minlength=len(pairs)) / inv}
+    node = {PRESTIGE_SUM: total, PRESTIGE_AVG: total / sizes, PRESTIGE_MAX:
+            np.maximum.reduceat(p, clustering.cluster_offset[:-1]) if k else p}
+    for what, combiner, table in (("edge", wcfg.edge_combiner, edge),
+                                  ("prestige", wcfg.prestige_combiner, node)):
+        if combiner not in table:
+            raise ClusteringError(f"unknown {what} combiner {combiner!r}")
+    combined, prestige = edge[wcfg.edge_combiner], node[wcfg.prestige_combiner]
 
     builder = GraphBuilder()
-    for c in range(clustering.cluster_count):
-        builder.add_node(combine_prestige(
-            [float(g.prestige[n]) for n in clustering.members(c)],
-            wcfg.prestige_combiner))
-    for lo, hi in sorted(p for p in buckets if p[0] < p[1]):
-        if g.edge_direction[min(buckets[(lo, hi)])]:
-            builder.add_link(lo, hi, weight(lo, hi), weight(hi, lo))
-        else:
-            builder.add_link(hi, lo, weight(hi, lo), weight(lo, hi))
+    builder.add_nodes(prestige)
+    up = pairs // k < pairs % k
+    lo, hi = np.divmod(pairs[up], k)
+    there, back = combined[up], combined[np.searchsorted(pairs, hi * k + lo)]
+    fwd = g.edge_direction[cross[first[up]]]
+    builder.add_links(np.where(fwd, lo, hi), np.where(fwd, hi, lo),
+                      np.where(fwd, there, back), np.where(fwd, back, there))
     return builder.build()
 
 
@@ -381,6 +387,7 @@ def _intra_dijkstra(adj: dict[int, list[tuple[int, float]]], source: int,
 
 def compute_cluster_metadata(g: DataGraph,
                              clustering: Clustering) -> ClusterMetadata:
+    offset, target, w_out, _ = g.adjacency_lists()
     k = clustering.cluster_count
     diameter = np.zeros(k, dtype=np.float64)
     min_in_out = np.zeros(k, dtype=np.float64)
@@ -389,7 +396,8 @@ def compute_cluster_metadata(g: DataGraph,
         adj: dict[int, list[tuple[int, float]]] = {}
         boundary: set[int] = set()
         for u in nodes:
-            for _, v, w in g.out_edges(u):
+            for v, w in zip(target[offset[u]:offset[u + 1]],
+                            w_out[offset[u]:offset[u + 1]]):
                 if v in nodes:
                     adj.setdefault(u, []).append((v, w))
                 else:

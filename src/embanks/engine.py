@@ -170,12 +170,9 @@ def select_extra_clusters(store: ClusterStore, core: set[int],
 
 
 def _adjacent_clusters(store: ClusterStore, have: set[int]) -> list[int]:
-    g = store.cluster_graph
-    out = set()
-    for c in have:
-        for j in g.slots(c):
-            out.add(int(g.adjacent_nodes[j]))
-    return sorted(out - have)
+    offset, target, _, _ = store.cluster_graph.adjacency_lists()
+    return sorted({v for c in have for v in target[offset[c]:offset[c + 1]]}
+                  - have)
 
 
 def refetch_candidates(store: ClusterStore, have: set[int],

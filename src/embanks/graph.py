@@ -101,13 +101,15 @@ class DataGraph:
         return np.repeat(np.arange(self.node_count, dtype=np.int64),
                          np.diff(self.adjacency_offset))
 
-    def slots(self, node: int) -> range:
-        return range(int(self.adjacency_offset[node]),
-                     int(self.adjacency_offset[node + 1]))
+    @property
+    def in_degree(self) -> np.ndarray:
+        """Foreign-key links pointing at each node: its backward slots."""
+        return np.bincount(self.slot_source[~self.edge_direction],
+                           minlength=self.node_count)
 
     def out_edges(self, node: int):
         """Yield (slot, target, weight) for every traversable edge leaving node."""
-        for j in self.slots(node):
+        for j in range(self.adjacency_offset[node], self.adjacency_offset[node + 1]):
             yield j, int(self.adjacent_nodes[j]), float(self.edge_weight[j])
 
     def in_edges(self, node: int):
@@ -116,7 +118,7 @@ class DataGraph:
         The sources are exactly the adjacency targets of ``node``; the cost
         of the opposite direction lives in the partner slot.
         """
-        for j in self.slots(node):
+        for j in range(self.adjacency_offset[node], self.adjacency_offset[node + 1]):
             yield int(self.adjacent_nodes[j]), float(self.edge_weight[self.pair_slot[j]])
 
     def adjacency_lists(self) -> AdjacencyLists:
@@ -138,14 +140,11 @@ class DataGraph:
 
         ``u -> v`` is the foreign-key direction.
         """
-        starts = self.slot_source
-        for j in range(self.slot_count):
-            if not self.edge_direction[j]:
-                continue
-            u = int(starts[j])
-            v = int(self.adjacent_nodes[j])
-            b = int(self.pair_slot[j])
-            yield u, v, float(self.edge_weight[j]), float(self.edge_weight[b])
+        fwd = self.edge_direction
+        yield from zip(self.slot_source[fwd].tolist(),
+                       self.adjacent_nodes[fwd].tolist(),
+                       self.edge_weight[fwd].tolist(),
+                       self.edge_weight[self.pair_slot[fwd]].tolist())
 
     def validate(self) -> None:
         """Check the structural invariants, raising GraphError on breach."""
@@ -185,9 +184,8 @@ class GraphBuilder:
     def __init__(self) -> None:
         self._prestige: list[float] = []
         # link columns (u, v, w_fwd, w_bwd), u -> v the FK direction, in
-        # insertion order: whole chunks, then links added one by one
+        # insertion order
         self._chunks: list[tuple[np.ndarray, ...]] = []
-        self._pending: list[tuple[int, int, float, float]] = []
 
     def add_node(self, prestige: float = 0.0) -> int:
         self._prestige.append(prestige)
@@ -201,18 +199,11 @@ class GraphBuilder:
 
     def add_link(self, u: int, v: int, forward_weight: float,
                  backward_weight: float) -> None:
-        n = len(self._prestige)
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphError(f"link ({u}, {v}) references an unknown node")
-        if not (math.isfinite(forward_weight) and math.isfinite(backward_weight)):
-            raise GraphError("link weights must be finite")
-        if forward_weight <= 0 or backward_weight <= 0:
-            raise GraphError("link weights must be positive")
-        self._pending.append((u, v, forward_weight, backward_weight))
+        self.add_links([u], [v], [forward_weight], [backward_weight])
 
     def add_links(self, u, v, w_fwd, w_bwd) -> None:
-        """``add_link`` for every row of four equal-length columns, in order;
-        nothing is added when a row fails a check."""
+        """Add a link ``u -> v`` for every row of four equal-length columns,
+        in order; nothing is added when a row fails a check."""
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
         wf = np.asarray(w_fwd, dtype=np.float64)
@@ -229,16 +220,7 @@ class GraphBuilder:
             raise GraphError("link weights must be finite")
         if (wf <= 0).any() or (wb <= 0).any():
             raise GraphError("link weights must be positive")
-        self._flush()
         self._chunks.append((u, v, wf, wb))
-
-    def _flush(self) -> None:
-        if self._pending:
-            u, v, wf, wb = zip(*self._pending)
-            self._pending = []
-            self._chunks.append((np.array(u, dtype=np.int64),
-                                 np.array(v, dtype=np.int64),
-                                 np.array(wf), np.array(wb)))
 
     def build(self) -> DataGraph:
         """Freeze into a DataGraph.
@@ -250,7 +232,6 @@ class GraphBuilder:
         before its backward one.
         """
         n = len(self._prestige)
-        self._flush()
         chunks = self._chunks or [(np.zeros(0, dtype=np.int64),) * 2
                                   + (np.zeros(0),) * 2]
         u, v, wf, wb = (col[0] if len(col) == 1 else np.concatenate(col)
@@ -289,22 +270,23 @@ def estimate_memory(nodes: int, edges: int) -> int:
 
 def assign_backward_weights(g: DataGraph,
                             default: float = DEFAULT_FORWARD_WEIGHT) -> DataGraph:
-    """Reweight every backward slot as ln(1 + in-degree of its target).
+    """Reweight every backward slot as ln(1 + in-degree), floored at ``default``.
 
-    The in-degree is the number of foreign-key links pointing at the
-    target.  The result is floored at ``default`` so no slot ever gets a
-    weight below the forward default (in particular ln(1) = 0 is lifted).
-    Mutates and returns ``g``.
+    The in-degree charged is that of the slot's target, the *referencing*
+    row, not of the referenced row that owns the slot.  ``synth``'s
+    referencing rows (``writes``, ``cites``) are never referenced, so
+    ln(1 + 0) = 0 is lifted to ``default`` for every ``synth`` backward
+    slot.  BANKS charges the referenced row's in-degree; direction 1 of
+    ROADMAP.md plans that change.  Mutates and returns ``g``.
     """
-    indeg = np.zeros(g.node_count, dtype=np.int64)
-    starts = g.slot_source
-    for j in range(g.slot_count):
-        if not g.edge_direction[j]:
-            indeg[starts[j]] += 1
-    for j in range(g.slot_count):
-        if not g.edge_direction[j]:
-            target = int(g.adjacent_nodes[j])
-            g.edge_weight[j] = np.float32(max(math.log1p(indeg[target]), default))
+    indeg = g.in_degree
+    # math.log1p per distinct degree keeps the weights bit-identical on
+    # every platform, which a vectorised log1p does not promise
+    weight = np.array([max(math.log1p(d), default)
+                       for d in range(int(indeg.max(initial=0)) + 1)],
+                      dtype=np.float32)
+    back = ~g.edge_direction
+    g.edge_weight[back] = weight[indeg[g.adjacent_nodes[back]]]
     return g
 
 
@@ -332,6 +314,8 @@ def parse_schema(path: str | Path) -> IngestSpec:
         try:
             if kind == "table":
                 name = parts[1]
+                if any(t.name == name for t in tables):
+                    raise IngestError(f"{path}:{lineno}: table {name!r} declared twice")
                 text_cols: tuple[str, ...] = ()
                 prestige_col = None
                 for extra in parts[2:]:
@@ -430,6 +414,8 @@ def ingest(spec: IngestSpec, data_dir: str | Path) -> IngestResult:
                 raw = row[col_index[table.prestige_column]]
                 try:
                     explicit_prestige[node] = float(raw)
+                    if not math.isfinite(explicit_prestige[node]):
+                        raise ValueError(raw)
                 except ValueError as exc:
                     raise IngestError(
                         f"{table.name}.tsv:{rownum}: bad prestige value {raw!r}") from exc
@@ -448,6 +434,8 @@ def ingest(spec: IngestSpec, data_dir: str | Path) -> IngestResult:
         return out
 
     lookups: dict[tuple[str, str], dict[str, int]] = {}
+    sources: list[int] = []
+    targets: list[int] = []
     for fk in spec.foreign_keys:
         if fk.from_table not in tables_rows or fk.to_table not in tables_rows:
             raise IngestError(f"foreign key references unknown table: {fk}")
@@ -470,14 +458,13 @@ def ingest(spec: IngestSpec, data_dir: str | Path) -> IngestResult:
                     f"{fk.from_table}.tsv row {i + 2}: dangling reference "
                     f"{fk.from_column}={value!r} -> {fk.to_table}.{fk.to_column}")
                 continue
-            builder.add_link(first_id + i, target,
-                             spec.forward_weight_default,
-                             spec.forward_weight_default)
+            sources.append(first_id + i)
+            targets.append(target)
 
+    w = np.full(len(sources), spec.forward_weight_default)
+    builder.add_links(sources, targets, w, w)
     graph = builder.build()
-    # Default prestige is the foreign-key in-degree (count of backward slots).
-    graph.prestige[:] = np.bincount(graph.slot_source[~graph.edge_direction],
-                                    minlength=graph.node_count)
+    graph.prestige[:] = graph.in_degree
     for node, value in explicit_prestige.items():
         graph.prestige[node] = np.float32(value)
     meta = NodeMeta(
@@ -536,8 +523,8 @@ def prune_transitive(g: DataGraph, spec: IngestSpec,
         incident[lo].add(li)
         incident[hi].add(li)
 
-    doomed = [n for n in range(g.node_count) if int(node_relation[n]) in prunable]
-    for w in doomed:
+    keep = ~np.isin(node_relation, list(prunable))
+    for w in np.flatnonzero(~keep).tolist():
         ids = sorted(incident[w])
         # Compose every unordered pair of distinct incident links through w.
         for ai in range(len(ids)):
@@ -565,24 +552,18 @@ def prune_transitive(g: DataGraph, spec: IngestSpec,
 
     remap = np.full(g.node_count, -1, dtype=np.int64)
     builder = GraphBuilder()
-    for n in range(g.node_count):
-        if int(node_relation[n]) in prunable:
-            continue
-        remap[n] = builder.add_node(float(g.prestige[n]))
-    for l in links:
-        if l is None:
-            continue
-        u, v = int(l[0]), int(l[1])
-        if remap[u] < 0 or remap[v] < 0:
-            continue
-        builder.add_link(int(remap[u]), int(remap[v]),
-                         float(np.float32(l[2])), float(np.float32(l[3])))
+    remap[keep] = builder.add_nodes(g.prestige[keep])
+    cols = np.array([l for l in links if l is not None]).reshape(-1, 4)
+    u, v = remap[cols[:, 0].astype(np.int64)], remap[cols[:, 1].astype(np.int64)]
+    live = (u >= 0) & (v >= 0)
+    builder.add_links(u[live], v[live], cols[live, 2].astype(np.float32),
+                      cols[live, 3].astype(np.float32))
     return builder.build(), remap
 
 
 def apply_remap(meta: NodeMeta, remap: np.ndarray) -> NodeMeta:
     """Project node metadata through a prune remap."""
-    keep = [i for i in range(len(meta)) if remap[i] >= 0]
+    keep = np.flatnonzero(remap >= 0).tolist()
     return NodeMeta(
         relation_names=list(meta.relation_names),
         node_relation=meta.node_relation[keep],

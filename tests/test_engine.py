@@ -13,6 +13,7 @@ from embanks.engine import (EngineConfig, PrecisionReport, _budget_fill,
                             ingest_to_store, refetch_candidates,
                             select_extra_clusters, single_phase_query,
                             two_phase_query)
+from embanks.clustering import WeightConfig
 from embanks.graph import NodeMeta
 from embanks.keywords import build_index
 from embanks.scoring import AnswerTree, ScoredAnswer
@@ -128,7 +129,7 @@ def test_refetch_candidates_order_and_dedup(rng, tmp_path):
     _, _, _, store = make_store(rng, tmp_path, n=36, max_size=3)
     have = {0}
     g = store.cluster_graph
-    adjacent = sorted({int(g.adjacent_nodes[j]) for j in g.slots(0)} - have)
+    adjacent = sorted({v for _, v, _ in g.out_edges(0)} - have)
     kw = [adjacent[0], 0] if adjacent else [0]
     got = refetch_candidates(store, have, kw, 10 ** 9)
     assert len(got) == len(set(got))
@@ -452,3 +453,46 @@ def test_two_phase_grid_regression_pin(tmp_path):
     assert digests["all"] == "1494c4c594c95370"
     assert refetches["default"] == 594
     assert digests["default"] == "30054193fb0c1ab1"
+
+
+@pytest.fixture(scope="module")
+def synth_store(tmp_path_factory):
+    """A pruned store over one small fixed synth corpus, not yet clustered."""
+    root = tmp_path_factory.mktemp("pinned")
+    generate_synthetic(SynthSpec(papers=120, authors=40, writes=180, cites=60,
+                                 rare_pairs=3, seed=1), root / "data")
+    ingest_to_store(root / "data" / "schema.txt", root / "data", root / "store")
+    return root / "store"
+
+
+def file_digest(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+
+
+STORE_PINS = {
+    # (algorithm, edge combiner, prestige combiner): (graph.emb, clusters.emb)
+    ("close1", "inverse-sum", "sum"): ("a5e50db671665ef0", "79f6fe940ceebdb4"),
+    ("close1", "harmonic-mean", "max"): ("2b4e284797cdb18b", "79f6fe940ceebdb4"),
+    ("close1", "min", "avg"): ("38af498b7f291874", "79f6fe940ceebdb4"),
+    ("greedymin", "inverse-sum", "sum"): ("0fbefaefb2711007", "b3339ab21e19de8e"),
+    ("greedymin", "harmonic-mean", "max"): ("02adeae093ffe3fb", "b3339ab21e19de8e"),
+    ("greedymin", "min", "avg"): ("06181d240e0be676", "b3339ab21e19de8e"),
+    ("connection", "inverse-sum", "sum"): ("883228d3aabf4e31", "b7a1c8841193b940"),
+    ("connection", "harmonic-mean", "max"): ("3475ce62895c71ae", "b7a1c8841193b940"),
+    ("connection", "min", "avg"): ("1b9990745a6f800e", "b7a1c8841193b940"),
+    ("adjacency", "inverse-sum", "sum"): ("3888aad32b1772fb", "90b9e7065531a703"),
+    ("adjacency", "harmonic-mean", "max"): ("e6bd12491c19f51f", "90b9e7065531a703"),
+    ("adjacency", "min", "avg"): ("79fcb4e6889e8328", "90b9e7065531a703"),
+}
+
+
+@pytest.mark.parametrize("algorithm,edge,prestige", sorted(STORE_PINS))
+def test_store_bytes_pin(synth_store, algorithm, edge, prestige):
+    """Every byte of the store, under each clustering algorithm and three
+    combiner pairs, as of store format 7."""
+    assert file_digest(synth_store / TUPLES_FILE) == "3a31dea2c76fc9d8"
+    assert file_digest(synth_store / INDEX_FILE) == "c3472a190a04880d"
+    build_store(synth_store, algorithm, 8, WeightConfig(edge, prestige))
+    assert (file_digest(synth_store / "graph.emb"),
+            file_digest(synth_store / "clusters.emb")) == \
+        STORE_PINS[(algorithm, edge, prestige)]

@@ -237,6 +237,15 @@ def test_ingest_duplicate_keys_first_wins(tmp_path):
     assert links[0][:2] == (2, 0)
 
 
+def test_ingest_rejects_nonfinite_prestige(tmp_path):
+    (tmp_path / "schema.txt").write_text("table a text=t prestige=p\n")
+    spec = parse_schema(tmp_path / "schema.txt")
+    for bad in ("nan", "inf", "-inf", "NaN"):
+        (tmp_path / "a.tsv").write_text(f"id\tt\tp\nr1\tok\t1.5\nr2\tbad\t{bad}\n")
+        with pytest.raises(IngestError, match=f"a.tsv:3: bad prestige value '{bad}'"):
+            ingest(spec, tmp_path)
+
+
 def test_parse_schema_errors(tmp_path):
     def parse(text):
         p = tmp_path / "s.txt"
@@ -256,6 +265,8 @@ def test_parse_schema_errors(tmp_path):
     for bad in ("nan", "inf", "-inf", "0", "-1.5"):
         with pytest.raises(IngestError, match="s.txt:2"):
             parse(f"table a\ndefault_weight {bad}\n")
+    with pytest.raises(IngestError, match="s.txt:3: table 'a' declared twice"):
+        parse("table a text=t\ntable b\ntable a text=t\n")
 
     spec = parse("table a text=x,y prestige=p\ndefault_weight 2.5\n")
     assert spec.tables[0].text_columns == ("x", "y")

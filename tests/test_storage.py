@@ -150,7 +150,7 @@ def loop_payload_links(g, cl, c):
     members = [int(n) for n in cl.members(c)]
     intra, bound = [], []
     for i, u in enumerate(members):
-        for j in g.slots(u):
+        for j in range(g.adjacency_offset[u], g.adjacency_offset[u + 1]):
             if not g.edge_direction[j]:
                 continue
             v = int(g.adjacent_nodes[j])
