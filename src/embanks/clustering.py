@@ -215,7 +215,14 @@ def cluster_greedy_minimum(g: DataGraph, max_size: int = DEFAULT_MAX_CLUSTER_SIZ
 
 def cluster_connection_naive(g: DataGraph, max_size: int = DEFAULT_MAX_CLUSTER_SIZE,
                              rng: random.Random | None = None) -> Clustering:
-    """Randomized growth that keeps every cluster internally connected."""
+    """Randomized growth that keeps every cluster internally connected.
+
+    Each step draws the next member uniformly from the frontier: every
+    member's unused slot targets, member by member in join order, each
+    member's in slot order, one entry per slot.  The frontier is kept
+    between steps, dropping the drawn node and appending its own unused
+    targets, which leaves it exactly as a rebuild from all members.
+    """
     rng = rng or random.Random(0)
     scan = list(range(g.node_count))
     rng.shuffle(scan)
@@ -227,14 +234,13 @@ def cluster_connection_naive(g: DataGraph, max_size: int = DEFAULT_MAX_CLUSTER_S
             continue
         used[seed] = True
         cluster = [seed]
-        while len(cluster) < max_size:
-            frontier = [v for node in cluster
-                        for v in target[offset[node]:offset[node + 1]] if not used[v]]
-            if not frontier:
-                break
+        frontier = [v for v in target[offset[seed]:offset[seed + 1]] if not used[v]]
+        while len(cluster) < max_size and frontier:
             v = rng.choice(frontier)
             used[v] = True
             cluster.append(v)
+            frontier = [x for x in frontier if x != v]
+            frontier += [x for x in target[offset[v]:offset[v + 1]] if not used[x]]
         members.append(cluster)
     return _from_member_lists(members, g.node_count, max_size)
 

@@ -481,84 +481,146 @@ def prune_transitive(g: DataGraph, spec: IngestSpec,
     """Remove nodes of relations that carry no text, preserving distances.
 
     ``node_relation`` holds each node's relation id, as in ``NodeMeta``.
-    Each removed node is spliced out: every pair of links meeting at it is
-    replaced by a direct link whose per-direction weights are the path sums.
-    Returns the new graph and an old->new node id map (-1 for removed).
+    Removed nodes are spliced out in id order: every pair of links meeting
+    at one, taken in link order, composes a direct link between their far
+    ends whose per-direction costs are the float64 path sums.  A pair whose
+    far ends coincide composes nothing, so no self-loop is made.  The new
+    graph holds the links between surviving nodes in ``links()`` order,
+    then one link per composed node pair, placed where its first
+    composition was made and carrying each direction's minimum over all of
+    them, rounded to float32 once.  Returns the new graph and an old->new
+    node id map (-1 for removed).
     """
-    prunable = {i for i, t in enumerate(spec.tables) if not t.has_text}
+    prunable = [i for i, t in enumerate(spec.tables) if not t.has_text]
     if not prunable:
         remap = np.arange(g.node_count, dtype=np.int64)
         return g, remap
 
-    # Mutable link records [u, v, w_uv, w_vu]; incidence per node.
-    links: list[list[float] | None] = [list(l) for l in g.links()]
-    incident: list[set[int]] = [set() for _ in range(g.node_count)]
-    for li, l in enumerate(links):
-        incident[int(l[0])].add(li)
-        incident[int(l[1])].add(li)
+    n = g.node_count
+    keep = ~np.isin(node_relation, prunable)
+    source, target = g.slot_source, g.adjacent_nodes
+    fwd = np.flatnonzero(g.edge_direction)      # link i is forward slot fwd[i]
+    link = np.empty(g.slot_count, dtype=np.int64)
+    link[fwd] = link[g.pair_slot[fwd]] = np.arange(len(fwd))
+    # a prunable node with a prunable neighbour (or a self-loop) sees links
+    # that earlier splices made; every other one sees only its own links
+    chained = np.zeros(n, dtype=bool)
+    chained[source[~keep[source] & ~keep[target]]] = True
+    simple = ~keep & ~chained
 
-    def ends(l: list[float], at: int) -> tuple[int, float, float]:
-        """Other endpoint plus (cost into ``at``, cost out of ``at``)."""
-        u, v = int(l[0]), int(l[1])
-        if u == at:
-            return v, float(l[3]), float(l[2])
-        return u, float(l[2]), float(l[3])
+    # per simple node, its slots in link order: far end, cost in, cost out
+    slots = np.flatnonzero(simple[source])
+    slots = slots[np.lexsort((link[slots], source[slots]))]
+    far = target[slots]
+    cost_in = g.edge_weight[g.pair_slot[slots]].astype(np.float64)
+    cost_out = g.edge_weight[slots].astype(np.float64)
+    degree = np.bincount(source[slots], minlength=n)
+    start = np.cumsum(degree) - degree
+    cols: list[tuple[np.ndarray, ...]] = []     # (at, pair, a, b, ab, ba)
+    for d in np.unique(degree[simple]).tolist():
+        if d < 2:
+            continue
+        at = np.flatnonzero(simple & (degree == d))
+        ai, bi = np.triu_indices(d, 1)
+        ja, jb = start[at, None] + ai, start[at, None] + bi
+        a, b = far[ja].ravel(), far[jb].ravel()
+        made = a != b
+        cols.append((np.repeat(at, len(ai))[made],
+                     np.tile(np.arange(len(ai)), len(at))[made], a[made], b[made],
+                     (cost_in[ja] + cost_out[jb]).ravel()[made],
+                     (cost_in[jb] + cost_out[ja]).ravel()[made]))
+    cols.append(_splice_chains(g, keep, chained, link))
 
-    # Composed links are merged per node pair (minimum cost per direction);
-    # keeping every parallel composition would grow exponentially on chains
-    # of prunable nodes, and only the cheapest one can lie on a shortest path.
-    composed: dict[tuple[int, int], int] = {}
+    # merge parallel compositions: in order of creation, one link per node
+    # pair at its first composition with each direction's minimum; only the
+    # cheapest can lie on a shortest path, and keeping them all would grow
+    # exponentially on chains
+    at, pair, a, b, ab, ba = map(np.concatenate, zip(*cols))
+    order = np.lexsort((pair, at))
+    a, b, ab, ba = a[order], b[order], ab[order], ba[order]
+    flip = a > b
+    lo, hi = np.where(flip, b, a), np.where(flip, a, b)
+    _, first, group = np.unique(lo * n + hi, return_index=True,
+                                return_inverse=True)
+    w_lo = np.full(len(first), np.inf)
+    w_hi = np.full(len(first), np.inf)
+    np.minimum.at(w_lo, group, np.where(flip, ba, ab))
+    np.minimum.at(w_hi, group, np.where(flip, ab, ba))
+    by_first = np.argsort(first)
 
-    def compose(a: int, b: int, cost_ab: float, cost_ba: float) -> None:
-        lo, hi = (a, b) if a < b else (b, a)
-        fwd, bwd = (cost_ab, cost_ba) if a < b else (cost_ba, cost_ab)
-        li = composed.get((lo, hi))
-        if li is not None and links[li] is not None:
-            links[li][2] = min(links[li][2], fwd)
-            links[li][3] = min(links[li][3], bwd)
-            return
-        li = len(links)
-        links.append([float(lo), float(hi), fwd, bwd])
-        composed[(lo, hi)] = li
-        incident[lo].add(li)
-        incident[hi].add(li)
-
-    keep = ~np.isin(node_relation, list(prunable))
-    for w in np.flatnonzero(~keep).tolist():
-        ids = sorted(incident[w])
-        # Compose every unordered pair of distinct incident links through w.
-        for ai in range(len(ids)):
-            la = links[ids[ai]]
-            if la is None:
-                continue
-            a_other, a_in, a_out = ends(la, w)
-            if a_other == w:
-                continue
-            for bi in range(ai + 1, len(ids)):
-                lb = links[ids[bi]]
-                if lb is None:
-                    continue
-                b_other, b_in, b_out = ends(lb, w)
-                if b_other == w or b_other == a_other:
-                    continue
-                compose(a_other, b_other, a_in + b_out, b_in + a_out)
-        for li in ids:
-            l = links[li]
-            if l is None:
-                continue
-            for end in {int(l[0]), int(l[1])}:
-                incident[end].discard(li)
-            links[li] = None
-
-    remap = np.full(g.node_count, -1, dtype=np.int64)
+    remap = np.full(n, -1, dtype=np.int64)
     builder = GraphBuilder()
     remap[keep] = builder.add_nodes(g.prestige[keep])
-    cols = np.array([l for l in links if l is not None]).reshape(-1, 4)
-    u, v = remap[cols[:, 0].astype(np.int64)], remap[cols[:, 1].astype(np.int64)]
-    live = (u >= 0) & (v >= 0)
-    builder.add_links(u[live], v[live], cols[live, 2].astype(np.float32),
-                      cols[live, 3].astype(np.float32))
+    u, v = source[fwd], target[fwd]
+    kept = keep[u] & keep[v]
+    builder.add_links(remap[u[kept]], remap[v[kept]], g.edge_weight[fwd[kept]],
+                      g.edge_weight[g.pair_slot[fwd[kept]]])
+    first = first[by_first]
+    builder.add_links(remap[lo[first]], remap[hi[first]],
+                      w_lo[by_first].astype(np.float32),
+                      w_hi[by_first].astype(np.float32))
     return builder.build(), remap
+
+
+def _splice_chains(g: DataGraph, keep: np.ndarray, chained: np.ndarray,
+                   link: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Splice the ``chained`` prunable nodes one at a time, in id order.
+
+    Their links to other prunable nodes change as earlier splices compose
+    and merge them, so this runs sequentially over mutable link records.
+    A composition joining two kept nodes is returned as a column row
+    ``(at, pair, a, b, cost_ab, cost_ba)`` instead: no splice reads a link
+    between kept nodes, so those merge with the rest at the end.
+    """
+    slots = np.flatnonzero(chained[g.slot_source])
+    fwd = np.unique(np.where(g.edge_direction[slots], slots, g.pair_slot[slots]))
+    # link id -> [u, v, w_uv, w_vu]; composed links get ids past the originals
+    rows = {i: [u, v, wf, wb] for i, u, v, wf, wb in zip(
+        link[fwd].tolist(), g.slot_source[fwd].tolist(),
+        g.adjacent_nodes[fwd].tolist(), g.edge_weight[fwd].tolist(),
+        g.edge_weight[g.pair_slot[fwd]].tolist())}
+    incident: dict[int, set[int]] = {x: set() for x in np.flatnonzero(chained).tolist()}
+    for i, (u, v, _, _) in rows.items():
+        for end in (u, v):
+            if end in incident:
+                incident[end].add(i)
+    composed: dict[tuple[int, int], int] = {}
+    next_id = len(link) // 2
+    is_kept = keep.tolist()
+    out: list[tuple] = []
+    for x in sorted(incident):
+        ends = []   # (far end, cost into x, cost out of x), in link order
+        for i in sorted(incident.pop(x)):
+            u, v, w_uv, w_vu = rows.pop(i)
+            ends.append((v, w_vu, w_uv) if u == x else (u, w_uv, w_vu))
+            if ends[-1][0] in incident:
+                incident[ends[-1][0]].discard(i)
+        pair = 0
+        for ai, (a, a_in, a_out) in enumerate(ends):
+            if a == x:
+                continue
+            for b, b_in, b_out in ends[ai + 1:]:
+                if b == x or b == a:
+                    continue
+                ab, ba = a_in + b_out, b_in + a_out
+                if is_kept[a] and is_kept[b]:
+                    out.append((x, pair, a, b, ab, ba))
+                    pair += 1
+                    continue
+                lo, hi, w_lo, w_hi = (a, b, ab, ba) if a < b else (b, a, ba, ab)
+                row = rows.get(composed.get((lo, hi), -1))
+                if row is not None:
+                    row[2], row[3] = min(row[2], w_lo), min(row[3], w_hi)
+                    continue
+                rows[next_id] = [lo, hi, w_lo, w_hi]
+                composed[(lo, hi)] = next_id
+                for end in (lo, hi):
+                    if end in incident:
+                        incident[end].add(next_id)
+                next_id += 1
+    return tuple(np.array([row[c] for row in out],
+                          dtype=np.int64 if c < 4 else np.float64)
+                 for c in range(6))
 
 
 def apply_remap(meta: NodeMeta, remap: np.ndarray) -> NodeMeta:

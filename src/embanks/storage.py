@@ -336,29 +336,6 @@ def read_cluster(record: bytes, name: str = "cluster record") -> ClusterPayload:
     return payload
 
 
-def make_cluster_payload(g: DataGraph, clustering: Clustering,
-                         cluster_id: int) -> ClusterPayload:
-    """Slice one cluster out of the tuple graph.
-
-    Every link whose foreign-key source node lives in this cluster is
-    recorded here, either as an intra link (target in the same cluster) or
-    a boundary link (target elsewhere).
-    """
-    members = clustering.members(cluster_id)
-    start, end = g.adjacency_offset[members], g.adjacency_offset[members + 1]
-    slots = np.concatenate([np.arange(a, b) for a, b in zip(start, end)])
-    src = np.repeat(np.arange(len(members)), end - start)
-    forward = g.edge_direction[slots]   # each link once, from its source
-    slots, src = slots[forward], src[forward]
-    dst = g.adjacent_nodes[slots]
-    w = np.stack([g.edge_weight[slots], g.edge_weight[g.pair_slot[slots]]], axis=1)
-    inside = clustering.node_mapping[dst] == cluster_id
-    by_id = np.argsort(members)
-    dst_local = by_id[np.searchsorted(members, dst[inside], sorter=by_id)]
-    return ClusterPayload(cluster_id, g.prestige[members], src[inside], dst_local,
-                          w[inside], src[~inside], dst[~inside], w[~inside])
-
-
 # --- keyword index ------------------------------------------------------------
 
 def write_keyword_index(path: str | Path, index: KeywordIndex) -> int:
@@ -389,24 +366,48 @@ def read_keyword_index(path: str | Path) -> KeywordIndex:
 
 def write_store(store_dir: str | Path, g: DataGraph, clustering: Clustering,
                 cluster_graph: DataGraph) -> None:
-    """Write clusters.emb, then graph.emb, for a finished clustering."""
+    """Write clusters.emb, then graph.emb, for a finished clustering.
+
+    Each link is recorded once, by the cluster of its foreign-key source:
+    as an intra link when its target is in the same cluster, else as a
+    boundary link.  One sort of the forward slots by (cluster, intra before
+    boundary, member position, slot) lays each record's links out as two
+    runs, each member's links in slot order.
+    """
     store_dir = Path(store_dir)
     store_dir.mkdir(parents=True, exist_ok=True)
-    k = clustering.cluster_count
-    intra = np.zeros(k, dtype=np.int64)
-    crossing = np.zeros(k, dtype=np.int64)
+    k, mapping = clustering.cluster_count, clustering.node_mapping
+    sizes = np.diff(clustering.cluster_offset)
+    position = np.empty(clustering.node_count, dtype=np.int64)  # within its cluster
+    position[clustering.node_order] = np.arange(clustering.node_count) \
+        - np.repeat(clustering.cluster_offset[:-1], sizes)
+    fwd = np.flatnonzero(g.edge_direction)
+    src, dst = g.slot_source[fwd], g.adjacent_nodes[fwd]
+    cluster = mapping[src]
+    bound = cluster != mapping[dst]
+    order = np.lexsort((fwd, position[src], bound, cluster))
+    fwd, src, dst, cluster, bound = (a[order] for a in (fwd, src, dst, cluster, bound))
+    intra = np.bincount(cluster[~bound], minlength=k)
+    leaving = np.bincount(cluster[bound], minlength=k)
+    crossing = leaving + np.bincount(mapping[dst[bound]], minlength=k)
+    local = position[src]
+    far = np.where(bound, dst, position[dst])
+    w = np.stack([g.edge_weight[fwd], g.edge_weight[g.pair_slot[fwd]]], axis=1)
+    prestige = g.prestige[clustering.node_order]
+    starts = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(intra + leaving, out=starts[1:])
+    runs = zip(clustering.cluster_offset.tolist(),
+               clustering.cluster_offset[1:].tolist(), starts.tolist(),
+               (starts[:-1] + intra).tolist(), starts[1:].tolist())
+    records = [write_cluster(ClusterPayload(
+        c, prestige[m0:m1], local[a:b], far[a:b], w[a:b],
+        local[b:e], far[b:e], w[b:e])) for c, (m0, m1, a, b, e) in enumerate(runs)]
     offset = np.zeros(k + 1, dtype=np.int64)
-    crc = np.zeros(k, dtype=np.int64)
+    offset[1:] = np.cumsum([len(r) for r in records])
+    crc = np.array([int.from_bytes(r[-4:], "little") for r in records],
+                   dtype=np.int64)
     with open(store_dir / CLUSTERS_FILE, "wb") as fh:
-        for c in range(k):
-            payload = make_cluster_payload(g, clustering, c)
-            intra[c] = len(payload.intra_src)
-            crossing[c] += len(payload.bound_src)
-            np.add.at(crossing, clustering.node_mapping[payload.bound_dst], 1)
-            record = write_cluster(payload)
-            fh.write(record)
-            offset[c + 1] = offset[c] + len(record)
-            crc[c] = int.from_bytes(record[-4:], "little")
+        fh.writelines(records)
         fh.flush()
         os.fsync(fh.fileno())
     header = StoreHeader(cluster_graph, clustering, intra, crossing, offset, crc)

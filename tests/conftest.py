@@ -40,6 +40,18 @@ def random_graph(rng: random.Random, n: int, extra_links: int | None = None,
     return b.build()
 
 
+def with_self_loops(rng: random.Random, g: DataGraph, count: int) -> DataGraph:
+    """``g`` rebuilt with self-loops added at up to ``count`` random nodes,
+    its links in shuffled order."""
+    links = list(g.links()) + [(x, x, 1.5, 0.5) for x in
+                               rng.sample(range(g.node_count), min(g.node_count, count))]
+    rng.shuffle(links)
+    b = GraphBuilder()
+    b.add_nodes(g.prestige)
+    b.add_links(*zip(*links))
+    return b.build()
+
+
 def random_keyword_sets(rng: random.Random, n: int, nsets: int,
                         max_size: int = 3) -> KeywordSets:
     sets = []

@@ -2,9 +2,10 @@
 
 Everything here is deliberately brute force: canonical paths come from
 enumerating all simple paths, answers from trying every root with every
-keyword-node combination; graphs are laid out one link at a time.  Only
-the public graph accessors, the ``DataGraph`` container and the scoring
-constants are shared with the engine.
+keyword-node combination; graphs are laid out, pruned and cut into
+cluster records one link at a time.  Only the public graph accessors, the
+``DataGraph`` and ``ClusterPayload`` containers and the scoring constants
+are shared with the engine.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from embanks.graph import DataGraph
+from embanks.storage import ClusterPayload
 
 
 @dataclass(frozen=True)
@@ -268,3 +270,128 @@ def assert_same_graph(got: DataGraph, want: DataGraph) -> None:
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype, name
         assert np.array_equal(a, b), name
+
+
+def prune_transitive_reference(g, spec, node_relation):
+    """``graph.prune_transitive`` as one sequential splice per removed node.
+
+    Link records are mutable ``[u, v, w_uv, w_vu]`` lists, numbered in
+    ``links()`` order with composed links appended; each removed node, in
+    id order, composes every pair of its live links in record order, merges
+    a composition into an earlier composed link of the same node pair
+    (minimum per direction) and deletes its own links.
+    """
+    prunable = {i for i, t in enumerate(spec.tables) if not t.has_text}
+    if not prunable:
+        return g, np.arange(g.node_count, dtype=np.int64)
+    links = [list(l) for l in g.links()]
+    incident = [set() for _ in range(g.node_count)]
+    for li, (u, v, _, _) in enumerate(links):
+        incident[u].add(li)
+        incident[v].add(li)
+
+    def ends(l, at):
+        """Other endpoint plus (cost into ``at``, cost out of ``at``)."""
+        u, v = l[0], l[1]
+        if u == at:
+            return v, l[3], l[2]
+        return u, l[2], l[3]
+
+    composed = {}
+
+    def compose(a, b, cost_ab, cost_ba):
+        lo, hi = (a, b) if a < b else (b, a)
+        fwd, bwd = (cost_ab, cost_ba) if a < b else (cost_ba, cost_ab)
+        li = composed.get((lo, hi))
+        if li is not None and links[li] is not None:
+            links[li][2] = min(links[li][2], fwd)
+            links[li][3] = min(links[li][3], bwd)
+            return
+        composed[(lo, hi)] = len(links)
+        incident[lo].add(len(links))
+        incident[hi].add(len(links))
+        links.append([lo, hi, fwd, bwd])
+
+    keep = [int(r) not in prunable for r in node_relation]
+    for w in range(g.node_count):
+        if keep[w]:
+            continue
+        ids = sorted(incident[w])
+        for ai in range(len(ids)):
+            a_other, a_in, a_out = ends(links[ids[ai]], w)
+            if a_other == w:
+                continue
+            for bi in range(ai + 1, len(ids)):
+                b_other, b_in, b_out = ends(links[ids[bi]], w)
+                if b_other == w or b_other == a_other:
+                    continue
+                compose(a_other, b_other, a_in + b_out, b_in + a_out)
+        for li in ids:
+            u, v = links[li][0], links[li][1]
+            incident[u].discard(li)
+            incident[v].discard(li)
+            links[li] = None
+
+    remap = np.full(g.node_count, -1, dtype=np.int64)
+    prestige = []
+    for x in range(g.node_count):
+        if keep[x]:
+            remap[x] = len(prestige)
+            prestige.append(float(g.prestige[x]))
+    out = [(int(remap[u]), int(remap[v]), wf, wb)
+           for u, v, wf, wb in filter(None, links)
+           if remap[u] >= 0 and remap[v] >= 0]
+    return build_graph_reference(prestige, out), remap
+
+
+def make_cluster_payload(g, clustering, cluster_id):
+    """One cluster record's payload, walking each member's slots in order.
+
+    Every link whose foreign-key source node lives in the cluster is
+    recorded once, as an intra link (target in the same cluster, both ends
+    as member positions) or a boundary link (target elsewhere, by global
+    id), with its forward and backward weights.
+    """
+    members = [int(x) for x in clustering.members(cluster_id)]
+    intra, bound = [], []
+    for i, u in enumerate(members):
+        for j, v, w in g.out_edges(u):
+            if not g.edge_direction[j]:
+                continue
+            ws = (w, float(g.edge_weight[g.pair_slot[j]]))
+            if int(clustering.node_mapping[v]) == cluster_id:
+                intra.append((i, members.index(v)) + ws)
+            else:
+                bound.append((i, v) + ws)
+
+    def columns(rows):
+        ends = np.array([r[:2] for r in rows], dtype=np.int64).reshape(-1, 2)
+        w = np.array([r[2:] for r in rows], dtype=np.float32).reshape(-1, 2)
+        return ends[:, 0], ends[:, 1], w
+
+    return ClusterPayload(cluster_id, g.prestige[members], *columns(intra),
+                          *columns(bound))
+
+
+def connection_members_reference(g, max_size, rng):
+    """``cluster_connection_naive``'s member lists, rebuilding the frontier
+    from every member's slots before each random draw."""
+    scan = list(range(g.node_count))
+    rng.shuffle(scan)
+    used = [False] * g.node_count
+    members = []
+    for seed in scan:
+        if used[seed]:
+            continue
+        used[seed] = True
+        cluster = [seed]
+        while len(cluster) < max_size:
+            frontier = [v for node in cluster for _, v, _ in g.out_edges(node)
+                        if not used[v]]
+            if not frontier:
+                break
+            v = rng.choice(frontier)
+            used[v] = True
+            cluster.append(v)
+        members.append(cluster)
+    return members

@@ -19,8 +19,9 @@ from embanks.graph import GraphBuilder
 from embanks.scoring import AnswerTree
 from embanks.search import KeywordSets, SearchConfig, backward_search
 
-from conftest import WEIGHT_GRID, random_graph, random_keyword_sets
-from oracles import dijkstra_oracle
+from conftest import (WEIGHT_GRID, random_graph, random_keyword_sets,
+                      with_self_loops)
+from oracles import connection_members_reference, dijkstra_oracle
 
 GROWN = ["close1", "greedymin", "connection"]
 
@@ -136,6 +137,23 @@ def test_clustering_determinism(rng):
                     cluster_greedy_minimum(g, 4, random.Random(7)))
         assert same(cluster_connection_naive(g, 4, random.Random(7)),
                     cluster_connection_naive(g, 4, random.Random(7)))
+
+
+def test_connection_matches_frontier_rebuild(rng):
+    """Keeping the frontier between growth steps draws the same clusters
+    as rebuilding it from every member before each draw."""
+    for trial in range(150):
+        n = rng.randint(1, 40)
+        g = random_graph(rng, n, extra_links=rng.randint(0, 2 * n),
+                         connected=rng.random() < 0.8)
+        if trial % 4 == 0:
+            g = with_self_loops(rng, g, 3)
+        size = rng.randint(1, 12)
+        seed = rng.randrange(10 ** 6)
+        cl = cluster_connection_naive(g, size, random.Random(seed))
+        want = connection_members_reference(g, size, random.Random(seed))
+        assert [cl.members(c).tolist() for c in range(cl.cluster_count)] \
+            == want, trial
 
 
 def test_clustering_validate_rejects_bad_arrays():

@@ -15,7 +15,8 @@ from embanks.graph import (BYTES_PER_EDGE, BYTES_PER_NODE, DataGraph,
 
 from conftest import WEIGHT_GRID, random_graph
 from oracles import (assert_same_graph, build_graph_reference,
-                     dijkstra_oracle, graph_adjacency)
+                     dijkstra_oracle, graph_adjacency,
+                     prune_transitive_reference)
 
 
 def test_memory_estimate_reference_points():
@@ -373,6 +374,44 @@ def test_prune_skips_self_compositions():
                            np.array([0, 1]))
     assert g.node_count == 1
     assert g.slot_count == 0
+
+
+def test_prune_matches_sequential_reference(rng):
+    """The column splice equals one sequential splice per removed node,
+    array for array, on graphs with one or two key-only relations, chains
+    of key-only nodes, self-loops, parallel links and weights off the
+    quarter grid."""
+    seen = {"chain": 0, "self-loop": 0, "parallel": 0}
+    for trial in range(400):
+        n = rng.randint(1, 24)
+        textless = set(rng.sample(range(3), rng.choice([1, 2])))
+        relation = np.array([rng.randrange(3) for _ in range(n)])
+        links = []
+        for _ in range(rng.randint(0, 3 * n)):
+            u = rng.randrange(n)
+            v = u if rng.random() < 0.08 else rng.randrange(n)
+            w = [rng.choice([rng.uniform(0.05, 4.0), 0.1, 0.3, 1.0])
+                 for _ in range(2)]
+            links.append((u, v, *w))
+            if rng.random() < 0.15:
+                links.append((u, v, rng.uniform(0.05, 4.0), w[1]))
+        rng.shuffle(links)
+        b = GraphBuilder()
+        b.add_nodes(np.arange(n) % 3)
+        for link in links:
+            b.add_link(*link)
+        g = b.build()
+        pruned = [relation[u] in textless for u in range(n)]
+        seen["chain"] += any(pruned[u] and pruned[v] and u != v
+                             for u, v, *_ in links)
+        seen["self-loop"] += any(u == v and pruned[u] for u, v, *_ in links)
+        seen["parallel"] += len({l[:2] for l in links}) < len(links)
+        spec = _spec_with_textless(3, textless)
+        got, remap = prune_transitive(g, spec, relation)
+        want, want_remap = prune_transitive_reference(g, spec, relation)
+        assert np.array_equal(remap, want_remap), trial
+        assert_same_graph(got, want)
+    assert min(seen.values()) >= 30, seen
 
 
 def test_prune_keeps_textual_relations_intact(rng):

@@ -9,21 +9,22 @@ import numpy as np
 import pytest
 
 from embanks.clustering import (Clustering, WeightConfig, _from_member_lists,
-                                build_cluster_graph, min_crossing_weights)
+                                build_cluster_graph, cluster_adjacency_naive,
+                                min_crossing_weights)
 from embanks.graph import NodeMeta
 from embanks.keywords import KeywordIndex, build_index
 from embanks.storage import (CLUSTERS_FILE, ClusterStore, StorageError,
-                             StorageFormatError, expand_clusters,
-                             make_cluster_payload, read_cluster,
+                             StorageFormatError, expand_clusters, read_cluster,
                              read_compressed_graph, read_keyword_index,
                              read_tuple_graph, write_cluster,
                              write_compressed_graph, write_keyword_index,
                              write_store, write_tuple_graph, StoreHeader)
 from embanks.graph import BYTES_PER_EDGE, BYTES_PER_NODE
 
-from conftest import random_graph
-from oracles import assert_same_graph, expand_reference
-from test_clustering import grown_clustering, random_clustering
+from conftest import random_graph, with_self_loops
+from oracles import (assert_same_graph, expand_reference,
+                     make_cluster_payload)
+from test_clustering import GROWN, grown_clustering, random_clustering
 
 
 def random_meta(rng, n):
@@ -145,36 +146,32 @@ def test_cluster_payload_round_trip(rng):
         assert write_cluster(back) == record
 
 
-def loop_payload_links(g, cl, c):
-    """Reference for make_cluster_payload: walk each member's slots in order."""
-    members = [int(n) for n in cl.members(c)]
-    intra, bound = [], []
-    for i, u in enumerate(members):
-        for j in range(g.adjacency_offset[u], g.adjacency_offset[u + 1]):
-            if not g.edge_direction[j]:
-                continue
-            v = int(g.adjacent_nodes[j])
-            w = (g.edge_weight[j], g.edge_weight[g.pair_slot[j]])
-            if int(cl.node_mapping[v]) == c:
-                intra.append((i, members.index(v)) + w)
-            else:
-                bound.append((i, v) + w)
-    return intra, bound
-
-
-def test_cluster_payload_matches_slot_walk(rng):
-    for _ in range(40):
+def test_cluster_payload_matches_slot_walk(rng, tmp_path):
+    """Every record write_store lays out is, byte for byte, the record of
+    the payload a walk over each member's slots makes, under arbitrary
+    clusterings and every clustering algorithm, self-loops included."""
+    algorithms = ["random", "adjacency"] + GROWN
+    for trial in range(60):
         n = rng.randint(1, 40)
-        g = random_graph(rng, n, extra_links=rng.randint(0, n))
-        cl = random_clustering(rng, n, rng.randint(1, 6))
+        g = random_graph(rng, n, extra_links=rng.randint(0, n),
+                         connected=rng.random() < 0.7)
+        if trial % 3 == 0:
+            g = with_self_loops(rng, g, 2)
+        name = algorithms[trial % len(algorithms)]
+        size = rng.randint(1, 6)
+        if name == "random":
+            cl = random_clustering(rng, n, size)
+        elif name == "adjacency":
+            cl = cluster_adjacency_naive(g, size)
+        else:
+            cl = grown_clustering(rng, name, g, size)
+        _, _, store = built_store(rng, tmp_path / str(trial), g=g, cl=cl)
+        blob = (tmp_path / str(trial) / CLUSTERS_FILE).read_bytes()
+        offset = store.header.record_offset.tolist()
+        assert offset[-1] == len(blob)
         for c in range(cl.cluster_count):
-            p = make_cluster_payload(g, cl, c)
-            intra, bound = loop_payload_links(g, cl, c)
-            assert list(zip(p.intra_src.tolist(), p.intra_dst.tolist(),
-                            *p.intra_w.T.tolist())) == intra
-            assert list(zip(p.bound_src.tolist(), p.bound_dst.tolist(),
-                            *p.bound_w.T.tolist())) == bound
-            assert p.prestige.tolist() == g.prestige[cl.members(c)].tolist()
+            record = write_cluster(make_cluster_payload(g, cl, c))
+            assert blob[offset[c]:offset[c + 1]] == record, (trial, name, c)
 
 
 def test_rebuilt_node_mapping_matches_written_clustering(rng, tmp_path):
