@@ -117,7 +117,7 @@ def cmd_baseline(args) -> int:
 def cmd_compare(args) -> int:
     cfg = _engine_config(args)
     store = ClusterStore.open(args.store)
-    g, _ = read_tuple_graph(store.dir / TUPLES_FILE)
+    g = read_tuple_graph(store.dir / TUPLES_FILE)
     index = store.keyword_index()
     for line in Path(args.queries).read_text(encoding="utf-8").splitlines():
         line = line.strip()

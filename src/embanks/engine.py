@@ -95,14 +95,19 @@ class QueryResult:
 def ingest_to_store(schema_path: str | Path, data_dir: str | Path,
                     store_dir: str | Path,
                     prune: bool = True) -> tuple[DataGraph, NodeMeta, list[str]]:
-    """Write the tuple graph and keyword index, deleting any older cluster store."""
+    """Write the tuple graph and keyword index, deleting any older cluster store.
+
+    The store keeps no row metadata: the returned ``NodeMeta`` is its only
+    copy.  Node ids follow the data directory's deterministic ingest order,
+    so ingesting the same directory again maps them back to rows.
+    """
     spec = parse_schema(schema_path)
     g, meta, warnings = build_graph(spec, data_dir, prune=prune)
     store_dir = Path(store_dir)
     store_dir.mkdir(parents=True, exist_ok=True)
     for name in (GRAPH_FILE, CLUSTERS_FILE):
         (store_dir / name).unlink(missing_ok=True)
-    write_tuple_graph(store_dir / TUPLES_FILE, g, meta)
+    write_tuple_graph(store_dir / TUPLES_FILE, g)
     write_keyword_index(store_dir / INDEX_FILE, build_index(meta))
     return g, meta, warnings
 
@@ -123,7 +128,7 @@ def build_store(store_dir: str | Path, algorithm: str = "close1",
                 seed: int = 0) -> dict:
     """Cluster the stored tuple graph and write the full cluster store."""
     store_dir = Path(store_dir)
-    g, _ = read_tuple_graph(store_dir / TUPLES_FILE)
+    g = read_tuple_graph(store_dir / TUPLES_FILE)
     clustering = run_clustering(g, algorithm, max_size, seed)
     cluster_graph = build_cluster_graph(g, clustering, wcfg)
     write_store(store_dir, g, clustering, cluster_graph)

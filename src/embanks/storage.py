@@ -1,33 +1,37 @@
 """On-disk store: one compressed cluster-level graph plus one packed cluster file.
 
-Layout under a store directory (format 7)::
+Layout under a store directory (format 8)::
 
     graph.emb       cluster graph, the clustering's node order and cluster
                     offsets, per-cluster link counts, and each cluster
                     record's byte offset and CRC32
     clusters.emb    the cluster records in id order: a cluster's member
-                    count and prestige, and its intra and boundary links,
-                    each with both direction weights
+                    count and prestige, and the links whose foreign-key
+                    source is a member, each with both direction weights
     index.kwi       keyword index over the original nodes: its sorted terms,
                     then every term's node ids as one offsets-plus-ids pair
-    tuples.emb      the ingested tuple graph with node relations, texts and
-                    keys, read by ``cluster`` to write the first two and by
-                    ``compare`` for its single-phase reference
+    tuples.emb      the ingested tuple graph, nothing else: ``cluster``
+                    partitions it and ``compare`` searches it whole
 
-Each fact is stored once, except the link counts and CRCs graph.emb keeps
-to budget for and check a record before reading it.  A graph stores per
-node only its prestige and per slot only its target, weight, direction bit
-and partner slot; node relations live in the tuple metadata.  A cluster's
-members are its span of the node order in graph.emb, and the node-to-cluster
-mapping is rebuilt from that order on read.  All integers are little-endian
-and ids fit 32 bits; weights are 32-bit floats.  Every variable-length list
-(relation names, node texts and keys, index terms, posting lists) is one
-column: ``count + 1`` offsets from 0, then the bytes or ids they delimit.
-Every file and every cluster record begins with a four-byte magic and the
-format version and ends with a CRC32 of everything before it; graph.emb also
-fixes the length and record CRCs of clusters.emb.  Any other version is
-rejected, so a store written by an older release must be rebuilt with
-``ingest`` then ``cluster``.  Cluster cost bounds are not stored:
+Queries read graph.emb, clusters.emb and index.kwi; ``cluster`` and
+``compare`` read tuples.emb, so the links and prestige values are in both
+clusters.emb and tuples.emb, each copy for its own reader.  graph.emb also
+keeps the link counts and CRCs of the records, to budget for and check a
+record before reading it.  Row texts, keys and relations are not stored:
+node ids follow the deterministic ingest order of the data directory
+(tables in schema order, rows in file order, minus pruned rows), so an id
+maps back to its row by ingesting the same directory again.  A graph stores
+per node only its prestige and per slot only its target, weight, direction
+bit and partner slot.  A cluster's members are its span of the node order
+in graph.emb, and the node-to-cluster mapping is rebuilt from that order on
+read.  All integers are little-endian and ids fit 32 bits; weights are
+32-bit floats.  Every variable-length list (index terms, posting lists) is
+one column: ``count + 1`` offsets from 0, then the bytes or ids they
+delimit.  Every file and every cluster record begins with a four-byte magic
+and the format version and ends with a CRC32 of everything before it;
+graph.emb also fixes the length and record CRCs of clusters.emb.  Any other
+version is rejected, so a store written by an older release must be rebuilt
+with ``ingest`` then ``cluster``.  Cluster cost bounds are not stored:
 ``clustering`` derives them from the tuple graph and the clustering when
 they are needed.
 """
@@ -42,7 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from .clustering import Clustering, ClusteringError
-from .graph import DataGraph, GraphBuilder, NodeMeta, estimate_memory
+from .graph import DataGraph, GraphBuilder, estimate_memory
 from .keywords import KeywordIndex
 
 GRAPH_FILE = "graph.emb"
@@ -54,7 +58,7 @@ MAGIC_GRAPH = b"EMBK"
 MAGIC_TUPLES = b"EMBT"
 MAGIC_CLUSTER = b"EMBC"
 MAGIC_INDEX = b"EMBI"
-FORMAT_VERSION = 7
+FORMAT_VERSION = 8
 
 
 class StorageError(Exception):
@@ -189,31 +193,22 @@ def _read_graph_arrays(r: _Reader, n: int, m: int) -> DataGraph:
 
 # --- tuple graph ------------------------------------------------------------
 
-def write_tuple_graph(path: str | Path, g: DataGraph, meta: NodeMeta) -> int:
+def write_tuple_graph(path: str | Path, g: DataGraph) -> int:
     w = _Writer()
     w.raw(MAGIC_TUPLES)
     w.u32(FORMAT_VERSION)
     w.u32(g.node_count)
     w.u32(g.slot_count)
-    w.u32(len(meta.relation_names))
     _write_graph_arrays(w, g)
-    w.strings(meta.relation_names)
-    w.arr(meta.node_relation, "<u2")
-    w.strings(meta.node_text)
-    w.strings(meta.node_key)
     return w.finish(Path(path))
 
 
-def read_tuple_graph(path: str | Path) -> tuple[DataGraph, NodeMeta]:
+def read_tuple_graph(path: str | Path) -> DataGraph:
     r = _Reader(_read_bytes(Path(path)), MAGIC_TUPLES, str(path))
     n = r.u32()
-    m = r.u32()
-    relations = r.u32()
-    g = _read_graph_arrays(r, n, m)
-    meta = NodeMeta(r.strings(relations), r.arr(n, "<u2"), r.strings(n),
-                    r.strings(n))
+    g = _read_graph_arrays(r, n, r.u32())
     r.done()
-    return g, meta
+    return g
 
 
 # --- compressed cluster graph -----------------------------------------------
@@ -273,25 +268,22 @@ def read_compressed_graph(path: str | Path) -> StoreHeader:
 
 @dataclass
 class ClusterPayload:
-    """Member prestige and edges of one cluster.
+    """Member prestige and links of one cluster.
 
     The members themselves are ``Clustering.members(cluster_id)``: local
-    member index ``i`` is the ``i``-th of them.  Edges are stored as whole
-    links (both direction weights in one record).  ``intra`` links join two
-    members; ``boundary`` links lead from a member to a node in another
-    cluster and live only in the record of the cluster owning the link's
-    foreign-key source, so a reader joining two clusters restores the
-    opposite direction itself.
+    member index ``i`` is the ``i``-th of them.  A record holds each link
+    whose foreign-key source is a member, once, with both direction
+    weights: ``src`` is that member's local index, ``dst`` the global id of
+    the other end.  Links whose other end is a member come first, then those
+    leaving the cluster, each run ordered by member and then by slot; a
+    reader joining two clusters restores the opposite direction itself.
     """
 
     cluster_id: int
     prestige: np.ndarray     # float32, one per member
-    intra_src: np.ndarray    # int64, local member index
-    intra_dst: np.ndarray
-    intra_w: np.ndarray      # float32 [ln, 2] forward/backward
-    bound_src: np.ndarray    # int64, local member index
-    bound_dst: np.ndarray    # int64, global node id
-    bound_w: np.ndarray      # float32 [lb, 2]
+    src: np.ndarray          # int64, local member index
+    dst: np.ndarray          # int64, global node id
+    w: np.ndarray            # float32 [l, 2] forward/backward
 
     @property
     def member_count(self) -> int:
@@ -304,15 +296,11 @@ def write_cluster(payload: ClusterPayload) -> bytes:
     w.u32(FORMAT_VERSION)
     w.u32(payload.cluster_id)
     w.u32(payload.member_count)
-    w.u32(len(payload.intra_src))
-    w.u32(len(payload.bound_src))
+    w.u32(len(payload.src))
     w.arr(payload.prestige, "<f4")
-    w.arr(payload.intra_src, "<u4")
-    w.arr(payload.intra_dst, "<u4")
-    w.arr(payload.intra_w, "<f4")
-    w.arr(payload.bound_src, "<u4")
-    w.arr(payload.bound_dst, "<u4")
-    w.arr(payload.bound_w, "<f4")
+    w.arr(payload.src, "<u4")
+    w.arr(payload.dst, "<u4")
+    w.arr(payload.w, "<f4")
     return w.blob()
 
 
@@ -320,17 +308,13 @@ def read_cluster(record: bytes, name: str = "cluster record") -> ClusterPayload:
     r = _Reader(record, MAGIC_CLUSTER, name)
     cid = r.u32()
     nm = r.u32()
-    ln = r.u32()
-    lb = r.u32()
+    links = r.u32()
     payload = ClusterPayload(
         cluster_id=cid,
         prestige=r.arr(nm, "<f4"),
-        intra_src=r.arr(ln, "<u4").astype(np.int64),
-        intra_dst=r.arr(ln, "<u4").astype(np.int64),
-        intra_w=r.arr(2 * ln, "<f4").reshape(ln, 2),
-        bound_src=r.arr(lb, "<u4").astype(np.int64),
-        bound_dst=r.arr(lb, "<u4").astype(np.int64),
-        bound_w=r.arr(2 * lb, "<f4").reshape(lb, 2),
+        src=r.arr(links, "<u4").astype(np.int64),
+        dst=r.arr(links, "<u4").astype(np.int64),
+        w=r.arr(2 * links, "<f4").reshape(links, 2),
     )
     r.done()
     return payload
@@ -368,11 +352,9 @@ def write_store(store_dir: str | Path, g: DataGraph, clustering: Clustering,
                 cluster_graph: DataGraph) -> None:
     """Write clusters.emb, then graph.emb, for a finished clustering.
 
-    Each link is recorded once, by the cluster of its foreign-key source:
-    as an intra link when its target is in the same cluster, else as a
-    boundary link.  One sort of the forward slots by (cluster, intra before
-    boundary, member position, slot) lays each record's links out as two
-    runs, each member's links in slot order.
+    Each link is recorded once, by the cluster of its foreign-key source.
+    One sort of the forward slots by (cluster, intra before boundary,
+    member position, slot) lays out every record's links.
     """
     store_dir = Path(store_dir)
     store_dir.mkdir(parents=True, exist_ok=True)
@@ -391,17 +373,16 @@ def write_store(store_dir: str | Path, g: DataGraph, clustering: Clustering,
     leaving = np.bincount(cluster[bound], minlength=k)
     crossing = leaving + np.bincount(mapping[dst[bound]], minlength=k)
     local = position[src]
-    far = np.where(bound, dst, position[dst])
     w = np.stack([g.edge_weight[fwd], g.edge_weight[g.pair_slot[fwd]]], axis=1)
     prestige = g.prestige[clustering.node_order]
     starts = np.zeros(k + 1, dtype=np.int64)
     np.cumsum(intra + leaving, out=starts[1:])
     runs = zip(clustering.cluster_offset.tolist(),
                clustering.cluster_offset[1:].tolist(), starts.tolist(),
-               (starts[:-1] + intra).tolist(), starts[1:].tolist())
+               starts[1:].tolist())
     records = [write_cluster(ClusterPayload(
-        c, prestige[m0:m1], local[a:b], far[a:b], w[a:b],
-        local[b:e], far[b:e], w[b:e])) for c, (m0, m1, a, b, e) in enumerate(runs)]
+        c, prestige[m0:m1], local[a:e], dst[a:e], w[a:e]))
+        for c, (m0, m1, a, e) in enumerate(runs)]
     offset = np.zeros(k + 1, dtype=np.int64)
     offset[1:] = np.cumsum([len(r) for r in records])
     crc = np.array([int.from_bytes(r[-4:], "little") for r in records],
@@ -480,6 +461,10 @@ class ClusterStore:
         if payload.member_count != members:
             raise StorageFormatError(f"{name}: holds {payload.member_count} members, "
                                      f"{GRAPH_FILE} has {members}")
+        if np.any(payload.src >= members) \
+                or np.any(payload.dst >= self.clustering.node_count):
+            raise StorageFormatError(f"{name}: a link end lies outside the "
+                                     "cluster's members or the graph")
         self.clusters_read += 1
         self.bytes_read += len(record)
         self._cache[cluster_id] = payload
@@ -502,9 +487,9 @@ def expand_clusters(store: ClusterStore, cluster_ids) -> ExpandedGraph:
     """Materialize the subgraph induced by the given clusters.
 
     Nodes are numbered cluster by cluster in ascending id, members in
-    clustering order.  Each record adds its intra links, then its boundary
-    links whose far end lies in a requested cluster, as columns; the stored
-    record provides the weights of both directions.
+    clustering order.  Each record adds, in stored order, its links whose
+    far end lies in a requested cluster, as columns; the stored record
+    provides the weights of both directions.
     """
     ids = tuple(sorted(set(int(c) for c in cluster_ids)))
     clustering = store.clustering
@@ -517,12 +502,12 @@ def expand_clusters(store: ClusterStore, cluster_ids) -> ExpandedGraph:
     u, v, w_fwd, w_bwd = [], [], [], []
     for payload in payloads:
         first = builder.add_nodes(payload.prestige).start
-        far = local[payload.bound_dst]
+        far = local[payload.dst]
         kept = far >= 0
-        u += (payload.intra_src + first, payload.bound_src[kept] + first)
-        v += (payload.intra_dst + first, far[kept])
-        w_fwd += (payload.intra_w[:, 0], payload.bound_w[kept, 0])
-        w_bwd += (payload.intra_w[:, 1], payload.bound_w[kept, 1])
+        u.append(payload.src[kept] + first)
+        v.append(far[kept])
+        w_fwd.append(payload.w[kept, 0])
+        w_bwd.append(payload.w[kept, 1])
     if payloads:
         builder.add_links(*map(np.concatenate, (u, v, w_fwd, w_bwd)))
     return ExpandedGraph(builder.build(), global_ids,

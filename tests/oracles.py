@@ -250,15 +250,11 @@ def expand_reference(store, cluster_ids):
             global_ids.append(int(node))
     for p in payloads:
         members = store.clustering.members(p.cluster_id)
-        for i in range(len(p.intra_src)):
-            links.append((local[int(members[p.intra_src[i]])],
-                          local[int(members[p.intra_dst[i]])],
-                          float(p.intra_w[i, 0]), float(p.intra_w[i, 1])))
-        for i in range(len(p.bound_src)):
-            if int(mapping[p.bound_dst[i]]) in ids:
-                links.append((local[int(members[p.bound_src[i]])],
-                              local[int(p.bound_dst[i])],
-                              float(p.bound_w[i, 0]), float(p.bound_w[i, 1])))
+        for i in range(len(p.src)):
+            if int(mapping[p.dst[i]]) in ids:
+                links.append((local[int(members[p.src[i]])],
+                              local[int(p.dst[i])],
+                              float(p.w[i, 0]), float(p.w[i, 1])))
     return build_graph_reference(prestige, links), global_ids
 
 
@@ -348,9 +344,9 @@ def make_cluster_payload(g, clustering, cluster_id):
     """One cluster record's payload, walking each member's slots in order.
 
     Every link whose foreign-key source node lives in the cluster is
-    recorded once, as an intra link (target in the same cluster, both ends
-    as member positions) or a boundary link (target elsewhere, by global
-    id), with its forward and backward weights.
+    recorded once, source as member position and target as global id, with
+    its forward and backward weights: links with both ends in the cluster
+    first, then the ones leaving it.
     """
     members = [int(x) for x in clustering.members(cluster_id)]
     intra, bound = [], []
@@ -360,17 +356,14 @@ def make_cluster_payload(g, clustering, cluster_id):
                 continue
             ws = (w, float(g.edge_weight[g.pair_slot[j]]))
             if int(clustering.node_mapping[v]) == cluster_id:
-                intra.append((i, members.index(v)) + ws)
+                intra.append((i, v) + ws)
             else:
                 bound.append((i, v) + ws)
-
-    def columns(rows):
-        ends = np.array([r[:2] for r in rows], dtype=np.int64).reshape(-1, 2)
-        w = np.array([r[2:] for r in rows], dtype=np.float32).reshape(-1, 2)
-        return ends[:, 0], ends[:, 1], w
-
-    return ClusterPayload(cluster_id, g.prestige[members], *columns(intra),
-                          *columns(bound))
+    rows = intra + bound
+    ends = np.array([r[:2] for r in rows], dtype=np.int64).reshape(-1, 2)
+    weights = np.array([r[2:] for r in rows], dtype=np.float32).reshape(-1, 2)
+    return ClusterPayload(cluster_id, g.prestige[members], ends[:, 0],
+                          ends[:, 1], weights)
 
 
 def connection_members_reference(g, max_size, rng):

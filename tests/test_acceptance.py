@@ -56,7 +56,7 @@ def planted_store(rng, store_dir, n, terms, per_term, max_size):
     meta = NodeMeta(["rel"], np.zeros(n, dtype=np.int32), texts,
                     [f"rel:{i}" for i in range(n)])
     store_dir.mkdir(parents=True, exist_ok=True)
-    write_tuple_graph(store_dir / TUPLES_FILE, g, meta)
+    write_tuple_graph(store_dir / TUPLES_FILE, g)
     index = build_index(meta)
     write_keyword_index(store_dir / INDEX_FILE, index)
     build_store(store_dir, algorithm="close1", max_size=max_size)
@@ -250,8 +250,7 @@ def test_criterion_07_storage_round_trip(tmp_path):
             lambda r: r.randint(1, 4), max_size=rng.randint(2, 6))
         d = tmp_path / f"s{trial}"
 
-        tg, tmeta = read_tuple_graph(d / TUPLES_FILE)
-        write_tuple_graph(scratch / "t.emb", tg, tmeta)
+        write_tuple_graph(scratch / "t.emb", read_tuple_graph(d / TUPLES_FILE))
         assert (scratch / "t.emb").read_bytes() == \
             (d / TUPLES_FILE).read_bytes()
 

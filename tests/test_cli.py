@@ -256,7 +256,7 @@ def test_combiner_flags_set_the_stored_cluster_graph(corpus, tmp_path, capsys):
     _, store = corpus
     copy = tmp_path / "store"
     shutil.copytree(store, copy)
-    g, _ = read_tuple_graph(copy / "tuples.emb")
+    g = read_tuple_graph(copy / "tuples.emb")
     clustering = cluster_close_to_1(g, 5)
     prestiges, weights = set(), set()
     for edge_flag, edge in [("invsum", "inverse-sum"),

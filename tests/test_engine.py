@@ -39,7 +39,7 @@ def make_store(rng, store_dir, n=40, algorithm="close1", max_size=4,
     meta = NodeMeta(["rel"], np.zeros(n, dtype=np.uint16), texts,
                     [str(i) for i in range(n)])
     store_dir.mkdir(parents=True, exist_ok=True)
-    write_tuple_graph(store_dir / TUPLES_FILE, g, meta)
+    write_tuple_graph(store_dir / TUPLES_FILE, g)
     write_keyword_index(store_dir / INDEX_FILE, build_index(meta))
     summary = build_store(store_dir, algorithm, max_size, seed=3)
     return g, meta, summary, ClusterStore.open(store_dir)
@@ -415,7 +415,8 @@ def test_two_phase_grid_regression_pin(tmp_path):
 
     Each phase's work counts are pinned; of the answer counts only the
     total's, the number of answers returned.  Each query opens the store
-    afresh, so disk counts do not depend on grid order.
+    afresh, so disk counts do not depend on grid order; bytes read follow
+    the record layout, so a store format change moves both digests.
     """
     grid = [dict(extra_policy=extra, gamma=gamma, max_refetch=refetch,
                  budget=budget, phase1_algorithm=algo, phase2_algorithm=algo)
@@ -450,9 +451,9 @@ def test_two_phase_grid_regression_pin(tmp_path):
     digests = {name: hashlib.sha256(repr(r).encode()).hexdigest()[:16]
                for name, r in rows.items()}
     assert refetches["all"] == 582
-    assert digests["all"] == "1494c4c594c95370"
+    assert digests["all"] == "7bae47c4564d5140"
     assert refetches["default"] == 594
-    assert digests["default"] == "30054193fb0c1ab1"
+    assert digests["default"] == "e10e840e3ca28109"
 
 
 @pytest.fixture(scope="module")
@@ -471,27 +472,27 @@ def file_digest(path):
 
 STORE_PINS = {
     # (algorithm, edge combiner, prestige combiner): (graph.emb, clusters.emb)
-    ("close1", "inverse-sum", "sum"): ("a5e50db671665ef0", "79f6fe940ceebdb4"),
-    ("close1", "harmonic-mean", "max"): ("2b4e284797cdb18b", "79f6fe940ceebdb4"),
-    ("close1", "min", "avg"): ("38af498b7f291874", "79f6fe940ceebdb4"),
-    ("greedymin", "inverse-sum", "sum"): ("0fbefaefb2711007", "b3339ab21e19de8e"),
-    ("greedymin", "harmonic-mean", "max"): ("02adeae093ffe3fb", "b3339ab21e19de8e"),
-    ("greedymin", "min", "avg"): ("06181d240e0be676", "b3339ab21e19de8e"),
-    ("connection", "inverse-sum", "sum"): ("883228d3aabf4e31", "b7a1c8841193b940"),
-    ("connection", "harmonic-mean", "max"): ("3475ce62895c71ae", "b7a1c8841193b940"),
-    ("connection", "min", "avg"): ("1b9990745a6f800e", "b7a1c8841193b940"),
-    ("adjacency", "inverse-sum", "sum"): ("3888aad32b1772fb", "90b9e7065531a703"),
-    ("adjacency", "harmonic-mean", "max"): ("e6bd12491c19f51f", "90b9e7065531a703"),
-    ("adjacency", "min", "avg"): ("79fcb4e6889e8328", "90b9e7065531a703"),
+    ("close1", "inverse-sum", "sum"): ("2306045d157e35df", "3dcb00d704c4a4c6"),
+    ("close1", "harmonic-mean", "max"): ("d7148835f9aabfc6", "3dcb00d704c4a4c6"),
+    ("close1", "min", "avg"): ("595ba37772e6c29c", "3dcb00d704c4a4c6"),
+    ("greedymin", "inverse-sum", "sum"): ("feecbe9177cc9df0", "4d65b25ac1433ee4"),
+    ("greedymin", "harmonic-mean", "max"): ("072fdd1aa4b329c0", "4d65b25ac1433ee4"),
+    ("greedymin", "min", "avg"): ("86d9bce05ef2766a", "4d65b25ac1433ee4"),
+    ("connection", "inverse-sum", "sum"): ("f23caa2c364a17bc", "9db756dfb1898835"),
+    ("connection", "harmonic-mean", "max"): ("d79b75616ce6ebe3", "9db756dfb1898835"),
+    ("connection", "min", "avg"): ("0c8d9b94e20bd11b", "9db756dfb1898835"),
+    ("adjacency", "inverse-sum", "sum"): ("a811a78ec80410a3", "a59ceea4a6d4ea5a"),
+    ("adjacency", "harmonic-mean", "max"): ("5af89097e88d6c64", "a59ceea4a6d4ea5a"),
+    ("adjacency", "min", "avg"): ("d3dc2651875cf71d", "a59ceea4a6d4ea5a"),
 }
 
 
 @pytest.mark.parametrize("algorithm,edge,prestige", sorted(STORE_PINS))
 def test_store_bytes_pin(synth_store, algorithm, edge, prestige):
     """Every byte of the store, under each clustering algorithm and three
-    combiner pairs, as of store format 7."""
-    assert file_digest(synth_store / TUPLES_FILE) == "3a31dea2c76fc9d8"
-    assert file_digest(synth_store / INDEX_FILE) == "c3472a190a04880d"
+    combiner pairs, as of store format 8."""
+    assert file_digest(synth_store / TUPLES_FILE) == "589d317b8286bc69"
+    assert file_digest(synth_store / INDEX_FILE) == "5a9989b30cf2f271"
     build_store(synth_store, algorithm, 8, WeightConfig(edge, prestige))
     assert (file_digest(synth_store / "graph.emb"),
             file_digest(synth_store / "clusters.emb")) == \

@@ -13,7 +13,8 @@ from embanks.clustering import (Clustering, WeightConfig, _from_member_lists,
                                 min_crossing_weights)
 from embanks.graph import NodeMeta
 from embanks.keywords import KeywordIndex, build_index
-from embanks.storage import (CLUSTERS_FILE, ClusterStore, StorageError,
+from embanks.storage import (CLUSTERS_FILE, FORMAT_VERSION, GRAPH_FILE,
+                             ClusterStore, StorageError,
                              StorageFormatError, expand_clusters, read_cluster,
                              read_compressed_graph, read_keyword_index,
                              read_tuple_graph, write_cluster,
@@ -57,36 +58,39 @@ def built_store(rng, tmp_path, n=24, cl=None, g=None):
 
 def test_tuple_graph_round_trip(rng, tmp_path):
     g = random_graph(rng, 15, extra_links=6)
-    meta = random_meta(rng, 15)
     p1, p2 = tmp_path / "a.emb", tmp_path / "b.emb"
-    write_tuple_graph(p1, g, meta)
-    g2, meta2 = read_tuple_graph(p1)
+    write_tuple_graph(p1, g)
+    g2 = read_tuple_graph(p1)
     assert g2.node_count == g.node_count
     for name in ("prestige", "adjacency_offset", "adjacent_nodes",
                  "edge_weight", "edge_direction", "pair_slot"):
         assert np.array_equal(getattr(g2, name), getattr(g, name)), name
-    assert meta2.relation_names == meta.relation_names
-    assert np.array_equal(meta2.node_relation, meta.node_relation)
-    assert meta2.node_text == meta.node_text
-    assert meta2.node_key == meta.node_key
-    write_tuple_graph(p2, g2, meta2)
+    write_tuple_graph(p2, g2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_tuple_graph_byte_length(rng, tmp_path):
-    """tuples.emb holds exactly its listed arrays: no per-node type array."""
-    n = 15
-    g = random_graph(rng, n, extra_links=6)
-    meta = random_meta(rng, n)
-    path = tmp_path / "t.emb"
-    write_tuple_graph(path, g, meta)
-    m = g.slot_count
-    graph_arrays = 4 * n + 4 * (n + 1) + 12 * m + (m + 7) // 8
-    # relation names, node texts and node keys: one string column each
-    columns = sum(4 * (len(column) + 1) + sum(len(t.encode()) for t in column)
-                  for column in (meta.relation_names, meta.node_text,
-                                 meta.node_key))
-    assert path.stat().st_size == 20 + graph_arrays + 2 * n + columns + 4
+    """tuples.emb holds the header, the graph arrays and the CRC, and a
+    cluster record its header, member prestige, links and CRC: no row
+    metadata, node types, member ids or target clusters."""
+    for trial in range(12):
+        n = rng.randint(1, 30)
+        g = random_graph(rng, n, extra_links=rng.randint(0, n))
+        if trial % 3 == 0:
+            g = with_self_loops(rng, g, 2)
+        m = g.slot_count
+        path = tmp_path / f"t{trial}.emb"
+        write_tuple_graph(path, g)
+        assert path.stat().st_size == \
+            16 + 4 * n + 4 * (n + 1) + 12 * m + (m + 7) // 8 + 4
+        cl = grown_clustering(rng, "close1", g, rng.randint(1, 5))
+        _, _, store = built_store(rng, tmp_path / str(trial), g=g, cl=cl)
+        # a record's links: the forward slots whose source is a member
+        links = np.bincount(cl.node_mapping[g.slot_source[g.edge_direction]],
+                            minlength=cl.cluster_count)
+        members = np.diff(cl.cluster_offset)
+        assert np.array_equal(np.diff(store.header.record_offset),
+                              24 + 4 * members + 16 * links)
 
 
 def test_compressed_graph_round_trip(rng, tmp_path):
@@ -132,16 +136,12 @@ def test_cluster_payload_round_trip(rng):
     for c in range(cl.cluster_count):
         payload = make_cluster_payload(g, cl, c)
         assert payload.member_count == len(cl.members(c))
-        assert np.all(cl.node_mapping[payload.bound_dst] != c)
+        inside = cl.node_mapping[payload.dst] == c
+        assert np.all(inside[:-1] >= inside[1:])    # intra links first
         record = write_cluster(payload)
-        # header, member prestige, links with both weights, CRC: no member
-        # ids, node types or target clusters
-        ln, lb = len(payload.intra_src), len(payload.bound_src)
-        assert len(record) == 24 + 4 * payload.member_count + 16 * ln + 16 * lb + 4
         back = read_cluster(record)
         assert back.cluster_id == c
-        for name in ("prestige", "intra_src", "intra_dst", "intra_w",
-                     "bound_src", "bound_dst", "bound_w"):
+        for name in ("prestige", "src", "dst", "w"):
             assert np.array_equal(getattr(back, name), getattr(payload, name)), name
         assert write_cluster(back) == record
 
@@ -187,7 +187,7 @@ def test_graph_file_of_another_version_is_rejected(rng, tmp_path):
     built_store(rng, tmp_path, n=12)
     path = tmp_path / "graph.emb"
     raw = bytearray(path.read_bytes())
-    for version in (3, 4, 5, 6, 8):
+    for version in (*range(3, FORMAT_VERSION), FORMAT_VERSION + 1):
         raw[4] = version
         body = bytes(raw[:-4])
         path.write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))
@@ -222,6 +222,32 @@ def test_member_count_differing_from_graph_file_is_rejected(rng, tmp_path):
         store.read_cluster(other)
     with pytest.raises(StorageFormatError,
                        match=f"cluster {c}: holds {len(cl.members(c))} members"):
+        store.read_cluster(c)
+
+
+@pytest.mark.parametrize("end", ["src", "dst"])
+def test_out_of_range_link_end_is_rejected(rng, tmp_path, end):
+    """A link from one past the cluster's members, which expansion would
+    join to the next cluster's first member, or to one past the last node
+    fails the read, even with offsets and CRCs consistent across
+    clusters.emb and graph.emb."""
+    g, cl, store = built_store(rng, tmp_path, n=24)
+    c = next(c for c in range(cl.cluster_count - 1)
+             if len(store.read_cluster(c).src))
+    payload = make_cluster_payload(g, cl, c)
+    getattr(payload, end)[0] = {"src": len(cl.members(c)), "dst": g.node_count}[end]
+    record = write_cluster(payload)
+    start, stop = store.header.record_offset[c:c + 2].tolist()
+    assert stop - start == len(record)
+    path = tmp_path / CLUSTERS_FILE
+    packed = path.read_bytes()
+    path.write_bytes(packed[:start] + record + packed[stop:])
+    crc = store.header.record_crc.copy()
+    crc[c] = zlib.crc32(record[:-4])
+    write_compressed_graph(tmp_path / GRAPH_FILE,
+                           replace(store.header, record_crc=crc))
+    store = ClusterStore.open(tmp_path)
+    with pytest.raises(StorageFormatError, match=f"cluster {c}: a link end lies"):
         store.read_cluster(c)
 
 
@@ -316,7 +342,7 @@ def test_keyword_index_offsets_are_checked(tmp_path, term_offsets,
     """index.kwi: magic, version, term count, the term column, the posting
     offsets, then the ids; offsets that would misplace a list are rejected
     even under a valid checksum."""
-    body = (b"EMBI" + _u32s([7, 2] + term_offsets) + b"applepear"
+    body = (b"EMBI" + _u32s([FORMAT_VERSION, 2] + term_offsets) + b"applepear"
             + _u32s(posting_offsets) + _u32s([0, 2, 9, 1, 70_000]))
     path = tmp_path / "i.kwi"
     path.write_bytes(_resealed(body))
@@ -343,9 +369,8 @@ def test_keyword_index_terms_must_ascend(tmp_path, terms):
 
 def test_corruption_detection(rng, tmp_path):
     g = random_graph(rng, 12, extra_links=4)
-    meta = random_meta(rng, 12)
     path = tmp_path / "t.emb"
-    write_tuple_graph(path, g, meta)
+    write_tuple_graph(path, g)
     raw = bytearray(path.read_bytes())
 
     flipped = bytearray(raw)
@@ -373,16 +398,17 @@ def test_corruption_detection(rng, tmp_path):
         versioned[4] = version
         return _resealed(bytes(versioned[:-4]))
 
-    path.write_bytes(restamped(raw, 7))
+    others = (*range(1, FORMAT_VERSION), 99)
+    path.write_bytes(restamped(raw, FORMAT_VERSION))
     read_tuple_graph(path)
-    for version in (1, 2, 3, 4, 5, 6, 99):
+    for version in others:
         path.write_bytes(restamped(raw, version))
         with pytest.raises(StorageFormatError, match="unsupported version"):
             read_tuple_graph(path)
 
     record = write_cluster(make_cluster_payload(g, random_clustering(rng, 12, 4), 0))
-    read_cluster(restamped(record, 7))
-    for version in (1, 2, 3, 4, 5, 6, 99):
+    read_cluster(restamped(record, FORMAT_VERSION))
+    for version in others:
         with pytest.raises(StorageFormatError, match="unsupported version"):
             read_cluster(restamped(record, version))
 
