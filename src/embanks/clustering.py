@@ -77,25 +77,29 @@ class Clustering:
     """
 
     node_mapping: np.ndarray   # int64 [n]
-    node_order: np.ndarray     # int64 [n]
-    cluster_offset: np.ndarray  # int64 [k + 1]
+    node_order: np.ndarray     # integer [n]; a read store keeps uint32
+    cluster_offset: np.ndarray  # integer [k + 1]; a read store keeps uint32
     max_cluster_size: int
 
     @classmethod
     def from_order(cls, node_order: np.ndarray, cluster_offset: np.ndarray,
                    max_cluster_size: int) -> Clustering:
-        """Derive ``node_mapping`` from the other two arrays.
+        """Derive ``node_mapping`` from the other two arrays, kept as given.
 
         Raises ClusteringError unless ``node_order`` is a permutation of the
-        nodes and ``cluster_offset`` climbs from 0 to its length.
+        nodes and ``cluster_offset`` climbs from 0 to its length.  The
+        checks compare rather than subtract, so unsigned arrays cannot wrap.
         """
-        n, sizes = len(node_order), np.diff(cluster_offset)
-        if cluster_offset[0] != 0 or cluster_offset[-1] != n or np.any(sizes < 0) \
-                or np.any((node_order < 0) | (node_order >= n)):
+        n = len(node_order)
+        if cluster_offset[0] != 0 or cluster_offset[-1] != n \
+                or np.any(cluster_offset[1:] < cluster_offset[:-1]) \
+                or n and (node_order.min() < 0 or node_order.max() >= n):
             raise ClusteringError("cluster_offset must split node_order into clusters")
         mapping = np.full(n, -1, dtype=np.int64)
-        mapping[node_order] = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
-        if np.any(mapping < 0):
+        k = len(cluster_offset) - 1
+        mapping[node_order] = np.repeat(np.arange(k, dtype=np.int32),
+                                        np.diff(cluster_offset))
+        if n and mapping.min() < 0:
             raise ClusteringError("clustering did not cover every node exactly once")
         return cls(mapping, node_order, cluster_offset, max_cluster_size)
 

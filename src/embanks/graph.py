@@ -80,16 +80,17 @@ class DataGraph:
     ``j`` describes a traversable edge ``u -> adjacent_nodes[j]`` whose
     weight is ``edge_weight[j]``; ``edge_direction[j]`` is True when the
     traversal follows the foreign-key direction.  ``pair_slot[j]`` is the
-    slot of the same link seen from the other endpoint.
+    slot of the same link seen from the other endpoint.  The integer
+    arrays are int64 in a built graph and uint32, as stored, in a read one.
     """
 
     node_count: int
     prestige: np.ndarray        # float32 [n]
-    adjacency_offset: np.ndarray  # int64 [n + 1]
-    adjacent_nodes: np.ndarray  # int64 [m]
+    adjacency_offset: np.ndarray  # integer [n + 1]
+    adjacent_nodes: np.ndarray  # integer [m]
     edge_weight: np.ndarray     # float32 [m]
     edge_direction: np.ndarray  # bool [m], True = forward
-    pair_slot: np.ndarray       # int64 [m]
+    pair_slot: np.ndarray       # integer [m]
 
     @property
     def slot_count(self) -> int:
@@ -150,7 +151,8 @@ class DataGraph:
         """Check the structural invariants, raising GraphError on breach."""
         if len(self.adjacency_offset) != self.node_count + 1:
             raise GraphError("adjacency_offset length must be node_count + 1")
-        if self.adjacency_offset[0] != 0 or np.any(np.diff(self.adjacency_offset) < 0):
+        offset = self.adjacency_offset
+        if offset[0] != 0 or np.any(offset[1:] < offset[:-1]):
             raise GraphError("adjacency_offset must be nondecreasing from 0")
         if int(self.adjacency_offset[-1]) != self.slot_count:
             raise GraphError("adjacency_offset must end at the slot count")

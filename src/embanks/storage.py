@@ -34,10 +34,22 @@ version is rejected, so a store written by an older release must be rebuilt
 with ``ingest`` then ``cluster``.  Cluster cost bounds are not stored:
 ``clustering`` derives them from the tuple graph and the clustering when
 they are needed.
+
+Readers map each file read-only (a file shorter than one page is read
+instead), check it with one CRC pass, and hand out
+``np.frombuffer`` views in the stored little-endian dtypes, which are
+read-only; only derived arrays such as the node-to-cluster mapping are
+computed.  ``ClusterStore.open`` maps graph.emb and clusters.emb, so an
+open store reads only the records it needs.  Writers write a temporary
+file beside the target, fsync it and rename it over the target, so a
+reader keeps the file it mapped when a store is rebuilt.  Truncating a
+mapped file in place with another tool can instead kill a reader with
+SIGBUS when it touches a page past the new end.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
 import zlib
 from dataclasses import dataclass, field
@@ -99,41 +111,68 @@ class _Writer:
 
     def finish(self, path: Path) -> int:
         blob = self.blob()
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "wb") as fh:
-            fh.write(blob)
-            fh.flush()
-            os.fsync(fh.fileno())
+        _replace_file(path, [blob])
         return len(blob)
 
 
-def _read_bytes(path: Path, start: int = 0, size: int = -1) -> bytes:
+def _replace_file(path: Path, parts) -> None:
+    """Write ``parts`` to a temporary file beside ``path``, fsync it and
+    rename it over ``path``, so a reader that mapped the old file keeps
+    reading the old bytes."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(path, "rb") as fh:
-            fh.seek(start)
-            return fh.read(size)
+        with open(tmp, "wb") as fh:
+            fh.writelines(parts)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _map_file(path: Path) -> memoryview:
+    """The bytes of ``path``, mapped read-only.  A file shorter than one
+    page is read instead: reading it costs less than mapping it, and an
+    empty file cannot be mapped."""
+    try:
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            size = os.fstat(fd).st_size
+            if size < mmap.PAGESIZE:
+                return memoryview(os.read(fd, size))
+            return memoryview(mmap.mmap(fd, 0, access=mmap.ACCESS_READ))
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise StorageError(f"{path}: {exc}") from exc
 
 
 class _Reader:
-    def __init__(self, blob: bytes, magic: bytes, name: str) -> None:
+    """Checks one file or record whole, then hands out views of its bytes.
+
+    Arrays are ``np.frombuffer`` views in the stored dtype; the buffer is
+    read-only, so they are too, and they keep it alive.
+    """
+
+    def __init__(self, data: memoryview, magic: bytes, name: str) -> None:
         self.name = name
-        if len(blob) < 12:
+        if len(data) < 12:
             raise StorageFormatError(f"{name}: truncated file")
-        body, crc = blob[:-4], int.from_bytes(blob[-4:], "little")
+        body, crc = data[:-4], int.from_bytes(data[-4:], "little")
         if zlib.crc32(body) != crc:
             raise StorageFormatError(f"{name}: checksum mismatch")
         self._body = body
         self._pos = 0
-        got = self.raw(4)
+        got = bytes(self.raw(4))
         if got != magic:
             raise StorageFormatError(f"{name}: bad magic {got!r}")
         version = self.u32()
         if version != FORMAT_VERSION:
             raise StorageFormatError(f"{name}: unsupported version {version}")
 
-    def raw(self, n: int) -> bytes:
+    def raw(self, n: int) -> memoryview:
         if self._pos + n > len(self._body):
             raise StorageFormatError(f"{self.name}: truncated file")
         out = self._body[self._pos:self._pos + n]
@@ -145,29 +184,38 @@ class _Reader:
 
     def arr(self, count: int, dtype: str) -> np.ndarray:
         dt = np.dtype(dtype)
-        return np.frombuffer(self.raw(count * dt.itemsize), dtype=dt).copy()
+        return np.frombuffer(self.raw(count * dt.itemsize), dtype=dt)
 
     def bits(self, count: int) -> np.ndarray:
         packed = np.frombuffer(self.raw((count + 7) // 8), dtype=np.uint8)
-        return np.unpackbits(packed, count=count).astype(bool)
+        return _read_only(np.unpackbits(packed, count=count).view(bool))
 
-    def offsets(self, count: int) -> np.ndarray:
-        """``count + 1`` uint32 offsets into the column that follows them."""
-        offsets = self.arr(count + 1, "<u4")
+    def offsets(self, count: int, dtype: str = "<u4") -> np.ndarray:
+        """``count + 1`` offsets into the column or file they delimit."""
+        offsets = self.arr(count + 1, dtype)
         if offsets[0] != 0 or np.any(offsets[1:] < offsets[:-1]):
             raise StorageFormatError(f"{self.name}: column offsets must start "
                                      "at 0 and never decrease")
         return offsets
 
     def strings(self, count: int) -> list[str]:
-        bounds = self.offsets(count).tolist()
-        blob = self.raw(bounds[-1])
-        return [blob[a:b].decode("utf-8") for a, b in zip(bounds, bounds[1:])]
+        ends = self.offsets(count).tolist()
+        blob = bytes(self.raw(ends[-1]))
+        pairs = zip(ends, ends[1:])
+        if blob.isascii():          # one decode; byte offsets are char offsets
+            text = blob.decode("ascii")
+            return [text[a:b] for a, b in pairs]
+        return [blob[a:b].decode("utf-8") for a, b in pairs]
 
     def done(self) -> None:
         if self._pos != len(self._body):
             raise StorageFormatError(f"{self.name}: {len(self._body) - self._pos} "
                                      "trailing bytes")
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _write_graph_arrays(w: _Writer, g: DataGraph) -> None:
@@ -180,14 +228,19 @@ def _write_graph_arrays(w: _Writer, g: DataGraph) -> None:
 
 
 def _read_graph_arrays(r: _Reader, n: int, m: int) -> DataGraph:
+    prestige = r.arr(n, "<f4")
+    offset = r.offsets(n)
+    if offset[-1] != m:
+        raise StorageFormatError(f"{r.name}: adjacency offsets end at "
+                                 f"{offset[-1]}, not at the {m} slots")
     return DataGraph(
         node_count=n,
-        prestige=r.arr(n, "<f4"),
-        adjacency_offset=r.arr(n + 1, "<u4").astype(np.int64),
-        adjacent_nodes=r.arr(m, "<u4").astype(np.int64),
+        prestige=prestige,
+        adjacency_offset=offset,
+        adjacent_nodes=r.arr(m, "<u4"),
         edge_weight=r.arr(m, "<f4"),
         edge_direction=r.bits(m),
-        pair_slot=r.arr(m, "<u4").astype(np.int64),
+        pair_slot=r.arr(m, "<u4"),
     )
 
 
@@ -204,7 +257,7 @@ def write_tuple_graph(path: str | Path, g: DataGraph) -> int:
 
 
 def read_tuple_graph(path: str | Path) -> DataGraph:
-    r = _Reader(_read_bytes(Path(path)), MAGIC_TUPLES, str(path))
+    r = _Reader(_map_file(Path(path)), MAGIC_TUPLES, str(path))
     n = r.u32()
     g = _read_graph_arrays(r, n, r.u32())
     r.done()
@@ -244,23 +297,24 @@ def write_compressed_graph(path: str | Path, header: StoreHeader) -> int:
 
 
 def read_compressed_graph(path: str | Path) -> StoreHeader:
-    r = _Reader(_read_bytes(Path(path)), MAGIC_GRAPH, str(path))
+    r = _Reader(_map_file(Path(path)), MAGIC_GRAPH, str(path))
     k = r.u32()
     m = r.u32()
     n = r.u32()
     max_size = r.u32()
     graph = _read_graph_arrays(r, k, m)
-    order = r.arr(n, "<u4").astype(np.int64)
-    cluster_offset = r.arr(k + 1, "<u4").astype(np.int64)
-    intra = r.arr(k, "<u4").astype(np.int64)
-    crossing = r.arr(k, "<u4").astype(np.int64)
-    offset = r.arr(k + 1, "<u8").astype(np.int64)
-    crc = r.arr(k, "<u4").astype(np.int64)
+    order = r.arr(n, "<u4")
+    cluster_offset = r.arr(k + 1, "<u4")
+    intra = r.arr(k, "<u4")
+    crossing = r.arr(k, "<u4")
+    offset = r.offsets(k, "<u8")
+    crc = r.arr(k, "<u4")
     r.done()
     try:
         clustering = Clustering.from_order(order, cluster_offset, max_size)
     except ClusteringError as exc:
         raise StorageFormatError(f"{path}: {exc}") from exc
+    _read_only(clustering.node_mapping)
     return StoreHeader(graph, clustering, intra, crossing, offset, crc)
 
 
@@ -281,8 +335,8 @@ class ClusterPayload:
 
     cluster_id: int
     prestige: np.ndarray     # float32, one per member
-    src: np.ndarray          # int64, local member index
-    dst: np.ndarray          # int64, global node id
+    src: np.ndarray          # uint32 as read, local member index
+    dst: np.ndarray          # uint32 as read, global node id
     w: np.ndarray            # float32 [l, 2] forward/backward
 
     @property
@@ -304,16 +358,18 @@ def write_cluster(payload: ClusterPayload) -> bytes:
     return w.blob()
 
 
-def read_cluster(record: bytes, name: str = "cluster record") -> ClusterPayload:
-    r = _Reader(record, MAGIC_CLUSTER, name)
+def read_cluster(record, name: str = "cluster record") -> ClusterPayload:
+    """Check and decode one record, any bytes-like object; the arrays are
+    read-only views of it."""
+    r = _Reader(memoryview(record), MAGIC_CLUSTER, name)
     cid = r.u32()
     nm = r.u32()
     links = r.u32()
     payload = ClusterPayload(
         cluster_id=cid,
         prestige=r.arr(nm, "<f4"),
-        src=r.arr(links, "<u4").astype(np.int64),
-        dst=r.arr(links, "<u4").astype(np.int64),
+        src=r.arr(links, "<u4"),
+        dst=r.arr(links, "<u4"),
         w=r.arr(2 * links, "<f4").reshape(links, 2),
     )
     r.done()
@@ -336,12 +392,12 @@ def write_keyword_index(path: str | Path, index: KeywordIndex) -> int:
 def read_keyword_index(path: str | Path) -> KeywordIndex:
     """Check the whole file and keep its posting ids as stored; a lookup
     turns only its own list into ids."""
-    r = _Reader(_read_bytes(Path(path)), MAGIC_INDEX, str(path))
+    r = _Reader(_map_file(Path(path)), MAGIC_INDEX, str(path))
     terms = r.strings(r.u32())
     offsets = r.offsets(len(terms))
     ids = r.arr(int(offsets[-1]), "<u4")
     r.done()
-    if not all(map(str.__lt__, terms, terms[1:])):
+    if len(set(terms)) != len(terms) or terms != sorted(terms):
         raise StorageFormatError(f"{path}: terms are not strictly ascending")
     return KeywordIndex(terms, offsets, ids)
 
@@ -387,10 +443,7 @@ def write_store(store_dir: str | Path, g: DataGraph, clustering: Clustering,
     offset[1:] = np.cumsum([len(r) for r in records])
     crc = np.array([int.from_bytes(r[-4:], "little") for r in records],
                    dtype=np.int64)
-    with open(store_dir / CLUSTERS_FILE, "wb") as fh:
-        fh.writelines(records)
-        fh.flush()
-        os.fsync(fh.fileno())
+    _replace_file(store_dir / CLUSTERS_FILE, records)
     header = StoreHeader(cluster_graph, clustering, intra, crossing, offset, crc)
     write_compressed_graph(store_dir / GRAPH_FILE, header)
 
@@ -407,10 +460,15 @@ class ExpandedGraph:
 
 @dataclass
 class ClusterStore:
-    """Read access to one store directory, counting disk traffic."""
+    """Read access to one store directory, counting disk traffic.
+
+    graph.emb and clusters.emb are mapped when the store opens, so a store
+    keeps reading the build it opened after ``cluster`` replaces the files.
+    """
 
     dir: Path
     header: StoreHeader
+    records: memoryview             # clusters.emb
     clusters_read: int = 0
     bytes_read: int = 0
     _cache: dict[int, ClusterPayload] = field(default_factory=dict)
@@ -421,13 +479,10 @@ class ClusterStore:
         store_dir = Path(store_dir)
         header = read_compressed_graph(store_dir / GRAPH_FILE)
         path = store_dir / CLUSTERS_FILE
-        try:
-            size = path.stat().st_size
-        except OSError as exc:
-            raise StorageError(f"{path}: {exc}") from exc
-        if size != header.record_offset[-1]:
+        records = _map_file(path)
+        if len(records) != header.record_offset[-1]:
             raise StorageFormatError(f"{path}: length differs from {GRAPH_FILE}")
-        return cls(store_dir, header)
+        return cls(store_dir, header, records)
 
     @property
     def cluster_graph(self) -> DataGraph:
@@ -449,7 +504,7 @@ class ClusterStore:
                                f"the store has {self.cluster_count} clusters")
         path = self.dir / CLUSTERS_FILE
         start, end = self.header.record_offset[cluster_id:cluster_id + 2].tolist()
-        record = _read_bytes(path, start, end - start)
+        record = self.records[start:end]
         name = f"{path} cluster {cluster_id}"
         crc = int.from_bytes(record[-4:], "little")
         if crc != self.header.record_crc[cluster_id]:
@@ -489,27 +544,30 @@ def expand_clusters(store: ClusterStore, cluster_ids) -> ExpandedGraph:
     Nodes are numbered cluster by cluster in ascending id, members in
     clustering order.  Each record adds, in stored order, its links whose
     far end lies in a requested cluster, as columns; the stored record
-    provides the weights of both directions.
+    provides the weights of both directions.  Far ends are looked up among
+    the expanded node ids, so the cost follows the clusters read, not the
+    store's node count.
     """
     ids = tuple(sorted(set(int(c) for c in cluster_ids)))
     clustering = store.clustering
     payloads = [store.read_cluster(c) for c in ids]
-    global_ids = np.concatenate([clustering.members(c) for c in ids]
-                                or [np.zeros(0, dtype=np.int64)])
-    local = np.full(clustering.node_count, -1, dtype=np.int64)
-    local[global_ids] = np.arange(len(global_ids), dtype=np.int64)
     builder = GraphBuilder()
-    u, v, w_fwd, w_bwd = [], [], [], []
-    for payload in payloads:
-        first = builder.add_nodes(payload.prestige).start
-        far = local[payload.dst]
-        kept = far >= 0
-        u.append(payload.src[kept] + first)
-        v.append(far[kept])
-        w_fwd.append(payload.w[kept, 0])
-        w_bwd.append(payload.w[kept, 1])
+    global_ids = np.zeros(0, dtype=np.int64)
     if payloads:
-        builder.add_links(*map(np.concatenate, (u, v, w_fwd, w_bwd)))
+        global_ids = np.concatenate([clustering.members(c) for c in ids],
+                                    dtype=np.int64)
+        builder.add_nodes(np.concatenate([p.prestige for p in payloads]))
+        sizes = [p.member_count for p in payloads]
+        starts = np.cumsum(sizes) - sizes
+        src = np.concatenate([p.src for p in payloads]) \
+            + np.repeat(starts, [len(p.src) for p in payloads])
+        dst = np.concatenate([p.dst for p in payloads])
+        w = np.concatenate([p.w for p in payloads])
+        by_id = np.argsort(global_ids)
+        ranked = global_ids[by_id]
+        at = np.minimum(np.searchsorted(ranked, dst), len(ranked) - 1)
+        kept = ranked[at] == dst
+        builder.add_links(src[kept], by_id[at[kept]], w[kept, 0], w[kept, 1])
     return ExpandedGraph(builder.build(), global_ids,
                          dict(zip(global_ids.tolist(), range(len(global_ids)))),
                          ids)

@@ -1,6 +1,7 @@
 """Two-phase query orchestration over a cluster store."""
 
 import hashlib
+import mmap
 import random
 
 import numpy as np
@@ -21,9 +22,10 @@ from embanks.synth import (SynthSpec, generate_synthetic, high_pair,
                            low_pair)
 from embanks.search import (COMBOS_BEST, NoMatchError, SearchConfig,
                             backward_search)
-from embanks.storage import (INDEX_FILE, TUPLES_FILE, ClusterStore,
-                             StorageError, expand_clusters,
-                             write_keyword_index, write_tuple_graph)
+from embanks.storage import (CLUSTERS_FILE, GRAPH_FILE, INDEX_FILE,
+                             TUPLES_FILE, ClusterStore, StorageError,
+                             expand_clusters, write_keyword_index,
+                             write_tuple_graph)
 
 from conftest import answers_digest, random_graph
 
@@ -282,6 +284,31 @@ def test_build_store_summary(rng, tmp_path, monkeypatch):
     sub = expand_clusters(store, range(store.cluster_count))
     assert sub.graph.node_count == g.node_count
     assert sub.graph.slot_count == g.slot_count
+
+
+def test_store_opened_before_a_rebuild_keeps_its_build(rng, tmp_path):
+    """``cluster`` replaces graph.emb and clusters.emb by rename, so a store
+    opened before the rebuild keeps its arrays and answers, a new open
+    reads the new build, and no temporary file is left behind."""
+    _, _, summary, first = make_store(rng, tmp_path, n=400, max_size=4)
+    for name in (GRAPH_FILE, CLUSTERS_FILE):     # mapped, not read whole
+        assert (tmp_path / name).stat().st_size >= mmap.PAGESIZE
+    want = answers_digest(two_phase_query(first, ["alpha", "beta"]).answers)
+    old = ClusterStore.open(tmp_path)
+
+    def arrays(store):
+        return (store.clustering.node_order, store.clustering.cluster_offset,
+                store.header.record_offset, store.cluster_graph.adjacent_nodes)
+
+    copies = [a.copy() for a in arrays(old)]
+    rebuilt = build_store(tmp_path, "close1", 9, seed=3)
+    assert rebuilt["clusters"] != summary["clusters"]
+    assert all(map(np.array_equal, copies, arrays(old)))
+    assert answers_digest(two_phase_query(old, ["alpha", "beta"]).answers) == want
+    assert old.cluster_count == summary["clusters"]
+    assert ClusterStore.open(tmp_path).cluster_count == rebuilt["clusters"]
+    four = ["clusters.emb", "graph.emb", "index.kwi", "tuples.emb"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == four
 
 
 def test_package_exports_resolve():

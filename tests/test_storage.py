@@ -1,5 +1,6 @@
 """On-disk formats: round trips, corruption detection, store expansion."""
 
+import mmap
 import random
 import zlib
 from collections import Counter
@@ -11,10 +12,10 @@ import pytest
 from embanks.clustering import (Clustering, WeightConfig, _from_member_lists,
                                 build_cluster_graph, cluster_adjacency_naive,
                                 min_crossing_weights)
-from embanks.graph import NodeMeta
+from embanks.graph import GraphBuilder, NodeMeta
 from embanks.keywords import KeywordIndex, build_index
 from embanks.storage import (CLUSTERS_FILE, FORMAT_VERSION, GRAPH_FILE,
-                             ClusterStore, StorageError,
+                             INDEX_FILE, ClusterStore, StorageError,
                              StorageFormatError, expand_clusters, read_cluster,
                              read_compressed_graph, read_keyword_index,
                              read_tuple_graph, write_cluster,
@@ -208,6 +209,82 @@ def test_graph_file_with_inconsistent_clustering_is_rejected(rng, tmp_path):
         read_compressed_graph(path)
 
 
+def test_graph_file_with_decreasing_cluster_offsets_is_rejected(rng, tmp_path):
+    """The stored offsets are unsigned: a decreasing one must fail the
+    check, not wrap into a huge cluster size."""
+    g, cl, store = built_store(rng, tmp_path, n=20)
+    offset = cl.cluster_offset.copy()
+    offset[1] = offset[2] + 1
+    broken = Clustering(cl.node_mapping, cl.node_order, offset,
+                        cl.max_cluster_size)
+    write_compressed_graph(tmp_path / GRAPH_FILE,
+                           replace(store.header, clustering=broken))
+    with pytest.raises(StorageFormatError, match="must split node_order"):
+        ClusterStore.open(tmp_path)
+
+
+def test_graph_file_with_decreasing_record_offsets_is_rejected(rng, tmp_path):
+    """Record offsets are checked at open like every other offsets column,
+    so a read never gets a negative record length."""
+    g, cl, store = built_store(rng, tmp_path, n=24)
+    assert cl.cluster_count >= 3
+    offset = store.header.record_offset.copy()
+    offset[1], offset[2] = offset[2], offset[1]
+    write_compressed_graph(tmp_path / GRAPH_FILE,
+                           replace(store.header, record_offset=offset))
+    with pytest.raises(StorageFormatError, match="never decrease"):
+        ClusterStore.open(tmp_path)
+
+
+def test_graph_with_misplaced_adjacency_offsets_is_rejected(tmp_path):
+    """Adjacency offsets are an offsets column too: from 0, never
+    decreasing, and ending at the slot count."""
+    b = GraphBuilder()
+    b.add_nodes(np.ones(2))
+    b.add_links([0, 1], [1, 0], [1.0, 2.0], [1.0, 2.0])
+    g = b.build()
+    path = tmp_path / "t.emb"
+    for offset, message in (([0, 3, 2], "never decrease"),
+                            ([0, 1, 2], "not at the 4 slots")):
+        write_tuple_graph(path, replace(g, adjacency_offset=np.array(offset)))
+        with pytest.raises(StorageFormatError, match=message):
+            read_tuple_graph(path)
+
+
+@pytest.mark.parametrize("n", [24, 600])
+def test_read_arrays_are_read_only(rng, tmp_path, n):
+    """Every array an opened store, a read cluster, a read tuple graph and
+    a read index hand out is read-only, whether its file was read whole
+    (24 nodes: every file is shorter than a page) or mapped (600 nodes)."""
+    g, cl, store = built_store(rng, tmp_path, n=n)
+    write_keyword_index(tmp_path / INDEX_FILE,
+                        build_index(random_meta(rng, n)))
+    write_tuple_graph(tmp_path / "t.emb", g)
+    sizes = {p.stat().st_size >= mmap.PAGESIZE for p in tmp_path.iterdir()}
+    assert sizes == {n == 600}
+    index = read_keyword_index(tmp_path / INDEX_FILE)
+    payload = store.read_cluster(0)
+    h = store.header
+    arrays = [h.intra_links, h.crossing_links, h.record_offset, h.record_crc,
+              store.clustering.node_mapping, store.clustering.node_order,
+              store.clustering.cluster_offset, payload.prestige, payload.src,
+              payload.dst, payload.w, index.offsets, index.ids]
+    for graph in (store.cluster_graph, read_tuple_graph(tmp_path / "t.emb")):
+        arrays += [graph.prestige, graph.adjacency_offset, graph.adjacent_nodes,
+                   graph.edge_weight, graph.edge_direction, graph.pair_slot]
+    assert [a.flags.writeable for a in arrays] == [False] * len(arrays)
+
+
+def test_empty_files_fail_as_truncated(rng, tmp_path):
+    built_store(rng, tmp_path, n=12)
+    (tmp_path / GRAPH_FILE).write_bytes(b"")
+    with pytest.raises(StorageFormatError, match="truncated file"):
+        ClusterStore.open(tmp_path)
+    (tmp_path / INDEX_FILE).write_bytes(b"")
+    with pytest.raises(StorageFormatError, match="truncated file"):
+        read_keyword_index(tmp_path / INDEX_FILE)
+
+
 def test_member_count_differing_from_graph_file_is_rejected(rng, tmp_path):
     g, cl, store = built_store(rng, tmp_path, n=24)
     c = next(c for c in range(cl.cluster_count - 1) if len(cl.members(c)) > 1)
@@ -252,10 +329,12 @@ def test_out_of_range_link_end_is_rejected(rng, tmp_path, end):
 
 
 def test_keyword_index_round_trip(tmp_path):
-    # a term longer than 65,535 bytes needs the 32-bit column offsets
+    # a term longer than 65,535 bytes needs the 32-bit column offsets, and
+    # a column with a non-ASCII term is decoded term by term
     long_term = "x" * 70_000
     index = KeywordIndex.from_postings({"apple": [0, 2, 9], "pear": [1],
-                                        "zx81": [3, 4], long_term: [5]})
+                                        "zx81": [3, 4], long_term: [5],
+                                        "café": [6]})
     _assert_index_round_trips(index, tmp_path)
 
 
