@@ -192,20 +192,19 @@ def refetch_candidates(store: ClusterStore, have: set[int],
 # --- the two phases -----------------------------------------------------------
 
 def _remap_answer(a: ScoredAnswer, global_ids) -> ScoredAnswer:
+    """``a`` over original node ids; ``global_ids`` ascends, so the edges
+    stay sorted and the answers keep their rank order."""
     t = a.tree
-    tree = AnswerTree(
-        root=int(global_ids[t.root]),
-        edges=tuple(sorted((int(global_ids[u]), int(global_ids[v]), w)
-                           for u, v, w in t.edges)),
-        keyword_nodes=tuple(int(global_ids[n]) for n in t.keyword_nodes),
-    )
+    tree = AnswerTree(int(global_ids[t.root]),
+                      tuple((int(global_ids[u]), int(global_ids[v]), w)
+                            for u, v, w in t.edges),
+                      tuple(int(global_ids[n]) for n in t.keyword_nodes))
     return ScoredAnswer(tree, a.node_score, a.edge_score, a.score)
 
 
 def _run_phase2(sub: ExpandedGraph, node_sets: KeywordSets, algorithm,
                 cfg: SearchConfig) -> tuple[list[ScoredAnswer], SearchStats]:
-    local_sets = node_sets.restrict(sub.global_to_local)
-    return algorithm(sub.graph, local_sets, cfg)
+    return algorithm(sub.graph, node_sets.restrict(sub.global_ids), cfg)
 
 
 def two_phase_query(store: ClusterStore, terms: list[str],
@@ -249,7 +248,6 @@ def two_phase_query(store: ClusterStore, terms: list[str],
         have |= set(new)
 
     final = [_remap_answer(a, sub.global_ids) for a in answers]
-    final.sort(key=lambda a: a.sort_key())
     stats = p1_stats + p2_stats
     stats.clusters_read = store.clusters_read - read_clusters0
     stats.bytes_read = store.bytes_read - read_bytes0

@@ -61,11 +61,14 @@ class KeywordSets:
     def from_index(cls, index: KeywordIndex, terms: list[str]) -> KeywordSets:
         return cls(list(terms), [frozenset(index.lookup(t)) for t in terms])
 
-    def restrict(self, keep: dict[int, int]) -> KeywordSets:
-        """Intersect with ``keep``'s keys and relabel through it."""
+    def restrict(self, ids: np.ndarray) -> KeywordSets:
+        """Keep the nodes found in the ascending node ids ``ids``, each
+        relabelled by its position there."""
+        nodes = [np.fromiter(s, dtype=np.int64, count=len(s)) for s in self.sets]
+        spans = [(np.searchsorted(ids, a), np.searchsorted(ids, a, side="right"))
+                 for a in nodes]   # a node is in ids where its span is not empty
         return KeywordSets(list(self.terms),
-                           [frozenset(keep[n] for n in s if n in keep)
-                            for s in self.sets])
+                           [frozenset(lo[lo < hi].tolist()) for lo, hi in spans])
 
 
 @dataclass

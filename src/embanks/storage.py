@@ -45,6 +45,11 @@ file beside the target, fsync it and rename it over the target, so a
 reader keeps the file it mapped when a store is rebuilt.  Truncating a
 mapped file in place with another tool can instead kill a reader with
 SIGBUS when it touches a page past the new end.
+
+``expand_clusters`` numbers the nodes of the clusters it reads in
+ascending node id, whatever their order in the clustering.  Searches break
+ties by the smallest node id, so a search on the expanded subgraph breaks
+them as it would on the same nodes of the whole graph.
 """
 
 from __future__ import annotations
@@ -450,11 +455,16 @@ def write_store(store_dir: str | Path, g: DataGraph, clustering: Clustering,
 
 @dataclass
 class ExpandedGraph:
-    """A node-level subgraph rebuilt from cluster records."""
+    """A node-level subgraph rebuilt from cluster records.
+
+    Local node ``i`` is original node ``global_ids[i]``, and ``global_ids``
+    ascends, so local and original ids order nodes alike: a search that
+    breaks ties by the smallest node id breaks them here as it would on the
+    whole graph.
+    """
 
     graph: DataGraph
-    global_ids: np.ndarray          # int64, local -> original node id
-    global_to_local: dict[int, int]
+    global_ids: np.ndarray          # int64, ascending, local -> original id
     clusters: tuple[int, ...]
 
 
@@ -541,33 +551,29 @@ class ClusterStore:
 def expand_clusters(store: ClusterStore, cluster_ids) -> ExpandedGraph:
     """Materialize the subgraph induced by the given clusters.
 
-    Nodes are numbered cluster by cluster in ascending id, members in
-    clustering order.  Each record adds, in stored order, its links whose
-    far end lies in a requested cluster, as columns; the stored record
-    provides the weights of both directions.  Far ends are looked up among
-    the expanded node ids, so the cost follows the clusters read, not the
-    store's node count.
+    Nodes are numbered in ascending original id, so the subgraph is the
+    induced subgraph renumbered in id order and every tie broken by node id
+    falls as on the whole graph.  Each record adds, in stored order, its
+    links whose far end lies in a requested cluster, as columns; the stored
+    record provides the weights of both directions.  Link ends are looked up
+    among the expanded node ids, so the cost follows the clusters read, not
+    the store's node count.
     """
     ids = tuple(sorted(set(int(c) for c in cluster_ids)))
-    clustering = store.clustering
     payloads = [store.read_cluster(c) for c in ids]
     builder = GraphBuilder()
     global_ids = np.zeros(0, dtype=np.int64)
     if payloads:
-        global_ids = np.concatenate([clustering.members(c) for c in ids],
-                                    dtype=np.int64)
-        builder.add_nodes(np.concatenate([p.prestige for p in payloads]))
-        sizes = [p.member_count for p in payloads]
-        starts = np.cumsum(sizes) - sizes
-        src = np.concatenate([p.src for p in payloads]) \
-            + np.repeat(starts, [len(p.src) for p in payloads])
-        dst = np.concatenate([p.dst for p in payloads])
+        members = [store.clustering.members(c) for c in ids]
+        flat = np.concatenate(members, dtype=np.int64)
+        by_id = np.argsort(flat)
+        global_ids = flat[by_id]
+        builder.add_nodes(np.concatenate([p.prestige for p in payloads])[by_id])
+        ends = np.stack([  # both ends of every stored link, as node ids
+            np.concatenate([m[p.src] for m, p in zip(members, payloads)]),
+            np.concatenate([p.dst for p in payloads])]).astype(np.int64)
         w = np.concatenate([p.w for p in payloads])
-        by_id = np.argsort(global_ids)
-        ranked = global_ids[by_id]
-        at = np.minimum(np.searchsorted(ranked, dst), len(ranked) - 1)
-        kept = ranked[at] == dst
-        builder.add_links(src[kept], by_id[at[kept]], w[kept, 0], w[kept, 1])
-    return ExpandedGraph(builder.build(), global_ids,
-                         dict(zip(global_ids.tolist(), range(len(global_ids)))),
-                         ids)
+        at = np.minimum(np.searchsorted(global_ids, ends), len(global_ids) - 1)
+        kept = global_ids[at[1]] == ends[1]
+        builder.add_links(at[0, kept], at[1, kept], w[kept, 0], w[kept, 1])
+    return ExpandedGraph(builder.build(), global_ids, ids)

@@ -84,11 +84,20 @@ class SynthSpec:
 
     @classmethod
     def from_json(cls, path: str | Path) -> SynthSpec:
+        """The spec in a JSON object of integer fields; table sizes are
+        checked by ``generate_synthetic``."""
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        known = {f.name for f in fields(cls)}
-        bad = set(raw) - known
+        if not isinstance(raw, dict):
+            raise ValueError(f"{path}: a spec is a JSON object")
+        bad = set(raw) - {f.name for f in fields(cls)}
         if bad:
             raise ValueError(f"{path}: unknown spec keys {sorted(bad)}")
+        # bool is an int subclass, so compare types
+        wrong = sorted(key for key, value in raw.items() if type(value) is not int
+                       or key == "rare_pairs" and value < 0)
+        if wrong:
+            raise ValueError(f"{path}: spec keys {wrong} must be integers, "
+                             "rare_pairs a nonnegative one")
         return cls(**raw)
 
     @property

@@ -238,16 +238,18 @@ def build_graph_reference(prestige, links) -> DataGraph:
 
 def expand_reference(store, cluster_ids):
     """``expand_clusters`` one node and one link at a time: returns the
-    graph and the local -> original node ids."""
+    graph and the local -> original node ids, which ascend."""
     ids = sorted(set(int(c) for c in cluster_ids))
     mapping = store.clustering.node_mapping
     payloads = [store.read_cluster(c) for c in ids]
-    prestige, global_ids, local, links = [], [], {}, []
+    member_prestige = {}
     for p in payloads:
         for i, node in enumerate(store.clustering.members(p.cluster_id)):
-            local[int(node)] = len(prestige)
-            prestige.append(float(p.prestige[i]))
-            global_ids.append(int(node))
+            member_prestige[int(node)] = float(p.prestige[i])
+    global_ids = sorted(member_prestige)
+    prestige = [member_prestige[node] for node in global_ids]
+    local = {node: i for i, node in enumerate(global_ids)}
+    links = []
     for p in payloads:
         members = store.clustering.members(p.cluster_id)
         for i in range(len(p.src)):

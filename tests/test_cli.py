@@ -300,3 +300,20 @@ def test_bad_synth_spec_errors(tmp_path, capsys):
     assert cli.main(["synth", "--spec", str(spec),
                      "--out", str(tmp_path / "d")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw,key", [
+    ({"papers": "10"}, "papers"), ({"papers": 2.5}, "papers"),
+    ({"authors": True}, "authors"), ({"seed": None}, "seed"),
+    ({"rare_pairs": -1}, "rare_pairs")])
+def test_synth_spec_of_wrong_type_errors(tmp_path, capsys, raw, key):
+    """A spec value that is not an integer, or a negative ``rare_pairs``,
+    fails with an error naming the key and writes no corpus."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert cli.main(["synth", "--spec", str(spec),
+                     "--out", str(tmp_path / "d")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(key) in err
+    assert not (tmp_path / "d").exists()

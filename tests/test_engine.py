@@ -15,25 +15,26 @@ from embanks.engine import (EngineConfig, PrecisionReport, _budget_fill,
                             select_extra_clusters, single_phase_query,
                             two_phase_query)
 from embanks.clustering import WeightConfig
-from embanks.graph import NodeMeta
+from embanks.graph import GraphBuilder, NodeMeta
 from embanks.keywords import build_index
 from embanks.scoring import AnswerTree, ScoredAnswer
 from embanks.synth import (SynthSpec, generate_synthetic, high_pair,
                            low_pair)
-from embanks.search import (COMBOS_BEST, NoMatchError, SearchConfig,
-                            backward_search)
+from embanks.search import (COMBOS, COMBOS_BEST, KeywordSets, NoMatchError,
+                            SearchConfig, backward_search)
 from embanks.storage import (CLUSTERS_FILE, GRAPH_FILE, INDEX_FILE,
                              TUPLES_FILE, ClusterStore, StorageError,
                              expand_clusters, write_keyword_index,
                              write_tuple_graph)
 
-from conftest import answers_digest, random_graph
+from conftest import WEIGHT_GRID, answers_digest, random_graph
 
 
 def make_store(rng, store_dir, n=40, algorithm="close1", max_size=4,
-               planted=("alpha", "beta")):
+               planted=("alpha", "beta"), weights=WEIGHT_GRID, connected=True):
     """A store over a random graph whose node texts carry known terms."""
-    g = random_graph(rng, n, extra_links=rng.randint(2, n // 2))
+    g = random_graph(rng, n, extra_links=rng.randint(2, n // 2),
+                     connected=connected, weights=weights)
     texts = [f"row{i} shared" for i in range(n)]
     marks = rng.sample(range(n), len(planted))
     for term, node in zip(planted, marks):
@@ -234,6 +235,88 @@ def test_answers_remap_to_original_nodes(rng, tmp_path):
             assert w in links[(u, v)]
         for term, node in zip(["alpha", "beta"], a.tree.keyword_nodes):
             assert node in index.lookup(term)
+
+
+# integer weights, as synth data has: distances, labels and roots tie often
+TIED_WEIGHTS = ([2.0], [1.0, 2.0], [1.0, 2.0, 3.0])
+TIED_TERMS = ("alpha", "beta", "alpha", "beta", "alpha", "beta")
+
+
+def answer_rows(answers):
+    return [(a.tree.identity_key(), a.tree.keyword_nodes, a.score)
+            for a in answers]
+
+
+def induced_search(g, ids, ks, cfg):
+    """``backward_search`` on the subgraph of ``g`` induced by the ascending
+    node ids ``ids``, renumbered in their order: its ``answer_rows`` over
+    the ids of ``g``, and its stats."""
+    local = {node: i for i, node in enumerate(ids)}
+    b = GraphBuilder()
+    b.add_nodes(g.prestige[ids])
+    links = [(local[u], local[v], wf, wb) for u, v, wf, wb in g.links()
+             if u in local and v in local]
+    if links:
+        b.add_links(*zip(*links))
+    sets = [frozenset(local[n] for n in s if n in local) for s in ks.sets]
+    answers, stats = backward_search(b.build(), KeywordSets(ks.terms, sets), cfg)
+    rows = []
+    for a in answers:
+        t = a.tree
+        edges = tuple(sorted((ids[u], ids[v], w) for u, v, w in t.edges))
+        rows.append(((ids[t.root], edges), tuple(ids[n] for n in t.keyword_nodes),
+                     a.score))
+    return rows, stats
+
+
+def test_backward_phase2_is_the_search_on_its_induced_subgraph(tmp_path):
+    """With tied integer weights, backward phase 2 returns exactly what
+    ``backward_search`` returns on the expanded clusters' induced subgraph
+    numbered in ascending node id, settling as many nodes."""
+    checked = 0
+    for seed in range(100):
+        rng = random.Random(seed)
+        g, meta, _, store = make_store(
+            rng, tmp_path / str(seed), n=rng.randint(8, 30),
+            max_size=rng.randint(2, 8), planted=TIED_TERMS,
+            weights=rng.choice(TIED_WEIGHTS))
+        ks = KeywordSets.from_index(build_index(meta), ["alpha", "beta"])
+        for combos in COMBOS:
+            for k in (1, 10):
+                cfg = EngineConfig(k=k, combos=combos)
+                r = two_phase_query(store, ["alpha", "beta"], cfg)
+                ids = sorted(int(n) for c in r.expanded_clusters
+                             for n in store.clustering.members(c))
+                want, stats = induced_search(g, ids, ks, cfg.phase2_search())
+                assert answer_rows(r.answers) == want, (seed, combos, k)
+                if not r.refetch_events:
+                    assert (r.phase2_stats.nodes_explored,
+                            r.phase2_stats.stopped) == \
+                        (stats.nodes_explored, stats.stopped)
+                checked += 1
+    assert checked == 400
+
+
+def test_whole_component_clusters_give_single_phase_answers(tmp_path):
+    """When every cluster is a whole connected component, two-phase
+    backward search returns exactly the single-phase answers."""
+    for seed in range(100):
+        rng = random.Random(seed)
+        n = rng.randint(8, 30)
+        g, meta, _, store = make_store(
+            rng, tmp_path / str(seed), n=n, max_size=n, planted=TIED_TERMS,
+            weights=rng.choice(TIED_WEIGHTS), connected=False)
+        mapping = store.clustering.node_mapping
+        assert all(mapping[u] == mapping[v] for u, v, _, _ in g.links())
+        index = build_index(meta)
+        for combos in COMBOS:
+            for k in (1, 10):
+                r = two_phase_query(store, ["alpha", "beta"],
+                                    EngineConfig(k=k, combos=combos))
+                ref, _ = single_phase_query(g, index, ["alpha", "beta"],
+                                            "backward",
+                                            SearchConfig(k=k, combos=combos))
+                assert answer_rows(r.answers) == answer_rows(ref), (seed, combos, k)
 
 
 def test_stats_track_disk_traffic(rng, tmp_path):

@@ -156,10 +156,12 @@ def test_no_match_raises():
 
 def test_keyword_sets_restrict():
     ks = KeywordSets(["a", "b"], [frozenset({1, 5}), frozenset({7})])
-    kept = ks.restrict({1: 0, 7: 1, 9: 2})
+    kept = ks.restrict(np.array([1, 7, 9]))
     assert kept.sets == [frozenset({0}), frozenset({1})]
     with pytest.raises(NoMatchError):
-        ks.restrict({1: 0})  # second set vanishes
+        ks.restrict(np.array([1]))  # second set vanishes
+    with pytest.raises(NoMatchError):
+        ks.restrict(np.zeros(0, dtype=np.int64))
 
 
 def test_combos_best_is_subset_of_full_pool(rng):

@@ -547,7 +547,6 @@ def test_expand_all_clusters_restores_graph(rng, tmp_path):
         assert exp.graph.node_count == g.node_count
         for local, gid in enumerate(exp.global_ids):
             assert exp.graph.prestige[local] == g.prestige[int(gid)]
-            assert exp.global_to_local[int(gid)] == local
         assert link_multiset(exp.graph, exp.global_ids) == link_multiset(g)
 
 
@@ -581,7 +580,6 @@ def test_expand_clusters_matches_reference(rng, tmp_path):
             assert_same_graph(exp.graph, want)
             assert exp.global_ids.dtype == np.int64
             assert exp.global_ids.tolist() == global_ids
-            assert exp.global_to_local == {n: i for i, n in enumerate(global_ids)}
             assert exp.clusters == tuple(sorted(set(ids)))
 
 
