@@ -149,9 +149,14 @@ def cluster_close_to_1(g: DataGraph,
     Seeds at the lowest unused node id, then repeatedly pulls in the unused
     neighbor reachable from anywhere in the growing cluster over the edge
     whose forward/backward weight ratio is closest to 1, closing the
-    cluster at ``max_size`` or when the frontier is exhausted.
+    cluster at ``max_size`` or when the frontier is exhausted.  Each slot's
+    ratio, ``max / min`` of its two float64 direction weights, is computed
+    once for all slots.
     """
-    offset, target, w_out, w_in = g.adjacency_lists()
+    offset, target, _, _ = g.adjacency_lists()
+    w_out = g.edge_weight.astype(np.float64)
+    w_in = w_out[g.pair_slot]
+    ratios = (np.maximum(w_out, w_in) / np.minimum(w_out, w_in)).tolist()
     used = [False] * g.node_count
     members: list[list[int]] = []
     for seed in range(g.node_count):
@@ -166,8 +171,7 @@ def cluster_close_to_1(g: DataGraph,
             for j in range(offset[node], offset[node + 1]):
                 v = target[j]
                 if not used[v]:
-                    ratio = max(w_out[j], w_in[j]) / min(w_out[j], w_in[j])
-                    heapq.heappush(heap, (ratio, next(seq), v))
+                    heapq.heappush(heap, (ratios[j], next(seq), v))
 
         offer(seed)
         while len(cluster) < max_size and heap:

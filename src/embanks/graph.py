@@ -9,6 +9,7 @@ the cost of the opposite direction in O(1).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -350,26 +351,51 @@ def parse_schema(path: str | Path) -> IngestSpec:
 
 
 def _read_tsv(path: Path) -> tuple[list[str], list[list[str]]]:
+    r"""The header and the columns of a UTF-8 TSV file.
+
+    A line ends at ``\n``, ``\r\n`` or a lone ``\r`` and nowhere else,
+    so a cell may hold ``\x0c``, ``\x85`` or ``\u2028``.  Blank lines are
+    skipped; every other line must hold as many tab-separated cells as the
+    header, which must name each column once.  Line ends and tabs are
+    counted per line on the bytes, the text is split once at line ends,
+    and the body once at tabs, so each column is a stride of one cell list.
+    """
     if not path.exists():
         raise IngestError(f"missing data file {path}")
-    rows: list[list[str]] = []
-    header: list[str] = []
-    with path.open(encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.rstrip("\n")
-            if lineno == 1:
-                header = line.split("\t")
-                continue
-            if not line:
-                continue
-            cells = line.split("\t")
-            if len(cells) != len(header):
-                raise IngestError(
-                    f"{path}:{lineno}: expected {len(header)} columns, got {len(cells)}")
-            rows.append(cells)
-    if not header or header == [""]:
+    data = path.read_bytes()
+    if b"\r" in data:   # as in text mode; in UTF-8 these bytes are only themselves
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise IngestError(f"{path}:{line}: not UTF-8 text, byte "
+                          f"{data[exc.start]:#04x} ({exc.reason})") from None
+    raw = np.frombuffer(data, dtype=np.uint8)
+    ends = np.append(np.flatnonzero(raw == ord("\n")), len(raw))
+    tabs = np.diff(np.searchsorted(np.flatnonzero(raw == ord("\t")), ends),
+                   prepend=0)
+    filled = np.diff(ends, prepend=-1) > 1
+    del raw, data
+    lines = text.split("\n")
+    del text
+    header = lines[0].split("\t")
+    if len(set(header)) < len(header):
+        name = next(c for i, c in enumerate(header) if c in header[:i])
+        raise IngestError(f"{path}:1: header names column {name!r} twice")
+    filled[0] = False
+    wrong = np.flatnonzero(filled & (tabs != len(header) - 1))
+    if len(wrong):
+        line = int(wrong[0])
+        raise IngestError(f"{path}:{line + 1}: expected {len(header)} "
+                          f"columns, got {tabs[line] + 1}")
+    if header == [""]:
         raise IngestError(f"{path}: missing header row")
-    return header, rows
+    body = list(filter(None, lines[1:]))
+    del lines
+    cells = "\t".join(body).split("\t") if body else []
+    del body
+    return header, [cells[i::len(header)] for i in range(len(header))]
 
 
 @dataclass
@@ -379,6 +405,50 @@ class IngestResult:
     warnings: list[str] = field(default_factory=list)
 
 
+@dataclass
+class _Table:
+    """One loaded table: its first node id, its row count and the columns
+    a foreign key reads."""
+
+    name: str
+    first_id: int
+    rows: int
+    columns: dict[str, list[str]]
+
+    def column(self, name: str) -> list[str]:
+        if name not in self.columns:
+            raise IngestError(
+                f"{self.name}: foreign-key column {name!r} not in header")
+        return self.columns[name]
+
+
+def _prestige_column(table: str, cells: list[str]) -> np.ndarray:
+    """A prestige column as float64; the first cell that is not a finite
+    float raises, naming its row."""
+    values = np.array([_float_or_nan(raw) for raw in cells], dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if len(bad):
+        raw = cells[bad[0]]
+        raise IngestError(f"{table}.tsv:{bad[0] + 2}: bad prestige value {raw!r}")
+    return values
+
+
+def _float_or_nan(raw: str) -> float:
+    try:
+        return float(raw)
+    except ValueError:
+        return math.nan
+
+
+def _first_row_ids(table: _Table, column: str) -> dict[str, int]:
+    """Value -> node id of the first row holding it; empty cells map nowhere."""
+    cells = table.column(column)
+    last = table.first_id + table.rows - 1
+    ids = dict(zip(reversed(cells), range(last, table.first_id - 1, -1)))
+    ids.pop("", None)
+    return ids
+
+
 def ingest(spec: IngestSpec, data_dir: str | Path) -> IngestResult:
     """Load ``<table>.tsv`` files and build the tuple graph.
 
@@ -386,92 +456,79 @@ def ingest(spec: IngestSpec, data_dir: str | Path) -> IngestResult:
     in file order.  Prestige comes from the table's prestige column when
     declared, otherwise it defaults to the node's foreign-key in-degree.
     Dangling references are skipped with a warning; malformed rows raise.
+    Each table's nodes, texts and keys are added as columns, and each
+    foreign-key column is joined through one dict per referenced column,
+    whose value -> node id entries come from the first row holding a value.
     """
     data_dir = Path(data_dir)
     warnings: list[str] = []
     builder = GraphBuilder()
     node_text: list[str] = []
     node_key: list[str] = []
-    node_relation: list[int] = []
-    # table -> column -> value -> node id; filled per FK target column on demand
-    tables_rows: dict[str, tuple[list[str], list[list[str]], int]] = {}
-    explicit_prestige: dict[int, float] = {}
+    tables: dict[str, _Table] = {}
+    explicit_prestige: list[tuple[range, np.ndarray]] = []
+    row_counts: list[int] = []
+    fk_columns = [(fk.from_table, fk.from_column) for fk in spec.foreign_keys] \
+        + [(fk.to_table, fk.to_column) for fk in spec.foreign_keys]
 
-    for rel_id, table in enumerate(spec.tables):
-        header, rows = _read_tsv(data_dir / f"{table.name}.tsv")
-        col_index = {c: i for i, c in enumerate(header)}
+    for table in spec.tables:
+        header, columns = _read_tsv(data_dir / f"{table.name}.tsv")
+        by_name = dict(zip(header, columns))
         for col in table.text_columns:
-            if col not in col_index:
+            if col not in by_name:
                 raise IngestError(f"{table.name}: text column {col!r} not in header")
-        if table.prestige_column and table.prestige_column not in col_index:
+        if table.prestige_column and table.prestige_column not in by_name:
             raise IngestError(
                 f"{table.name}: prestige column {table.prestige_column!r} not in header")
-        first_id = len(node_text)
-        for rownum, row in enumerate(rows, 2):
-            node = builder.add_node(0.0)
-            node_relation.append(rel_id)
-            node_text.append(" ".join(row[col_index[c]] for c in table.text_columns))
-            node_key.append(row[col_index[header[0]]] if header else "")
-            if table.prestige_column:
-                raw = row[col_index[table.prestige_column]]
-                try:
-                    explicit_prestige[node] = float(raw)
-                    if not math.isfinite(explicit_prestige[node]):
-                        raise ValueError(raw)
-                except ValueError as exc:
-                    raise IngestError(
-                        f"{table.name}.tsv:{rownum}: bad prestige value {raw!r}") from exc
-        tables_rows[table.name] = (header, rows, first_id)
-
-    def key_lookup(table: str, column: str) -> dict[str, int]:
-        header, rows, first_id = tables_rows[table]
-        if column not in header:
-            raise IngestError(f"{table}: foreign-key column {column!r} not in header")
-        ci = header.index(column)
-        out: dict[str, int] = {}
-        for i, row in enumerate(rows):
-            value = row[ci]
-            if value and value not in out:
-                out[value] = first_id + i
-        return out
+        rows = len(columns[0])
+        row_counts.append(rows)
+        nodes = builder.add_nodes(np.zeros(rows))
+        text = [by_name[c] for c in table.text_columns]
+        if len(text) == 1:
+            node_text.extend(text[0])
+        else:
+            node_text.extend(map(" ".join, zip(*text)) if text else [""] * rows)
+        node_key.extend(columns[0])
+        if table.prestige_column:
+            explicit_prestige.append(
+                (nodes, _prestige_column(table.name, by_name[table.prestige_column])))
+        tables[table.name] = _Table(
+            table.name, nodes.start, rows,
+            {c: by_name[c] for t, c in fk_columns if t == table.name and c in by_name})
 
     lookups: dict[tuple[str, str], dict[str, int]] = {}
-    sources: list[int] = []
-    targets: list[int] = []
+    sources = [np.zeros(0, dtype=np.int64)]
+    targets = [np.zeros(0, dtype=np.int64)]
     for fk in spec.foreign_keys:
-        if fk.from_table not in tables_rows or fk.to_table not in tables_rows:
+        if fk.from_table not in tables or fk.to_table not in tables:
             raise IngestError(f"foreign key references unknown table: {fk}")
         key = (fk.to_table, fk.to_column)
         if key not in lookups:
-            lookups[key] = key_lookup(*key)
-        target_by_value = lookups[key]
-        header, rows, first_id = tables_rows[fk.from_table]
-        if fk.from_column not in header:
-            raise IngestError(
-                f"{fk.from_table}: foreign-key column {fk.from_column!r} not in header")
-        ci = header.index(fk.from_column)
-        for i, row in enumerate(rows):
-            value = row[ci]
-            if not value:
-                continue
-            target = target_by_value.get(value)
-            if target is None:
+            lookups[key] = _first_row_ids(tables[fk.to_table], fk.to_column)
+        table = tables[fk.from_table]
+        cells = table.column(fk.from_column)
+        target = np.fromiter(map(lookups[key].get, cells, itertools.repeat(-1)),
+                             dtype=np.int64, count=table.rows)
+        for i in np.flatnonzero(target < 0).tolist():
+            if cells[i]:
                 warnings.append(
                     f"{fk.from_table}.tsv row {i + 2}: dangling reference "
-                    f"{fk.from_column}={value!r} -> {fk.to_table}.{fk.to_column}")
-                continue
-            sources.append(first_id + i)
-            targets.append(target)
+                    f"{fk.from_column}={cells[i]!r} -> {fk.to_table}.{fk.to_column}")
+        found = np.flatnonzero(target >= 0)
+        sources.append(table.first_id + found)
+        targets.append(target[found])
 
-    w = np.full(len(sources), spec.forward_weight_default)
-    builder.add_links(sources, targets, w, w)
+    source, target = np.concatenate(sources), np.concatenate(targets)
+    w = np.full(len(source), spec.forward_weight_default)
+    builder.add_links(source, target, w, w)
     graph = builder.build()
     graph.prestige[:] = graph.in_degree
-    for node, value in explicit_prestige.items():
-        graph.prestige[node] = np.float32(value)
+    for nodes, values in explicit_prestige:
+        graph.prestige[nodes.start:nodes.stop] = values
     meta = NodeMeta(
         relation_names=[t.name for t in spec.tables],
-        node_relation=np.asarray(node_relation, dtype=np.uint16),
+        node_relation=np.repeat(np.arange(len(spec.tables), dtype=np.uint16),
+                                row_counts),
         node_text=node_text,
         node_key=node_key,
     )

@@ -12,6 +12,7 @@ import numpy as np
 from .graph import NodeMeta
 
 TOKEN_RE = re.compile(r"[a-z0-9]+")
+_TOKEN_OR_BREAK = re.compile(r"[a-z0-9]+|\n")
 
 
 def tokenize(text: str) -> list[str]:
@@ -57,9 +58,36 @@ class KeywordIndex:
 
 
 def build_index(meta: NodeMeta) -> KeywordIndex:
-    """Index every token of every node's text; relation names are not indexed."""
-    acc: dict[str, set[int]] = {}
-    for node, text in enumerate(meta.node_text):
-        for term in tokenize(text):
-            acc.setdefault(term, set()).add(node)
-    return KeywordIndex.from_postings(acc)
+    """Index every token of every node's text; relation names are not indexed.
+
+    All texts are lowercased and tokenized as one string, one line per
+    node, so a token's node is the number of line breaks before it; a line
+    break inside a text is a token boundary either way, so it becomes a
+    space.  Lowercasing a joined string gives the same ``[a-z0-9]`` runs
+    as lowercasing each text.  One stable sort by term of the (term, node)
+    pairs, in node order, lists each term's nodes ascending with a node's
+    repeats of a term side by side: dropping a pair equal to its
+    predecessor leaves the CSR ids, and counting pairs per term the offsets.
+    """
+    texts = meta.node_text
+    joined = "\n".join(texts)
+    if joined.count("\n") > max(len(texts) - 1, 0):
+        joined = "\n".join(text.replace("\n", " ") for text in texts)
+    tokens = _TOKEN_OR_BREAK.findall(joined.lower())
+    terms = sorted(set(tokens) - {"\n"})
+    rank = dict(zip(terms, range(len(terms))))
+    rank["\n"] = -1
+    term = np.fromiter(map(rank.__getitem__, tokens), dtype=np.int64,
+                       count=len(tokens))
+    del tokens
+    word = term >= 0
+    node = np.cumsum(~word, dtype=np.int64)[word].astype(np.uint32)
+    # ranks of at most 16 bits sort stably by radix, in linear time
+    term = term[word].astype(np.min_scalar_type(len(terms)))
+    order = np.argsort(term, kind="stable")
+    term, node = term[order], node[order]
+    first = np.ones(len(term), dtype=bool)
+    first[1:] = (term[1:] != term[:-1]) | (node[1:] != node[:-1])
+    offsets = np.zeros(len(terms) + 1, dtype=np.uint32)
+    np.cumsum(np.bincount(term[first], minlength=len(terms)), out=offsets[1:])
+    return KeywordIndex(terms, offsets, node[first])

@@ -350,17 +350,51 @@ class ClusterPayload:
 
 
 def write_cluster(payload: ClusterPayload) -> bytes:
-    w = _Writer()
-    w.raw(MAGIC_CLUSTER)
-    w.u32(FORMAT_VERSION)
-    w.u32(payload.cluster_id)
-    w.u32(payload.member_count)
-    w.u32(len(payload.src))
-    w.arr(payload.prestige, "<f4")
-    w.arr(payload.src, "<u4")
-    w.arr(payload.dst, "<u4")
-    w.arr(payload.w, "<f4")
-    return w.blob()
+    words, _ = _encode_records(
+        np.array([payload.cluster_id]), payload.prestige,
+        np.array([payload.member_count]), payload.src, payload.dst,
+        payload.w, np.array([len(payload.src)]))
+    return words.tobytes()
+
+
+def _encode_records(cluster_ids, prestige, sizes, src, dst, w, links
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Cluster records end to end, as one column of little-endian words.
+
+    Record ``i`` holds cluster ``cluster_ids[i]``: its ``sizes[i]`` members'
+    values of ``prestige`` and its ``links[i]`` rows of ``src``, ``dst``
+    and ``w``, each taken in turn from the front of those columns.  Every
+    field of a record is one 4-byte word, so each column is scattered into
+    place in one pass, and one ``zlib.crc32`` per record fills its trailer.
+    Returns the words and the ``len(cluster_ids) + 1`` word offsets of the
+    records.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    links = np.asarray(links, dtype=np.int64)
+    start = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(6 + sizes + 4 * links, out=start[1:])  # 5 head words, 1 CRC
+    head, end = start[:-1], start[1:] - 1
+    words = np.empty(start[-1], dtype="<u4")
+    for i, value in enumerate((int.from_bytes(MAGIC_CLUSTER, "little"),
+                               FORMAT_VERSION, cluster_ids, sizes, links)):
+        words[head + i] = value
+    at = _spans(head + 5, sizes)
+    words[at] = np.ascontiguousarray(prestige, dtype="<f4").view("<u4")
+    at = _spans(head + 5 + sizes, links)
+    words[at] = src
+    words[at + np.repeat(links, links)] = dst
+    words[_spans(head + 5 + sizes + 2 * links, 2 * links)] = \
+        np.ascontiguousarray(w, dtype="<f4").reshape(-1).view("<u4")
+    data = memoryview(words).cast("B")
+    words[end] = [zlib.crc32(data[4 * a:4 * b])
+                  for a, b in zip(head.tolist(), end.tolist())]
+    return words, start
+
+
+def _spans(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Positions ``first[i] + range(counts[i])`` for every ``i``, in order."""
+    before = np.cumsum(counts) - counts
+    return np.arange(counts.sum()) + np.repeat(first - before, counts)
 
 
 def read_cluster(record, name: str = "cluster record") -> ClusterPayload:
@@ -415,7 +449,8 @@ def write_store(store_dir: str | Path, g: DataGraph, clustering: Clustering,
 
     Each link is recorded once, by the cluster of its foreign-key source.
     One sort of the forward slots by (cluster, intra before boundary,
-    member position, slot) lays out every record's links.
+    member position, slot) lays out every record's links, and
+    ``_encode_records`` lays out every record of clusters.emb at once.
     """
     store_dir = Path(store_dir)
     store_dir.mkdir(parents=True, exist_ok=True)
@@ -435,20 +470,11 @@ def write_store(store_dir: str | Path, g: DataGraph, clustering: Clustering,
     crossing = leaving + np.bincount(mapping[dst[bound]], minlength=k)
     local = position[src]
     w = np.stack([g.edge_weight[fwd], g.edge_weight[g.pair_slot[fwd]]], axis=1)
-    prestige = g.prestige[clustering.node_order]
-    starts = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(intra + leaving, out=starts[1:])
-    runs = zip(clustering.cluster_offset.tolist(),
-               clustering.cluster_offset[1:].tolist(), starts.tolist(),
-               starts[1:].tolist())
-    records = [write_cluster(ClusterPayload(
-        c, prestige[m0:m1], local[a:e], dst[a:e], w[a:e]))
-        for c, (m0, m1, a, e) in enumerate(runs)]
-    offset = np.zeros(k + 1, dtype=np.int64)
-    offset[1:] = np.cumsum([len(r) for r in records])
-    crc = np.array([int.from_bytes(r[-4:], "little") for r in records],
-                   dtype=np.int64)
-    _replace_file(store_dir / CLUSTERS_FILE, records)
+    words, start = _encode_records(np.arange(k), g.prestige[clustering.node_order],
+                                   sizes, local, dst, w, intra + leaving)
+    _replace_file(store_dir / CLUSTERS_FILE, [words])
+    offset = 4 * start
+    crc = words[start[1:] - 1].astype(np.int64)
     header = StoreHeader(cluster_graph, clustering, intra, crossing, offset, crc)
     write_compressed_graph(store_dir / GRAPH_FILE, header)
 

@@ -2,20 +2,26 @@
 
 Everything here is deliberately brute force: canonical paths come from
 enumerating all simple paths, answers from trying every root with every
-keyword-node combination; graphs are laid out, pruned and cut into
-cluster records one link at a time.  Only the public graph accessors, the
-``DataGraph`` and ``ClusterPayload`` containers and the scoring constants
-are shared with the engine.
+keyword-node combination; tables are read, graphs laid out, pruned and
+cut into cluster records and keywords indexed one row, link or token at a
+time.  Only the public graph accessors, the ``DataGraph``, ``NodeMeta``,
+``IngestResult`` and ``ClusterPayload`` containers, ``IngestError``,
+``tokenize`` and the scoring constants are shared with the engine.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import math
+import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from embanks.graph import DataGraph
+from embanks.graph import DataGraph, IngestError, IngestResult, NodeMeta
+from embanks.keywords import tokenize
 from embanks.storage import ClusterPayload
 
 
@@ -182,8 +188,6 @@ def _ranked(pool, k, steiner):
 
 def dijkstra_oracle(adj, source):
     """Textbook shortest paths over an adjacency dict {u: [(v, w), ...]}."""
-    import heapq
-
     dist = {source: 0.0}
     done = set()
     heap = [(0.0, source)]
@@ -368,6 +372,19 @@ def make_cluster_payload(g, clustering, cluster_id):
                           ends[:, 1], weights)
 
 
+def cluster_record_reference(payload) -> bytes:
+    """A cluster record packed field by field: magic, version, cluster id,
+    member and link counts, each member's prestige, each link's source, each
+    link's target, each link's two weights, then the CRC32 of all that."""
+    body = b"EMBC" + struct.pack("<4I", 8, payload.cluster_id,
+                                 len(payload.prestige), len(payload.src))
+    body += b"".join(struct.pack("<f", float(p)) for p in payload.prestige)
+    body += b"".join(struct.pack("<I", int(x)) for x in payload.src)
+    body += b"".join(struct.pack("<I", int(x)) for x in payload.dst)
+    body += b"".join(struct.pack("<2f", float(a), float(b)) for a, b in payload.w)
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
 def connection_members_reference(g, max_size, rng):
     """``cluster_connection_naive``'s member lists, rebuilding the frontier
     from every member's slots before each random draw."""
@@ -388,5 +405,163 @@ def connection_members_reference(g, max_size, rng):
             v = rng.choice(frontier)
             used[v] = True
             cluster.append(v)
+        members.append(cluster)
+    return members
+
+
+def read_tsv_reference(path):
+    """A TSV file as its header and rows, reading it line by line in text
+    mode; blank lines are skipped, other lines must match the header."""
+    if not path.exists():
+        raise IngestError(f"missing data file {path}")
+    rows = []
+    header = []
+    with path.open(encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.rstrip("\n")
+            if lineno == 1:
+                header = line.split("\t")
+                continue
+            if not line:
+                continue
+            cells = line.split("\t")
+            if len(cells) != len(header):
+                raise IngestError(
+                    f"{path}:{lineno}: expected {len(header)} columns, got {len(cells)}")
+            rows.append(cells)
+    if not header or header == [""]:
+        raise IngestError(f"{path}: missing header row")
+    return header, rows
+
+
+def ingest_reference(spec, data_dir):
+    """``graph.ingest`` one row and one foreign-key cell at a time.
+
+    Rows become nodes table by table; a key lookup maps each non-empty value
+    of a referenced column to the first row holding it; every non-empty
+    foreign-key cell either links its row there or, when the value is
+    missing, adds a warning.  Prestige is the in-degree unless the table has
+    a prestige column.  Errors are raised in the order the loop meets them.
+    """
+    warnings = []
+    prestige, links = [], []
+    node_text, node_key, node_relation = [], [], []
+    tables_rows = {}
+    explicit = {}
+    for rel_id, table in enumerate(spec.tables):
+        header, rows = read_tsv_reference(data_dir / f"{table.name}.tsv")
+        col_index = {c: i for i, c in enumerate(header)}
+        for col in table.text_columns:
+            if col not in col_index:
+                raise IngestError(f"{table.name}: text column {col!r} not in header")
+        if table.prestige_column and table.prestige_column not in col_index:
+            raise IngestError(
+                f"{table.name}: prestige column {table.prestige_column!r} not in header")
+        first_id = len(node_text)
+        for rownum, row in enumerate(rows, 2):
+            node = len(prestige)
+            prestige.append(0.0)
+            node_relation.append(rel_id)
+            node_text.append(" ".join(row[col_index[c]] for c in table.text_columns))
+            node_key.append(row[col_index[header[0]]])
+            if table.prestige_column:
+                raw = row[col_index[table.prestige_column]]
+                try:
+                    explicit[node] = float(raw)
+                    if not math.isfinite(explicit[node]):
+                        raise ValueError(raw)
+                except ValueError as exc:
+                    raise IngestError(
+                        f"{table.name}.tsv:{rownum}: bad prestige value {raw!r}") from exc
+        tables_rows[table.name] = (header, rows, first_id)
+
+    def key_lookup(table, column):
+        header, rows, first_id = tables_rows[table]
+        if column not in header:
+            raise IngestError(f"{table}: foreign-key column {column!r} not in header")
+        ci = header.index(column)
+        out = {}
+        for i, row in enumerate(rows):
+            value = row[ci]
+            if value and value not in out:
+                out[value] = first_id + i
+        return out
+
+    lookups = {}
+    for fk in spec.foreign_keys:
+        if fk.from_table not in tables_rows or fk.to_table not in tables_rows:
+            raise IngestError(f"foreign key references unknown table: {fk}")
+        key = (fk.to_table, fk.to_column)
+        if key not in lookups:
+            lookups[key] = key_lookup(*key)
+        header, rows, first_id = tables_rows[fk.from_table]
+        if fk.from_column not in header:
+            raise IngestError(
+                f"{fk.from_table}: foreign-key column {fk.from_column!r} not in header")
+        ci = header.index(fk.from_column)
+        for i, row in enumerate(rows):
+            value = row[ci]
+            if not value:
+                continue
+            target = lookups[key].get(value)
+            if target is None:
+                warnings.append(
+                    f"{fk.from_table}.tsv row {i + 2}: dangling reference "
+                    f"{fk.from_column}={value!r} -> {fk.to_table}.{fk.to_column}")
+                continue
+            links.append((first_id + i, target, spec.forward_weight_default,
+                          spec.forward_weight_default))
+
+    for _, v, _, _ in links:
+        prestige[v] += 1.0
+    for node, value in explicit.items():
+        prestige[node] = value
+    meta = NodeMeta([t.name for t in spec.tables],
+                    np.asarray(node_relation, dtype=np.uint16), node_text, node_key)
+    return IngestResult(build_graph_reference(prestige, links), meta, warnings)
+
+
+def build_index_reference(meta):
+    """Terms ascending, each with its sorted set of nodes, as CSR arrays."""
+    acc = {}
+    for node, text in enumerate(meta.node_text):
+        for term in tokenize(text):
+            acc.setdefault(term, set()).add(node)
+    terms = sorted(acc)
+    lists = [sorted(acc[t]) for t in terms]
+    offsets = np.zeros(len(terms) + 1, dtype=np.uint32)
+    offsets[1:] = np.cumsum([len(nodes) for nodes in lists])
+    ids = np.array([n for nodes in lists for n in nodes], dtype=np.uint32)
+    return terms, offsets, ids
+
+
+def close_to_1_members_reference(g, max_size):
+    """``cluster_close_to_1``'s member lists, computing each offered edge's
+    weight ratio as ``max / min`` of its two direction weights."""
+    used = [False] * g.node_count
+    members = []
+    for seed in range(g.node_count):
+        if used[seed]:
+            continue
+        used[seed] = True
+        cluster = [seed]
+        heap = []
+        seq = itertools.count()
+
+        def offer(node):
+            for j, v, w_out in g.out_edges(node):
+                if not used[v]:
+                    w_in = float(g.edge_weight[g.pair_slot[j]])
+                    heapq.heappush(heap, (max(w_out, w_in) / min(w_out, w_in),
+                                          next(seq), v))
+
+        offer(seed)
+        while len(cluster) < max_size and heap:
+            _, _, v = heapq.heappop(heap)
+            if used[v]:
+                continue
+            used[v] = True
+            cluster.append(v)
+            offer(v)
         members.append(cluster)
     return members

@@ -317,3 +317,26 @@ def test_synth_spec_of_wrong_type_errors(tmp_path, capsys, raw, key):
     err = capsys.readouterr().err
     assert err.startswith("error:") and repr(key) in err
     assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("table, error", [
+    (b"id\ttitle\tid\np1\tone\tp2\n",
+     "paper.tsv:1: header names column 'id' twice"),
+    (b"id\ttitle\r\np1\tone\r\np2\tcaf\xe9\r\n",
+     "paper.tsv:3: not UTF-8 text, byte 0xe9")],
+    ids=["duplicate-header", "not-utf8"])
+def test_bad_tsv_fails_ingest_naming_file_and_line(tmp_path, capsys, table, error):
+    """A header naming a column twice, or bytes that are not UTF-8, fail
+    ``ingest`` with the file and line, and write no store."""
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "schema.txt").write_text("table paper text=title\n")
+    (data / "paper.tsv").write_bytes(table)
+    capsys.readouterr()
+    assert cli.main(["ingest", "--schema", str(data / "schema.txt"),
+                     "--data", str(data), "--out", str(tmp_path / "store")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {data / error.split(':')[0]}:")
+    assert error in captured.err
+    assert not (tmp_path / "store").exists()

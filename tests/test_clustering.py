@@ -21,7 +21,8 @@ from embanks.search import KeywordSets, SearchConfig, backward_search
 
 from conftest import (WEIGHT_GRID, random_graph, random_keyword_sets,
                       with_self_loops)
-from oracles import connection_members_reference, dijkstra_oracle
+from oracles import (close_to_1_members_reference,
+                     connection_members_reference, dijkstra_oracle)
 
 GROWN = ["close1", "greedymin", "connection"]
 
@@ -109,6 +110,22 @@ def test_close_to_1_prefers_balanced_ratio():
     cl = cluster_close_to_1(g, 2)
     assert int(cl.node_mapping[0]) == int(cl.node_mapping[2])
     assert int(cl.node_mapping[1]) == int(cl.node_mapping[3])
+
+
+def test_close_to_1_matches_per_offer_ratios(rng):
+    """The precomputed slot ratios grow the clusters that ``max / min`` per
+    offered edge grows, on grid weights, whose ratios tie, and on
+    arbitrary float32 weights."""
+    for trial in range(40):
+        n = rng.randint(1, 40)
+        weights = WEIGHT_GRID if trial % 2 else \
+            [float(np.float32(rng.uniform(0.1, 9))) for _ in range(12)]
+        g = random_graph(rng, n, extra_links=rng.randint(0, n),
+                         connected=rng.random() < 0.8, weights=weights)
+        size = rng.randint(1, 8)
+        cl = cluster_close_to_1(g, size)
+        members = [cl.members(c).tolist() for c in range(cl.cluster_count)]
+        assert members == close_to_1_members_reference(g, size), trial
 
 
 def test_adjacency_groups_identical_fingerprints():

@@ -13,10 +13,12 @@ from embanks.graph import (BYTES_PER_EDGE, BYTES_PER_NODE, DataGraph,
                            estimate_memory, ingest, parse_schema,
                            prune_transitive)
 
+from embanks.keywords import build_index
+
 from conftest import WEIGHT_GRID, random_graph
 from oracles import (assert_same_graph, build_graph_reference,
-                     dijkstra_oracle, graph_adjacency,
-                     prune_transitive_reference)
+                     build_index_reference, dijkstra_oracle, graph_adjacency,
+                     ingest_reference, prune_transitive_reference)
 
 
 def test_memory_estimate_reference_points():
@@ -290,6 +292,148 @@ def test_tsv_errors(tmp_path):
     (tmp_path / "schema.txt").write_text("table a text=missing\n")
     with pytest.raises(IngestError, match="missing"):
         ingest(parse_schema(tmp_path / "schema.txt"), tmp_path)
+
+
+def test_tsv_header_naming_a_column_twice_is_rejected(tmp_path):
+    """Keys, texts and prestige would read one copy of the column and
+    foreign keys the other."""
+    (tmp_path / "schema.txt").write_text(
+        "table a text=title\ntable b text=t\nfk b.ref -> a.id\n")
+    (tmp_path / "a.tsv").write_text("id\ttitle\tid\nx1\tone\ty1\n")
+    (tmp_path / "b.tsv").write_text("id\tt\tref\nb1\thello\ty1\n")
+    spec = parse_schema(tmp_path / "schema.txt")
+    with pytest.raises(IngestError, match=r"a\.tsv:1: header names column 'id' twice"):
+        ingest(spec, tmp_path)
+
+
+def test_tsv_that_is_not_utf8_is_rejected_with_its_line(tmp_path):
+    """The line number counts ``\\r\\n`` and a lone ``\\r`` as one line end
+    each, as a file read in text mode does."""
+    (tmp_path / "schema.txt").write_text("table a text=t\n")
+    spec = parse_schema(tmp_path / "schema.txt")
+    for body, line in ((b"id\tt\nr1\tcaf\xe9\n", 2),
+                       (b"id\tt\r\nr1\tok\r\rr2\tcaf\xe9\r\n", 4),
+                       (b"id\t\xff\n", 1)):
+        (tmp_path / "a.tsv").write_bytes(body)
+        with pytest.raises(IngestError, match=rf"a\.tsv:{line}: not UTF-8 text"):
+            ingest(spec, tmp_path)
+
+
+def _random_table_dir(rng, root, seen):
+    """A schema and its TSV files, drawn to mix every case ``ingest`` must
+    handle; returns the schema path and marks in ``seen`` the cases drawn.
+    The file a wrong column count is planted in after a blank line is
+    returned too, with the planted line's number."""
+    root.mkdir()
+    names = [f"t{i}" for i in range(rng.randint(1, 3))]
+    columns = {t: ["id"] for t in names}
+    schema = []
+    for t in names:
+        text = rng.sample(["a", "b", "c"], rng.choice([0, 1, 1, 2, 3]))
+        columns[t] += text
+        line = f"table {t}" + (f" text={','.join(text)}" if text else "")
+        if rng.random() < 0.3:
+            columns[t].append("p")
+            line += " prestige=p"
+        schema.append(line)
+    for j in range(rng.randint(0, 3)):
+        src, dst = rng.choice(names), rng.choice(names)
+        to = rng.choice(["id", "id", columns[dst][-1]])
+        if rng.random() < 0.97:
+            columns[src].append(f"f{j}")
+        schema.append(f"fk {src}.f{j} -> {dst}.{to}")
+    (root / "schema.txt").write_text("\n".join(schema) + "\n")
+    planted = None
+    for t in names:
+        header = columns[t][:1] + rng.sample(columns[t][1:], len(columns[t]) - 1)
+        rows = []
+        for _ in range(rng.choice([0, 1, 2, 4, 6, 8])):
+            row = []
+            for c in header:
+                if c == "id":
+                    row.append(f"k{rng.randrange(5)}")
+                elif c == "p":
+                    row.append(rng.choice(["1.5", "2", "-3", " 0.25 ", "1e2"]
+                                          + ["nan", "x", ""] * (rng.random() < 0.05)))
+                elif c.startswith("f"):
+                    row.append(rng.choice(["", "k0", "k1", "k2", "k3", "zz", "word"]))
+                else:
+                    row.append(" ".join(rng.choices(
+                        ["Red", "blue", "gold", "", "a\x85b", "x\u2028y", "\x0cz",
+                         "p\x1cq", "v\x0bw", "İron"], k=rng.randint(0, 3))))
+            rows.append(row)
+        seen["header-only table"] |= not rows
+        seen["empty FK cell"] |= any(c.startswith("f") and not cell
+                                     for r in rows for c, cell in zip(header, r))
+        seen["duplicate key"] |= len({r[0] for r in rows}) < len(rows)
+        seen["multi-column text"] |= bool(rows) and sum(
+            c in "abc" for c in header) > 1
+        lines = ["\t".join(header)] + ["\t".join(r) for r in rows]
+        blank_before = False
+        for i in range(len(lines) - 1, 0, -1):
+            if rng.random() < 0.15:
+                lines.insert(i, "")
+        if len(lines) > 2 and rng.random() < 0.05:
+            at = rng.randrange(1, len(lines))
+            if lines[at]:
+                if "\t" in lines[at] and rng.random() < 0.5:
+                    lines[at] = lines[at].rsplit("\t", 1)[0]
+                else:
+                    lines[at] += "\textra"
+                blank_before = "" in lines[1:at]
+                if blank_before:
+                    planted = (root / f"{t}.tsv", at + 1)
+        end = rng.choice(["\n", "\n", "\r\n"])
+        trailing = rng.random() < 0.8
+        text = end.join(lines) + (end if trailing else "")
+        (root / f"{t}.tsv").write_bytes(text.encode("utf-8"))
+        seen["blank line"] |= "" in lines[1:]
+        seen["CRLF"] |= end == "\r\n"
+        seen["no trailing newline"] |= not trailing and len(lines) > 1
+        seen["special character"] |= any(ch in text for ch in "\x85\u2028\x0c")
+    return root / "schema.txt", planted
+
+
+def test_ingest_matches_row_loop_reference(tmp_path):
+    """The column-pass ingest equals the row loop it replaced on random
+    table directories: every graph array and dtype, the node metadata, the
+    warnings in order, or the IngestError message; the keyword index built
+    from its metadata equals a per-node dict of sets."""
+    rng = random.Random(2026)
+    seen = dict.fromkeys(
+        ["header-only table", "duplicate key", "multi-column text",
+         "blank line", "CRLF", "no trailing newline", "special character",
+         "empty FK cell", "dangling reference", "bad prestige",
+         "wrong column count after a blank line", "built"], False)
+    for trial in range(300):
+        schema, planted = _random_table_dir(rng, tmp_path / str(trial), seen)
+        spec = parse_schema(schema)
+        try:
+            want = ingest_reference(spec, schema.parent)
+        except IngestError as exc:
+            with pytest.raises(IngestError) as got:
+                ingest(spec, schema.parent)
+            assert str(got.value) == str(exc), trial
+            seen["bad prestige"] |= "bad prestige value" in str(exc)
+            seen["wrong column count after a blank line"] |= planted is not None \
+                and str(exc).startswith(f"{planted[0]}:{planted[1]}: expected")
+            continue
+        got = ingest(spec, schema.parent)
+        assert_same_graph(got.graph, want.graph)
+        assert got.warnings == want.warnings, trial
+        assert got.meta.relation_names == want.meta.relation_names
+        assert got.meta.node_relation.dtype == want.meta.node_relation.dtype
+        assert np.array_equal(got.meta.node_relation, want.meta.node_relation)
+        assert got.meta.node_text == want.meta.node_text, trial
+        assert got.meta.node_key == want.meta.node_key, trial
+        index = build_index(got.meta)
+        terms, offsets, ids = build_index_reference(want.meta)
+        assert index.terms == terms
+        for a, b in ((index.offsets, offsets), (index.ids, ids)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        seen["built"] = True
+        seen["dangling reference"] |= any("dangling" in w for w in want.warnings)
+    assert all(seen.values()), [case for case, hit in seen.items() if not hit]
 
 
 # --- pruning ----------------------------------------------------------------

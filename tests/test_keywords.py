@@ -5,6 +5,8 @@ import numpy as np
 from embanks.graph import NodeMeta
 from embanks.keywords import build_index, tokenize
 
+from oracles import build_index_reference
+
 
 def test_tokenize_alnum_runs():
     assert tokenize("The Night-Watch, part 2!") == \
@@ -72,3 +74,20 @@ def test_relation_names_flag():
     assert plain.lookup("paper") == []
     assert plain.lookup("author") == []
     assert plain.lookup("x") == [0]
+
+
+def test_index_matches_per_node_reference(rng):
+    """The one-pass build equals a dict of sets filled text by text, on
+    texts with line breaks inside them, empty texts, repeated tokens, and
+    characters whose lowercase is ASCII (the Kelvin sign, dotted capital I)
+    or depends on context (capital sigma)."""
+    pieces = ["Red", "red", "gold9", "ΣAΣ", "İx", "\u212a", "ß", "a\nb", "\n",
+              "x\u2028y", "\x85", "12", " ", "--", ""]
+    for trial in range(200):
+        texts = ["".join(rng.choices(pieces, k=rng.randint(0, 6)))
+                 for _ in range(rng.randint(0, 25))]
+        index = build_index(_meta(texts))
+        terms, offsets, ids = build_index_reference(_meta(texts))
+        assert index.terms == terms, trial
+        for got, want in ((index.offsets, offsets), (index.ids, ids)):
+            assert got.dtype == want.dtype and np.array_equal(got, want), trial

@@ -15,7 +15,7 @@ from embanks.clustering import (Clustering, WeightConfig, _from_member_lists,
 from embanks.graph import GraphBuilder, NodeMeta
 from embanks.keywords import KeywordIndex, build_index
 from embanks.storage import (CLUSTERS_FILE, FORMAT_VERSION, GRAPH_FILE,
-                             INDEX_FILE, ClusterStore, StorageError,
+                             INDEX_FILE, ClusterPayload, ClusterStore, StorageError,
                              StorageFormatError, expand_clusters, read_cluster,
                              read_compressed_graph, read_keyword_index,
                              read_tuple_graph, write_cluster,
@@ -24,8 +24,8 @@ from embanks.storage import (CLUSTERS_FILE, FORMAT_VERSION, GRAPH_FILE,
 from embanks.graph import BYTES_PER_EDGE, BYTES_PER_NODE
 
 from conftest import random_graph, with_self_loops
-from oracles import (assert_same_graph, expand_reference,
-                     make_cluster_payload)
+from oracles import (assert_same_graph, cluster_record_reference,
+                     expand_reference, make_cluster_payload)
 from test_clustering import GROWN, grown_clustering, random_clustering
 
 
@@ -145,6 +145,22 @@ def test_cluster_payload_round_trip(rng):
         for name in ("prestige", "src", "dst", "w"):
             assert np.array_equal(getattr(back, name), getattr(payload, name)), name
         assert write_cluster(back) == record
+
+
+def test_cluster_record_matches_field_by_field_packing(rng):
+    """The word-column encoder writes each record as a field-by-field
+    packer does: empty records, records without links, float64 prestige."""
+    assert FORMAT_VERSION == 8
+    for trial in range(30):
+        members, links = rng.randint(0, 6), rng.choice([0, 0, 1, 5])
+        payload = ClusterPayload(
+            rng.randrange(1000),
+            np.array([rng.uniform(0, 9) for _ in range(members)]),
+            np.array([rng.randrange(max(members, 1)) for _ in range(links)]),
+            np.array([rng.randrange(2**32) for _ in range(links)], dtype=np.uint32),
+            np.array([[rng.uniform(0.1, 4), rng.uniform(0.1, 4)]
+                      for _ in range(links)], dtype=np.float32).reshape(-1, 2))
+        assert write_cluster(payload) == cluster_record_reference(payload), trial
 
 
 def test_cluster_payload_matches_slot_walk(rng, tmp_path):
