@@ -1,9 +1,8 @@
 """Disk-backed keyword search over graph-modeled relational data."""
 
-from .clustering import (CLUSTER_ALGORITHMS, ClusterMetadata, Clustering,
-                         ClusteringError, WeightConfig, answer_cost_bounds,
-                         build_cluster_graph, compute_cluster_metadata,
-                         identity_clustering, min_crossing_weights)
+from .clustering import (CLUSTER_ALGORITHMS, Clustering, ClusteringError,
+                         WeightConfig, build_cluster_graph,
+                         identity_clustering)
 from .engine import (EngineConfig, PrecisionReport, QueryResult, build_store,
                      compare_precision, ingest_to_store, single_phase_query,
                      two_phase_query)
@@ -21,18 +20,16 @@ from .synth import SynthSpec, generate_synthetic
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnswerTree", "ClusterMetadata", "ClusterStore",
-    "Clustering", "ClusteringError", "CLUSTER_ALGORITHMS", "DataGraph",
-    "EngineConfig", "ExpandedGraph", "GraphBuilder", "GraphError",
-    "IngestError", "IngestSpec", "KeywordIndex", "KeywordSets",
-    "NoMatchError", "NodeMeta", "PrecisionReport", "QueryResult",
-    "ScoreConfig", "ScoredAnswer", "SearchConfig", "SearchStats",
-    "StorageError", "StorageFormatError", "SynthSpec", "WeightConfig",
-    "answer_cost_bounds", "backward_search", "bidirectional_search",
+    "AnswerTree", "ClusterStore", "Clustering", "ClusteringError",
+    "CLUSTER_ALGORITHMS", "DataGraph", "EngineConfig", "ExpandedGraph",
+    "GraphBuilder", "GraphError", "IngestError", "IngestSpec", "KeywordIndex",
+    "KeywordSets", "NoMatchError", "NodeMeta", "PrecisionReport",
+    "QueryResult", "ScoreConfig", "ScoredAnswer", "SearchConfig",
+    "SearchStats", "StorageError", "StorageFormatError", "SynthSpec",
+    "WeightConfig", "backward_search", "bidirectional_search",
     "build_cluster_graph", "build_graph", "build_index", "build_store",
-    "compare_precision", "compute_cluster_metadata",
-    "estimate_memory", "expand_clusters", "generate_synthetic",
-    "identity_clustering", "ingest", "ingest_to_store", "min_crossing_weights",
-    "parse_schema", "prune_transitive", "score_tree",
-    "single_phase_query", "tokenize", "two_phase_query", "write_store",
+    "compare_precision", "estimate_memory", "expand_clusters",
+    "generate_synthetic", "identity_clustering", "ingest", "ingest_to_store",
+    "parse_schema", "prune_transitive", "score_tree", "single_phase_query",
+    "tokenize", "two_phase_query", "write_store",
 ]

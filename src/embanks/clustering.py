@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import DataGraph, GraphBuilder, GraphError
-from .scoring import AnswerTree
 
 EDGE_INVERSE_SUM = "inverse-sum"
 EDGE_HARMONIC_MEAN = "harmonic-mean"
@@ -343,118 +341,3 @@ def build_cluster_graph(g: DataGraph, clustering: Clustering,
     builder.add_links(np.where(fwd, lo, hi), np.where(fwd, hi, lo),
                       np.where(fwd, there, back), np.where(fwd, back, there))
     return builder.build()
-
-
-def min_crossing_weights(g: DataGraph, clustering: Clustering
-                         ) -> dict[tuple[int, int], float]:
-    """Cheapest member edge behind each superedge, by ordered cluster pair.
-
-    A combined superedge weight can sit below every member edge behind
-    it, so ``answer_cost_bounds`` charges this minimum instead.
-    """
-    mapping = clustering.node_mapping
-    out: dict[tuple[int, int], float] = {}
-    for cu, cv, w in zip(mapping[g.slot_source].tolist(),
-                         mapping[g.adjacent_nodes].tolist(),
-                         g.edge_weight.tolist()):
-        if cu != cv and w < out.get((cu, cv), math.inf):
-            out[(cu, cv)] = w
-    return out
-
-
-@dataclass
-class ClusterMetadata:
-    """Per-cluster transit costs, computed from intra-cluster edges only.
-
-    ``diameter`` is the largest finite shortest-path cost between two
-    members; ``min_in_out`` is the cheapest intra-cluster cost from an
-    entry node (one with an outside connection) to an exit node.  The
-    same node may serve both roles, so this is zero for any cluster
-    that touches an outside link.
-    """
-
-    diameter: np.ndarray    # float64 [k]
-    min_in_out: np.ndarray  # float64 [k]
-
-    @property
-    def cluster_count(self) -> int:
-        return len(self.diameter)
-
-
-def _intra_dijkstra(adj: dict[int, list[tuple[int, float]]], source: int,
-                    nodes: set[int]) -> dict[int, float]:
-    dist = {source: 0.0}
-    heap = [(0.0, source)]
-    done: set[int] = set()
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u in done:
-            continue
-        done.add(u)
-        for v, w in adj.get(u, ()):
-            nd = d + w
-            if v in nodes and nd < dist.get(v, math.inf):
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return dist
-
-
-def compute_cluster_metadata(g: DataGraph,
-                             clustering: Clustering) -> ClusterMetadata:
-    offset, target, w_out, _ = g.adjacency_lists()
-    k = clustering.cluster_count
-    diameter = np.zeros(k, dtype=np.float64)
-    min_in_out = np.zeros(k, dtype=np.float64)
-    for c in range(k):
-        nodes = set(int(n) for n in clustering.members(c))
-        adj: dict[int, list[tuple[int, float]]] = {}
-        boundary: set[int] = set()
-        for u in nodes:
-            for v, w in zip(target[offset[u]:offset[u + 1]],
-                            w_out[offset[u]:offset[u + 1]]):
-                if v in nodes:
-                    adj.setdefault(u, []).append((v, w))
-                else:
-                    boundary.add(u)
-        diam = 0.0
-        transit = math.inf
-        for u in sorted(nodes):
-            dist = _intra_dijkstra(adj, u, nodes)
-            for v, dv in dist.items():
-                if v != u and dv > diam:
-                    diam = dv
-            if u in boundary:
-                reachable = [dist[b] for b in boundary if b in dist]
-                if reachable:
-                    transit = min(transit, min(reachable))
-        diameter[c] = diam
-        min_in_out[c] = 0.0 if math.isinf(transit) else transit
-    return ClusterMetadata(diameter, min_in_out)
-
-
-def answer_cost_bounds(answer: AnswerTree, meta: ClusterMetadata,
-                       keyword_clusters: set[int],
-                       min_crossing: dict[tuple[int, int], float] | None = None,
-                       ) -> tuple[float, float]:
-    """Bracket the edge cost of the best node-level answer inside a
-    cluster-level one.
-
-    The lower bound charges every non-keyword, non-root cluster its
-    cheapest pass-through cost; any expansion must enter and leave those.
-    The upper bound pays the cheapest member edge for every superedge
-    (``min_crossing``, from ``min_crossing_weights``; the superedge weight
-    when omitted) plus each cluster's diameter for the internal stitching.
-    """
-    lower = 0.0
-    for c in answer.nodes:
-        if c != answer.root and c not in keyword_clusters:
-            lower += float(meta.min_in_out[c])
-    upper = 0.0
-    for u, v, w in answer.edges:
-        if min_crossing is not None:
-            upper += float(min_crossing[(u, v)])
-        else:
-            upper += float(w)
-    for c in answer.nodes:
-        upper += float(meta.diameter[c])
-    return lower, upper

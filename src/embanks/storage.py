@@ -31,9 +31,8 @@ delimit.  Every file and every cluster record begins with a four-byte magic
 and the format version and ends with a CRC32 of everything before it;
 graph.emb also fixes the length and record CRCs of clusters.emb.  Any other
 version is rejected, so a store written by an older release must be rebuilt
-with ``ingest`` then ``cluster``.  Cluster cost bounds are not stored:
-``clustering`` derives them from the tuple graph and the clustering when
-they are needed.
+with ``ingest`` then ``cluster``.  No per-cluster cost bounds are stored
+or computed.
 
 Readers map each file read-only (a file shorter than one page is read
 instead), check it with one CRC pass, and hand out

@@ -9,9 +9,9 @@ import pytest
 from embanks import cli
 from embanks.clustering import (WeightConfig, build_cluster_graph,
                                 cluster_close_to_1)
-from embanks.engine import EngineConfig
+from embanks.engine import EngineConfig, two_phase_query
 from embanks.search import SearchConfig
-from embanks.storage import ClusterStore, read_tuple_graph
+from embanks.storage import ClusterStore, StorageFormatError, read_tuple_graph
 from embanks.synth import low_pair
 
 
@@ -250,6 +250,28 @@ def test_foreign_or_resized_cluster_file_errors(corpus, tmp_path, capsys):
                  good + b"\x00"):
         (mine / "clusters.emb").write_bytes(data)
         assert "clusters.emb" in _query_fails(mine, capsys)
+
+
+def test_keyword_index_from_another_build_errors(corpus, tmp_path, capsys):
+    """A larger corpus's index.kwi names nodes past the store's node range:
+    the engine rejects it naming the file, and ``query`` and ``compare``
+    exit 1 instead of crashing."""
+    data, store = corpus
+    mine, big = tmp_path / "mine", tmp_path / "big"
+    shutil.copytree(store, mine)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"papers": 400, "authors": 150, "writes": 600,
+                                "cites": 200, "rare_pairs": 3, "seed": 1}))
+    assert cli.main(["synth", "--spec", str(spec), "--out", str(big)]) == 0
+    assert cli.main(["ingest", "--schema", str(big / "schema.txt"),
+                     "--data", str(big), "--out", str(big)]) == 0
+    shutil.copy(big / "index.kwi", mine / "index.kwi")
+    with pytest.raises(StorageFormatError, match="index.kwi"):
+        two_phase_query(ClusterStore.open(mine), list(low_pair(0)))
+    assert "index.kwi" in _query_fails(mine, capsys)
+    assert cli.main(["compare", "--store", str(mine),
+                     "--queries", str(data / "queries.txt")]) == 1
+    assert "index.kwi" in capsys.readouterr().err
 
 
 def test_combiner_flags_set_the_stored_cluster_graph(corpus, tmp_path, capsys):

@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 
 from embanks.clustering import (Clustering, WeightConfig, _from_member_lists,
-                                build_cluster_graph, cluster_adjacency_naive,
-                                min_crossing_weights)
+                                build_cluster_graph, cluster_adjacency_naive)
 from embanks.graph import GraphBuilder, NodeMeta
 from embanks.keywords import KeywordIndex, build_index
 from embanks.storage import (CLUSTERS_FILE, FORMAT_VERSION, GRAPH_FILE,
@@ -641,17 +640,3 @@ def test_cluster_cost_accounting(rng, tmp_path):
         expected = BYTES_PER_NODE * members \
             + BYTES_PER_EDGE * (2 * int(intra[c]) + 2 * int(crossing[c]))
         assert store.cluster_cost(c) == expected
-
-
-def test_min_crossing_map_matches_links(rng, tmp_path):
-    g, cl, store = built_store(rng, tmp_path)
-    buckets = {}
-    for u, v, wf, wb in g.links():
-        cu, cv = int(cl.node_mapping[u]), int(cl.node_mapping[v])
-        if cu != cv:
-            buckets.setdefault((cu, cv), []).append(wf)
-            buckets.setdefault((cv, cu), []).append(wb)
-    got = min_crossing_weights(g, store.clustering)
-    assert set(got) == set(buckets)
-    for pair, ws in buckets.items():
-        assert got[pair] == float(np.float32(min(ws)))
