@@ -166,9 +166,10 @@ def _add_query_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_combos_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--combos", choices=COMBOS, default=SearchConfig.combos,
-                   help="answers per root: 'best' joins each term's nearest "
-                        "keyword node; 'all' tries every combination "
-                        "(BANKS-I, far slower on frequent words)")
+                   help="answers per root of a backward search: 'best' "
+                        "joins each term's nearest keyword node; 'all' tries "
+                        "every combination (BANKS-I, far slower on frequent "
+                        "words); bidi ignores it and runs as 'best'")
 
 
 def build_parser() -> argparse.ArgumentParser:

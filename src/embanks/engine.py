@@ -22,10 +22,10 @@ from .keywords import KeywordIndex, build_index
 from .scoring import AnswerTree, ScoreConfig, ScoredAnswer, is_acceptable
 from .search import (COMBOS, KeywordSets, SearchConfig, SearchStats,
                      backward_search, bidirectional_search)
-from .storage import (CLUSTERS_FILE, GRAPH_FILE, INDEX_FILE, TUPLES_FILE,
-                      ClusterStore, ExpandedGraph, StorageFormatError,
-                      expand_clusters, read_tuple_graph, write_keyword_index,
-                      write_store, write_tuple_graph)
+from .storage import (GRAPH_FILE, INDEX_FILE, TUPLES_FILE, ClusterStore,
+                      ExpandedGraph, StorageFormatError, expand_clusters,
+                      read_tuple_graph, write_keyword_index, write_store,
+                      write_tuple_graph)
 
 ALGORITHMS = {
     "backward": backward_search,
@@ -109,8 +109,7 @@ def ingest_to_store(schema_path: str | Path, data_dir: str | Path,
     g, meta, warnings = build_graph(spec, data_dir, prune=prune)
     store_dir = Path(store_dir)
     store_dir.mkdir(parents=True, exist_ok=True)
-    for name in (GRAPH_FILE, CLUSTERS_FILE):
-        (store_dir / name).unlink(missing_ok=True)
+    (store_dir / GRAPH_FILE).unlink(missing_ok=True)
     write_tuple_graph(store_dir / TUPLES_FILE, g)
     write_keyword_index(store_dir / INDEX_FILE, build_index(meta))
     return g, meta, warnings
@@ -148,9 +147,10 @@ def build_store(store_dir: str | Path, algorithm: str = "close1",
 # --- cluster selection --------------------------------------------------------
 
 def gamma_trigger(scores: list[float], gamma: float) -> bool:
-    """True when some consecutive ranked score drops to gamma times the last."""
+    """True when some ranked score falls below gamma times the one before
+    it, so a tie never triggers for gamma up to 1."""
     for a, b in zip(scores, scores[1:]):
-        if a > 0 and b <= gamma * a:
+        if a > 0 and b < gamma * a:
             return True
     return False
 

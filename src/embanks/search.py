@@ -674,6 +674,9 @@ def bidirectional_search(g: DataGraph, ks: KeywordSets,
                          ) -> tuple[list[ScoredAnswer], SearchStats]:
     """Activation-ordered search with one incoming and one outgoing iterator.
 
+    It never reads ``cfg.combos``: a root joins one path per term, as under
+    ``combos=best``; ``--combos`` applies to backward search only.
+
     The incoming iterator grows backward from the keyword nodes; every node
     it explores becomes a potential root and is handed to the outgoing
     iterator, which explores forward.  A single shortest-known-path table

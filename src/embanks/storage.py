@@ -1,47 +1,46 @@
-"""On-disk store: one compressed cluster-level graph plus one packed cluster file.
+"""On-disk store: one file for the cluster graph and every cluster record.
 
-Layout under a store directory (format 8)::
+Layout under a store directory (format 9)::
 
-    graph.emb       cluster graph, the clustering's node order and cluster
-                    offsets, per-cluster link counts, and each cluster
-                    record's byte offset and CRC32
-    clusters.emb    the cluster records in id order: a cluster's member
-                    count and prestige, and the links whose foreign-key
-                    source is a member, each with both direction weights
+    graph.emb       a section with the cluster graph, the clustering's node
+                    order and cluster offsets, per-cluster link counts and
+                    each record's byte offset; then the cluster records: a
+                    cluster's member count and prestige, and the links whose
+                    foreign-key source is a member, with both weights
     index.kwi       keyword index over the original nodes: its sorted terms,
                     then every term's node ids as one offsets-plus-ids pair
     tuples.emb      the ingested tuple graph, nothing else: ``cluster``
                     partitions it and ``compare`` searches it whole
 
-Queries read graph.emb, clusters.emb and index.kwi; ``cluster`` and
-``compare`` read tuples.emb, so the links and prestige values are in both
-clusters.emb and tuples.emb, each copy for its own reader.  graph.emb also
-keeps the link counts and CRCs of the records, to budget for and check a
-record before reading it.  Row texts, keys and relations are not stored:
-node ids follow the deterministic ingest order of the data directory
-(tables in schema order, rows in file order, minus pruned rows), so an id
-maps back to its row by ingesting the same directory again.  A graph stores
-per node only its prestige and per slot only its target, weight, direction
-bit and partner slot.  A cluster's members are its span of the node order
-in graph.emb, and the node-to-cluster mapping is rebuilt from that order on
-read.  All integers are little-endian and ids fit 32 bits; weights are
-32-bit floats.  Every variable-length list (index terms, posting lists) is
-one column: ``count + 1`` offsets from 0, then the bytes or ids they
-delimit.  Every file and every cluster record begins with a four-byte magic
-and the format version and ends with a CRC32 of everything before it;
-graph.emb also fixes the length and record CRCs of clusters.emb.  Any other
-version is rejected, so a store written by an older release must be rebuilt
-with ``ingest`` then ``cluster``.  No per-cluster cost bounds are stored
-or computed.
+Queries read graph.emb and index.kwi; ``cluster`` and ``compare`` read
+tuples.emb, so the links and prestige values are in both files, each copy
+for its own reader.  The section also keeps the link counts of the
+records, to budget for a record before reading it.  Row texts, keys and
+relations are not stored: node ids follow the deterministic ingest order
+of the data directory (tables in schema order, rows in file order, minus
+pruned rows), so an id maps back to its row by ingesting the same
+directory again.  A graph stores per node only its prestige and per slot
+only its target, weight, direction bit and partner slot.  A cluster's
+members are its span of the node order, and the node-to-cluster mapping
+is rebuilt from that order on read.  All integers are little-endian and
+ids fit 32 bits; weights are 32-bit floats.  Every variable-length list
+(index terms, posting lists) is one column: ``count + 1`` offsets from 0,
+then the bytes or ids they delimit.  Every file, graph.emb's section and
+every cluster record begins with a four-byte magic and the format version
+and ends with a CRC32 of everything before it; the section also holds its
+byte length, and its last record offset fixes the length of the records
+after it.  Any other version is rejected, so a store written by an older
+release must be rebuilt with ``ingest`` then ``cluster``.
 
 Readers map each file read-only (a file shorter than one page is read
-instead), check it with one CRC pass, and hand out
-``np.frombuffer`` views in the stored little-endian dtypes, which are
+instead), check it with one CRC pass (graph.emb: its section), and hand
+out ``np.frombuffer`` views in the stored little-endian dtypes, which are
 read-only; only derived arrays such as the node-to-cluster mapping are
-computed.  ``ClusterStore.open`` maps graph.emb and clusters.emb, so an
-open store reads only the records it needs.  Writers write a temporary
-file beside the target, fsync it and rename it over the target, so a
-reader keeps the file it mapped when a store is rebuilt.  Truncating a
+computed.  ``ClusterStore.open`` maps graph.emb, so an open store reads
+only the records it needs, each checked by its own CRC when first read.
+Writers write a temporary file beside the target, fsync it and rename it
+over the target, so a reader keeps the file it mapped when a store is
+rebuilt, and one ``cluster`` build replaces one file.  Truncating a
 mapped file in place with another tool can instead kill a reader with
 SIGBUS when it touches a page past the new end.
 
@@ -68,13 +67,12 @@ from .keywords import KeywordIndex
 GRAPH_FILE = "graph.emb"
 TUPLES_FILE = "tuples.emb"
 INDEX_FILE = "index.kwi"
-CLUSTERS_FILE = "clusters.emb"
 
 MAGIC_GRAPH = b"EMBK"
 MAGIC_TUPLES = b"EMBT"
 MAGIC_CLUSTER = b"EMBC"
 MAGIC_INDEX = b"EMBI"
-FORMAT_VERSION = 8
+FORMAT_VERSION = 9
 
 
 class StorageError(Exception):
@@ -86,8 +84,12 @@ class StorageFormatError(StorageError):
 
 
 class _Writer:
-    def __init__(self) -> None:
-        self._parts: list[bytes] = []
+    """Magic, format version, the fields, then a CRC32 of all before it; a
+    sized blob's u64 after the version holds its whole byte length."""
+
+    def __init__(self, magic: bytes, sized: bool = False) -> None:
+        self._parts = [magic, FORMAT_VERSION.to_bytes(4, "little")]
+        self._sized = sized
 
     def raw(self, data: bytes) -> None:
         self._parts.append(data)
@@ -110,7 +112,11 @@ class _Writer:
         self.raw(b"".join(blobs))
 
     def blob(self) -> bytes:
-        body = b"".join(self._parts)
+        parts = self._parts
+        if self._sized:
+            size = sum(map(len, parts)) + 12
+            parts = [*parts[:2], size.to_bytes(8, "little"), *parts[2:]]
+        body = b"".join(parts)
         return body + zlib.crc32(body).to_bytes(4, "little")
 
     def finish(self, path: Path) -> int:
@@ -154,27 +160,30 @@ def _map_file(path: Path) -> memoryview:
 
 
 class _Reader:
-    """Checks one file or record whole, then hands out views of its bytes.
+    """Checks one file, section or record whole, magic and version
+    first, then hands out views of its bytes.
 
-    Arrays are ``np.frombuffer`` views in the stored dtype; the buffer is
-    read-only, so they are too, and they keep it alive.
+    A sized section ends where its length word says; ``rest`` holds the
+    bytes after it.  Arrays are ``np.frombuffer`` views in the stored
+    dtype; the buffer is read-only, so they are too, and they keep it alive.
     """
 
-    def __init__(self, data: memoryview, magic: bytes, name: str) -> None:
+    def __init__(self, data: memoryview, magic: bytes, name: str,
+                 sized: bool = False) -> None:
         self.name = name
-        if len(data) < 12:
-            raise StorageFormatError(f"{name}: truncated file")
-        body, crc = data[:-4], int.from_bytes(data[-4:], "little")
-        if zlib.crc32(body) != crc:
-            raise StorageFormatError(f"{name}: checksum mismatch")
-        self._body = body
-        self._pos = 0
+        self._body, self._pos = data, 0
         got = bytes(self.raw(4))
         if got != magic:
             raise StorageFormatError(f"{name}: bad magic {got!r}")
         version = self.u32()
         if version != FORMAT_VERSION:
             raise StorageFormatError(f"{name}: unsupported version {version}")
+        size = int.from_bytes(self.raw(8), "little") if sized else len(data)
+        if not self._pos + 4 <= size <= len(data):
+            raise StorageFormatError(f"{name}: truncated file")
+        self._body, self.rest = data[:size - 4], data[size:]
+        if zlib.crc32(self._body) != int.from_bytes(data[size - 4:size], "little"):
+            raise StorageFormatError(f"{name}: checksum mismatch")
 
     def raw(self, n: int) -> memoryview:
         if self._pos + n > len(self._body):
@@ -251,9 +260,7 @@ def _read_graph_arrays(r: _Reader, n: int, m: int) -> DataGraph:
 # --- tuple graph ------------------------------------------------------------
 
 def write_tuple_graph(path: str | Path, g: DataGraph) -> int:
-    w = _Writer()
-    w.raw(MAGIC_TUPLES)
-    w.u32(FORMAT_VERSION)
+    w = _Writer(MAGIC_TUPLES)
     w.u32(g.node_count)
     w.u32(g.slot_count)
     _write_graph_arrays(w, g)
@@ -276,16 +283,16 @@ class StoreHeader:
     clustering: Clustering
     intra_links: np.ndarray     # per cluster, link records inside it
     crossing_links: np.ndarray  # per cluster, crossing links incident to it
-    record_offset: np.ndarray   # [k + 1] byte offsets of the records in clusters.emb
-    record_crc: np.ndarray      # [k] CRC32 trailer of each record
+    record_offset: np.ndarray   # [k + 1] byte offsets of the records after it
 
 
-def write_compressed_graph(path: str | Path, header: StoreHeader) -> int:
+def write_compressed_graph(path: str | Path, header: StoreHeader,
+                           records) -> None:
+    """Write graph.emb: the section for ``header``, then ``records``, the
+    bytes of every cluster record end to end."""
     cg = header.cluster_graph
     cl = header.clustering
-    w = _Writer()
-    w.raw(MAGIC_GRAPH)
-    w.u32(FORMAT_VERSION)
+    w = _Writer(MAGIC_GRAPH, sized=True)
     w.u32(cg.node_count)
     w.u32(cg.slot_count)
     w.u32(cl.node_count)
@@ -296,12 +303,12 @@ def write_compressed_graph(path: str | Path, header: StoreHeader) -> int:
     w.arr(header.intra_links, "<u4")
     w.arr(header.crossing_links, "<u4")
     w.arr(header.record_offset, "<u8")
-    w.arr(header.record_crc, "<u4")
-    return w.finish(Path(path))
+    _replace_file(Path(path), [w.blob(), records])
 
 
-def read_compressed_graph(path: str | Path) -> StoreHeader:
-    r = _Reader(_map_file(Path(path)), MAGIC_GRAPH, str(path))
+def read_compressed_graph(path: str | Path) -> tuple[StoreHeader, memoryview]:
+    """Check graph.emb's section; return it and the records after it."""
+    r = _Reader(_map_file(Path(path)), MAGIC_GRAPH, str(path), sized=True)
     k = r.u32()
     m = r.u32()
     n = r.u32()
@@ -312,14 +319,16 @@ def read_compressed_graph(path: str | Path) -> StoreHeader:
     intra = r.arr(k, "<u4")
     crossing = r.arr(k, "<u4")
     offset = r.offsets(k, "<u8")
-    crc = r.arr(k, "<u4")
     r.done()
+    if len(r.rest) != offset[-1]:
+        raise StorageFormatError(f"{path}: the cluster records take "
+                                 f"{len(r.rest)} bytes, not {offset[-1]}")
     try:
         clustering = Clustering.from_order(order, cluster_offset, max_size)
     except ClusteringError as exc:
         raise StorageFormatError(f"{path}: {exc}") from exc
     _read_only(clustering.node_mapping)
-    return StoreHeader(graph, clustering, intra, crossing, offset, crc)
+    return StoreHeader(graph, clustering, intra, crossing, offset), r.rest
 
 
 # --- cluster records --------------------------------------------------------
@@ -417,9 +426,7 @@ def read_cluster(record, name: str = "cluster record") -> ClusterPayload:
 # --- keyword index ------------------------------------------------------------
 
 def write_keyword_index(path: str | Path, index: KeywordIndex) -> int:
-    w = _Writer()
-    w.raw(MAGIC_INDEX)
-    w.u32(FORMAT_VERSION)
+    w = _Writer(MAGIC_INDEX)
     w.u32(len(index.terms))
     w.strings(index.terms)
     w.arr(index.offsets, "<u4")
@@ -444,15 +451,13 @@ def read_keyword_index(path: str | Path) -> KeywordIndex:
 
 def write_store(store_dir: str | Path, g: DataGraph, clustering: Clustering,
                 cluster_graph: DataGraph) -> None:
-    """Write clusters.emb, then graph.emb, for a finished clustering.
+    """Write graph.emb, in one rename, for a finished clustering.
 
     Each link is recorded once, by the cluster of its foreign-key source.
     One sort of the forward slots by (cluster, intra before boundary,
     member position, slot) lays out every record's links, and
-    ``_encode_records`` lays out every record of clusters.emb at once.
+    ``_encode_records`` lays out every record at once.
     """
-    store_dir = Path(store_dir)
-    store_dir.mkdir(parents=True, exist_ok=True)
     k, mapping = clustering.cluster_count, clustering.node_mapping
     sizes = np.diff(clustering.cluster_offset)
     position = np.empty(clustering.node_count, dtype=np.int64)  # within its cluster
@@ -471,11 +476,8 @@ def write_store(store_dir: str | Path, g: DataGraph, clustering: Clustering,
     w = np.stack([g.edge_weight[fwd], g.edge_weight[g.pair_slot[fwd]]], axis=1)
     words, start = _encode_records(np.arange(k), g.prestige[clustering.node_order],
                                    sizes, local, dst, w, intra + leaving)
-    _replace_file(store_dir / CLUSTERS_FILE, [words])
-    offset = 4 * start
-    crc = words[start[1:] - 1].astype(np.int64)
-    header = StoreHeader(cluster_graph, clustering, intra, crossing, offset, crc)
-    write_compressed_graph(store_dir / GRAPH_FILE, header)
+    header = StoreHeader(cluster_graph, clustering, intra, crossing, 4 * start)
+    write_compressed_graph(Path(store_dir) / GRAPH_FILE, header, words)
 
 
 @dataclass
@@ -497,13 +499,13 @@ class ExpandedGraph:
 class ClusterStore:
     """Read access to one store directory, counting disk traffic.
 
-    graph.emb and clusters.emb are mapped when the store opens, so a store
-    keeps reading the build it opened after ``cluster`` replaces the files.
+    graph.emb is mapped when the store opens, so a store keeps reading the
+    build it opened after ``cluster`` replaces the file.
     """
 
     dir: Path
     header: StoreHeader
-    records: memoryview             # clusters.emb
+    records: memoryview             # graph.emb after its section
     clusters_read: int = 0
     bytes_read: int = 0
     _cache: dict[int, ClusterPayload] = field(default_factory=dict)
@@ -512,12 +514,7 @@ class ClusterStore:
     @classmethod
     def open(cls, store_dir: str | Path) -> ClusterStore:
         store_dir = Path(store_dir)
-        header = read_compressed_graph(store_dir / GRAPH_FILE)
-        path = store_dir / CLUSTERS_FILE
-        records = _map_file(path)
-        if len(records) != header.record_offset[-1]:
-            raise StorageFormatError(f"{path}: length differs from {GRAPH_FILE}")
-        return cls(store_dir, header, records)
+        return cls(store_dir, *read_compressed_graph(store_dir / GRAPH_FILE))
 
     @property
     def cluster_graph(self) -> DataGraph:
@@ -537,20 +534,16 @@ class ClusterStore:
         if not 0 <= cluster_id < self.cluster_count:
             raise StorageError(f"{self.dir}: no cluster {cluster_id}, "
                                f"the store has {self.cluster_count} clusters")
-        path = self.dir / CLUSTERS_FILE
         start, end = self.header.record_offset[cluster_id:cluster_id + 2].tolist()
         record = self.records[start:end]
-        name = f"{path} cluster {cluster_id}"
-        crc = int.from_bytes(record[-4:], "little")
-        if crc != self.header.record_crc[cluster_id]:
-            raise StorageFormatError(f"{name}: CRC differs from {GRAPH_FILE}")
+        name = f"{self.dir / GRAPH_FILE} cluster {cluster_id}"
         payload = read_cluster(record, name)
         if payload.cluster_id != cluster_id:
             raise StorageFormatError(f"{name}: holds cluster {payload.cluster_id}")
         members = len(self.clustering.members(cluster_id))
         if payload.member_count != members:
             raise StorageFormatError(f"{name}: holds {payload.member_count} members, "
-                                     f"{GRAPH_FILE} has {members}")
+                                     f"the node order has {members}")
         if np.any(payload.src >= members) \
                 or np.any(payload.dst >= self.clustering.node_count):
             raise StorageFormatError(f"{name}: a link end lies outside the "

@@ -376,7 +376,7 @@ def cluster_record_reference(payload) -> bytes:
     """A cluster record packed field by field: magic, version, cluster id,
     member and link counts, each member's prestige, each link's source, each
     link's target, each link's two weights, then the CRC32 of all that."""
-    body = b"EMBC" + struct.pack("<4I", 8, payload.cluster_id,
+    body = b"EMBC" + struct.pack("<4I", 9, payload.cluster_id,
                                  len(payload.prestige), len(payload.src))
     body += b"".join(struct.pack("<f", float(p)) for p in payload.prestige)
     body += b"".join(struct.pack("<I", int(x)) for x in payload.src)

@@ -31,7 +31,7 @@ from embanks.scoring import ScoreConfig
 from embanks.search import (COMBOS_ALL, COMBOS_BEST, NoMatchError,
                             SearchConfig, backward_search, init_activation,
                             spread_activation)
-from embanks.storage import (CLUSTERS_FILE, INDEX_FILE, TUPLES_FILE,
+from embanks.storage import (GRAPH_FILE, INDEX_FILE, TUPLES_FILE,
                              ClusterStore, expand_clusters, read_cluster,
                              read_compressed_graph, read_keyword_index,
                              read_tuple_graph, write_cluster,
@@ -190,8 +190,8 @@ def test_criterion_06_activation_conservation():
 
 
 def test_criterion_07_storage_round_trip(tmp_path):
-    """Every store file rereads byte-identically; expansion rebuilds the
-    graph."""
+    """Every store file, graph.emb's section and each of its cluster
+    records reread byte-identically; expansion rebuilds the graph."""
     rng = random.Random(707)
     scratch = tmp_path / "rewrite"
     scratch.mkdir()
@@ -207,24 +207,21 @@ def test_criterion_07_storage_round_trip(tmp_path):
         assert (scratch / "t.emb").read_bytes() == \
             (d / TUPLES_FILE).read_bytes()
 
-        header = read_compressed_graph(d / "graph.emb")
-        write_compressed_graph(scratch / "g.emb", header)
+        header, records = read_compressed_graph(d / GRAPH_FILE)
+        offset = header.record_offset
+        rewritten = []
+        for c in range(header.clustering.cluster_count):
+            payload = read_cluster(records[offset[c]:offset[c + 1]])
+            assert payload.cluster_id == c
+            rewritten.append(write_cluster(payload))
+        write_compressed_graph(scratch / "g.emb", header, b"".join(rewritten))
         assert (scratch / "g.emb").read_bytes() == \
-            (d / "graph.emb").read_bytes()
+            (d / GRAPH_FILE).read_bytes()
 
         index = read_keyword_index(d / INDEX_FILE)
         write_keyword_index(scratch / "i.kwi", index)
         assert (scratch / "i.kwi").read_bytes() == \
             (d / INDEX_FILE).read_bytes()
-
-        packed = (d / CLUSTERS_FILE).read_bytes()
-        offset = header.record_offset
-        assert len(packed) == offset[-1]
-        for c in range(header.clustering.cluster_count):
-            record = packed[offset[c]:offset[c + 1]]
-            payload = read_cluster(record)
-            assert payload.cluster_id == c
-            assert write_cluster(payload) == record
 
         sub = expand_clusters(store, range(store.clustering.cluster_count))
         assert sub.graph.node_count == g.node_count

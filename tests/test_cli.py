@@ -239,17 +239,24 @@ def test_reingest_needs_cluster_before_query(corpus, tmp_path, capsys):
     assert capsys.readouterr().out.startswith("1\t")
 
 
-def test_foreign_or_resized_cluster_file_errors(corpus, tmp_path, capsys):
+def test_damaged_graph_file_errors(corpus, tmp_path, capsys):
+    """A graph.emb cut or extended by one byte fails at open, and one with
+    a flipped byte in every record fails at the first record read: either
+    way ``query`` exits 1 naming the file."""
     _, store = corpus
-    mine, other = tmp_path / "mine", tmp_path / "other"
+    mine = tmp_path / "mine"
     shutil.copytree(store, mine)
-    shutil.copytree(store, other)
-    assert cli.main(["cluster", "--store", str(other), "--size", "4"]) == 0
-    good = (mine / "clusters.emb").read_bytes()
-    for data in ((other / "clusters.emb").read_bytes(), good[:-1],
-                 good + b"\x00"):
-        (mine / "clusters.emb").write_bytes(data)
-        assert "clusters.emb" in _query_fails(mine, capsys)
+    path = mine / "graph.emb"
+    good = path.read_bytes()
+    opened = ClusterStore.open(mine)
+    section = len(good) - len(opened.records)
+    flipped = bytearray(good)
+    for end in (section + opened.header.record_offset[1:]).tolist():
+        flipped[end - 1] ^= 0x10            # each record's CRC trailer
+    for data, named in ((good[:-1], "graph.emb: "), (good + b"\x00", "graph.emb: "),
+                        (bytes(flipped), "graph.emb cluster ")):
+        path.write_bytes(data)
+        assert named in _query_fails(mine, capsys)
 
 
 def test_keyword_index_from_another_build_errors(corpus, tmp_path, capsys):

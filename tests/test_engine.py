@@ -2,6 +2,7 @@
 
 import hashlib
 import mmap
+import os
 import random
 
 import numpy as np
@@ -21,12 +22,14 @@ from embanks.synth import (SynthSpec, generate_synthetic, high_pair,
                            low_pair)
 from embanks.search import (COMBOS, COMBOS_BEST, KeywordSets, NoMatchError,
                             SearchConfig, backward_search)
-from embanks.storage import (CLUSTERS_FILE, GRAPH_FILE, INDEX_FILE,
-                             TUPLES_FILE, ClusterStore, StorageError,
-                             expand_clusters, write_keyword_index,
-                             write_tuple_graph)
+from embanks.storage import (GRAPH_FILE, INDEX_FILE, TUPLES_FILE,
+                             ClusterStore, StorageError, expand_clusters,
+                             write_keyword_index, write_tuple_graph)
 
 from conftest import WEIGHT_GRID, answers_digest, random_graph
+
+
+THREE = ["graph.emb", "index.kwi", "tuples.emb"]
 
 
 def make_store(rng, store_dir, n=40, algorithm="close1", max_size=4,
@@ -53,7 +56,8 @@ def test_gamma_trigger_cases():
     assert not gamma_trigger([], 0.5)
     assert not gamma_trigger([5.0], 0.5)
     assert not gamma_trigger([10.0, 0.001], 0.0)
-    assert gamma_trigger([5.0, 5.0], 1.0)
+    assert not gamma_trigger([5.0, 5.0], 1.0)       # a tie is no drop
+    assert gamma_trigger([5.0, 5.0], 1.5)
     assert not gamma_trigger([0.0, 0.0], 1.0)
     assert gamma_trigger([9.0, 8.0, 1.0], 0.25)
 
@@ -182,15 +186,16 @@ def test_budget_limits_extra_clusters(rng, tmp_path):
 
 
 def test_gamma_refetch_caps_and_converges(rng, tmp_path):
+    """Gamma 2 refetches after any two ranked answers, ties included."""
     g, meta, _, store = make_store(rng, tmp_path, n=30, max_size=3)
-    capped = EngineConfig(extra_policy="none", gamma=1.0, max_refetch=1,
+    capped = EngineConfig(extra_policy="none", gamma=2.0, max_refetch=1,
                           budget=10 ** 9)
     result = two_phase_query(store, ["shared", "alpha"], capped)
     assert result.refetch_events <= 1
     if result.refetch_events:
         assert set(result.expanded_clusters) > set(result.core_clusters)
 
-    exhaustive = EngineConfig(extra_policy="none", gamma=1.0,
+    exhaustive = EngineConfig(extra_policy="none", gamma=2.0,
                               max_refetch=10 ** 3, budget=10 ** 9)
     result = two_phase_query(store, ["alpha", "beta"], exhaustive)
     if len(result.expanded_clusters) == store.cluster_count:
@@ -209,7 +214,7 @@ def test_refetch_rounds_count_the_last_search_answers(rng, tmp_path):
         _, _, _, store = make_store(rng, tmp_path / str(i), n=30,
                                     max_size=3,
                                     planted=("alpha", "beta", "alpha", "beta"))
-        cfg = EngineConfig(extra_policy="none", gamma=1.0, budget=10 ** 9)
+        cfg = EngineConfig(extra_policy="none", gamma=2.0, budget=10 ** 9)
         result = two_phase_query(store, ["alpha", "beta"], cfg)
         if result.refetch_events:
             refetched += 1
@@ -349,27 +354,25 @@ def test_build_store_summary(rng, tmp_path):
     assert summary["links"] == g.slot_count // 2
     assert summary["clusters"] == store.cluster_count
     assert summary["algorithm"] == "close1"
-    four = ["clusters.emb", "graph.emb", "index.kwi", "tuples.emb"]
-    assert sorted(p.name for p in tmp_path.iterdir()) == four
+    assert sorted(p.name for p in tmp_path.iterdir()) == THREE
     # re-clustering into fewer clusters leaves no stale cluster data
     fewer = build_store(tmp_path, "close1", 15)
     assert fewer["clusters"] < summary["clusters"]
-    assert sorted(p.name for p in tmp_path.iterdir()) == four
+    assert sorted(p.name for p in tmp_path.iterdir()) == THREE
     store = ClusterStore.open(tmp_path)
-    assert (tmp_path / "clusters.emb").stat().st_size == \
-        store.header.record_offset[-1]
+    assert len(store.records) == store.header.record_offset[-1]
     sub = expand_clusters(store, range(store.cluster_count))
     assert sub.graph.node_count == g.node_count
     assert sub.graph.slot_count == g.slot_count
 
 
 def test_store_opened_before_a_rebuild_keeps_its_build(rng, tmp_path):
-    """``cluster`` replaces graph.emb and clusters.emb by rename, so a store
-    opened before the rebuild keeps its arrays and answers, a new open
-    reads the new build, and no temporary file is left behind."""
+    """``cluster`` replaces graph.emb by rename, so a store opened before
+    the rebuild keeps its arrays and answers, a new open reads the new
+    build, and no temporary file is left behind."""
     _, _, summary, first = make_store(rng, tmp_path, n=400, max_size=4)
-    for name in (GRAPH_FILE, CLUSTERS_FILE):     # mapped, not read whole
-        assert (tmp_path / name).stat().st_size >= mmap.PAGESIZE
+    # mapped, not read whole
+    assert (tmp_path / GRAPH_FILE).stat().st_size >= mmap.PAGESIZE
     want = answers_digest(two_phase_query(first, ["alpha", "beta"]).answers)
     old = ClusterStore.open(tmp_path)
 
@@ -384,8 +387,33 @@ def test_store_opened_before_a_rebuild_keeps_its_build(rng, tmp_path):
     assert answers_digest(two_phase_query(old, ["alpha", "beta"]).answers) == want
     assert old.cluster_count == summary["clusters"]
     assert ClusterStore.open(tmp_path).cluster_count == rebuilt["clusters"]
-    four = ["clusters.emb", "graph.emb", "index.kwi", "tuples.emb"]
-    assert sorted(p.name for p in tmp_path.iterdir()) == four
+    assert sorted(p.name for p in tmp_path.iterdir()) == THREE
+
+
+def test_cluster_build_replaces_one_file(rng, tmp_path, monkeypatch):
+    """A build renames one file over the store.  When that rename fails,
+    the previous build still opens and answers alike, and no temporary
+    file is left behind."""
+    make_store(rng, tmp_path, n=60, max_size=4)
+    replaced = []
+    real_replace = os.replace
+    monkeypatch.setattr(os, "replace",
+                        lambda src, dst: replaced.append(dst) or real_replace(src, dst))
+    previous = build_store(tmp_path, "close1", 6, seed=3)
+    assert replaced == [tmp_path / GRAPH_FILE]
+    want = answers_digest(two_phase_query(ClusterStore.open(tmp_path),
+                                          ["alpha", "beta"]).answers)
+
+    def fail(src, dst):
+        raise OSError(f"cannot rename {src}")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="cannot rename"):
+        build_store(tmp_path, "close1", 4, seed=3)
+    store = ClusterStore.open(tmp_path)
+    assert store.cluster_count == previous["clusters"]
+    assert answers_digest(two_phase_query(store, ["alpha", "beta"]).answers) == want
+    assert sorted(p.name for p in tmp_path.iterdir()) == THREE
 
 
 def test_package_exports_resolve():
@@ -554,10 +582,10 @@ def test_two_phase_grid_regression_pin(tmp_path):
                     counts(r.stats), r.stats.answers_emitted))
     digests = {name: hashlib.sha256(repr(r).encode()).hexdigest()[:16]
                for name, r in rows.items()}
-    assert refetches["all"] == 582
-    assert digests["all"] == "7bae47c4564d5140"
-    assert refetches["default"] == 594
-    assert digests["default"] == "e10e840e3ca28109"
+    assert refetches["all"] == 579
+    assert digests["all"] == "babdfe719eabcb57"
+    assert refetches["default"] == 588
+    assert digests["default"] == "986d2860b5c43da1"
 
 
 @pytest.fixture(scope="module")
@@ -575,29 +603,28 @@ def file_digest(path):
 
 
 STORE_PINS = {
-    # (algorithm, edge combiner, prestige combiner): (graph.emb, clusters.emb)
-    ("close1", "inverse-sum", "sum"): ("2306045d157e35df", "3dcb00d704c4a4c6"),
-    ("close1", "harmonic-mean", "max"): ("d7148835f9aabfc6", "3dcb00d704c4a4c6"),
-    ("close1", "min", "avg"): ("595ba37772e6c29c", "3dcb00d704c4a4c6"),
-    ("greedymin", "inverse-sum", "sum"): ("feecbe9177cc9df0", "4d65b25ac1433ee4"),
-    ("greedymin", "harmonic-mean", "max"): ("072fdd1aa4b329c0", "4d65b25ac1433ee4"),
-    ("greedymin", "min", "avg"): ("86d9bce05ef2766a", "4d65b25ac1433ee4"),
-    ("connection", "inverse-sum", "sum"): ("f23caa2c364a17bc", "9db756dfb1898835"),
-    ("connection", "harmonic-mean", "max"): ("d79b75616ce6ebe3", "9db756dfb1898835"),
-    ("connection", "min", "avg"): ("0c8d9b94e20bd11b", "9db756dfb1898835"),
-    ("adjacency", "inverse-sum", "sum"): ("a811a78ec80410a3", "a59ceea4a6d4ea5a"),
-    ("adjacency", "harmonic-mean", "max"): ("5af89097e88d6c64", "a59ceea4a6d4ea5a"),
-    ("adjacency", "min", "avg"): ("d3dc2651875cf71d", "a59ceea4a6d4ea5a"),
+    # (algorithm, edge combiner, prestige combiner): graph.emb
+    ("close1", "inverse-sum", "sum"): "92715ba8061b1527",
+    ("close1", "harmonic-mean", "max"): "d33a6b3a73329729",
+    ("close1", "min", "avg"): "d6db1240e1b0f054",
+    ("greedymin", "inverse-sum", "sum"): "a38a0283f921aa3b",
+    ("greedymin", "harmonic-mean", "max"): "4a3e08dd683839db",
+    ("greedymin", "min", "avg"): "76ae77c5f0519f43",
+    ("connection", "inverse-sum", "sum"): "66094b0fe06b702c",
+    ("connection", "harmonic-mean", "max"): "344f2a90e0796d35",
+    ("connection", "min", "avg"): "0269589d09d9fae9",
+    ("adjacency", "inverse-sum", "sum"): "267a1828051d5b9e",
+    ("adjacency", "harmonic-mean", "max"): "36d9e696b1ab84f5",
+    ("adjacency", "min", "avg"): "81b57f22df88a48a",
 }
 
 
 @pytest.mark.parametrize("algorithm,edge,prestige", sorted(STORE_PINS))
 def test_store_bytes_pin(synth_store, algorithm, edge, prestige):
     """Every byte of the store, under each clustering algorithm and three
-    combiner pairs, as of store format 8."""
-    assert file_digest(synth_store / TUPLES_FILE) == "589d317b8286bc69"
-    assert file_digest(synth_store / INDEX_FILE) == "5a9989b30cf2f271"
+    combiner pairs, as of store format 9."""
+    assert file_digest(synth_store / TUPLES_FILE) == "32ae3764e36e1c15"
+    assert file_digest(synth_store / INDEX_FILE) == "19ec18ac9f6b15cf"
     build_store(synth_store, algorithm, 8, WeightConfig(edge, prestige))
-    assert (file_digest(synth_store / "graph.emb"),
-            file_digest(synth_store / "clusters.emb")) == \
+    assert file_digest(synth_store / GRAPH_FILE) == \
         STORE_PINS[(algorithm, edge, prestige)]

@@ -2,6 +2,7 @@
 
 import mmap
 import random
+import re
 import zlib
 from collections import Counter
 from dataclasses import replace
@@ -9,11 +10,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from embanks.clustering import (Clustering, WeightConfig, _from_member_lists,
-                                build_cluster_graph, cluster_adjacency_naive)
+from embanks.clustering import (Clustering, WeightConfig, build_cluster_graph,
+                                cluster_adjacency_naive)
 from embanks.graph import GraphBuilder, NodeMeta
 from embanks.keywords import KeywordIndex, build_index
-from embanks.storage import (CLUSTERS_FILE, FORMAT_VERSION, GRAPH_FILE,
+from embanks.storage import (FORMAT_VERSION, GRAPH_FILE,
                              INDEX_FILE, ClusterPayload, ClusterStore, StorageError,
                              StorageFormatError, expand_clusters, read_cluster,
                              read_compressed_graph, read_keyword_index,
@@ -102,18 +103,25 @@ def test_compressed_graph_round_trip(rng, tmp_path):
     header = StoreHeader(cg, cl,
                          np.arange(k, dtype=np.int64),
                          np.arange(k, dtype=np.int64) * 2,
-                         np.arange(k + 1, dtype=np.int64) * (1 << 33),
-                         np.arange(k, dtype=np.int64) + 0xFFFF0000)
+                         np.arange(k + 1, dtype=np.int64) * 3)
+    records = bytes(rng.randrange(256) for _ in range(3 * k))
     p1, p2 = tmp_path / "a.emb", tmp_path / "b.emb"
-    write_compressed_graph(p1, header)
-    # header, arrays and CRC only: no per-cluster or per-superedge cost
-    # bounds, no node types and no node-to-cluster mapping
+    write_compressed_graph(p1, header, records)
+    # the section holds its header, arrays and CRC only: no per-cluster or
+    # per-superedge cost bounds, no node types, no node-to-cluster mapping
+    # and no record CRCs; the records follow it unchanged
     graph_arrays = 4 * k + 4 * (k + 1) + 12 * m + (m + 7) // 8
     clustering_arrays = 4 * cl.node_count + 4 * (k + 1)
-    record_arrays = 8 * k + 8 * (k + 1) + 4 * k
-    assert p1.stat().st_size == \
-        24 + graph_arrays + clustering_arrays + record_arrays + 4
-    h2 = read_compressed_graph(p1)
+    record_arrays = 8 * k + 8 * (k + 1)
+    section = 32 + graph_arrays + clustering_arrays + record_arrays + 4
+    raw = p1.read_bytes()
+    assert len(raw) == section + len(records)
+    assert int.from_bytes(raw[8:16], "little") == section
+    assert zlib.crc32(raw[:section - 4]) == \
+        int.from_bytes(raw[section - 4:section], "little")
+    h2, rest = read_compressed_graph(p1)
+    assert bytes(rest) == records
+    assert h2.record_offset.dtype == np.dtype("<u8")
     assert np.array_equal(h2.cluster_graph.adjacent_nodes,
                           cg.adjacent_nodes)
     assert np.array_equal(h2.cluster_graph.edge_weight,
@@ -125,9 +133,8 @@ def test_compressed_graph_round_trip(rng, tmp_path):
     assert np.array_equal(h2.intra_links, header.intra_links)
     assert np.array_equal(h2.crossing_links, header.crossing_links)
     assert np.array_equal(h2.record_offset, header.record_offset)
-    assert np.array_equal(h2.record_crc, header.record_crc)
-    write_compressed_graph(p2, h2)
-    assert p1.read_bytes() == p2.read_bytes()
+    write_compressed_graph(p2, h2, rest)
+    assert p2.read_bytes() == raw
 
 
 def test_cluster_payload_round_trip(rng):
@@ -149,7 +156,7 @@ def test_cluster_payload_round_trip(rng):
 def test_cluster_record_matches_field_by_field_packing(rng):
     """The word-column encoder writes each record as a field-by-field
     packer does: empty records, records without links, float64 prestige."""
-    assert FORMAT_VERSION == 8
+    assert FORMAT_VERSION == 9
     for trial in range(30):
         members, links = rng.randint(0, 6), rng.choice([0, 0, 1, 5])
         payload = ClusterPayload(
@@ -182,7 +189,7 @@ def test_cluster_payload_matches_slot_walk(rng, tmp_path):
         else:
             cl = grown_clustering(rng, name, g, size)
         _, _, store = built_store(rng, tmp_path / str(trial), g=g, cl=cl)
-        blob = (tmp_path / str(trial) / CLUSTERS_FILE).read_bytes()
+        blob = bytes(store.records)
         offset = store.header.record_offset.tolist()
         assert offset[-1] == len(blob)
         for c in range(cl.cluster_count):
@@ -203,10 +210,12 @@ def test_graph_file_of_another_version_is_rejected(rng, tmp_path):
     built_store(rng, tmp_path, n=12)
     path = tmp_path / "graph.emb"
     raw = bytearray(path.read_bytes())
+    section = int.from_bytes(raw[8:16], "little")
     for version in (*range(3, FORMAT_VERSION), FORMAT_VERSION + 1):
         raw[4] = version
-        body = bytes(raw[:-4])
-        path.write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))
+        raw[section - 4:section] = \
+            zlib.crc32(raw[:section - 4]).to_bytes(4, "little")
+        path.write_bytes(raw)
         with pytest.raises(StorageFormatError,
                            match=f"unsupported version {version}$"):
             ClusterStore.open(tmp_path)
@@ -219,7 +228,8 @@ def test_graph_file_with_inconsistent_clustering_is_rejected(rng, tmp_path):
     order[0] = order[1]                 # one node twice, another never
     broken = Clustering(cl.node_mapping, order, cl.cluster_offset,
                         cl.max_cluster_size)
-    write_compressed_graph(path, replace(store.header, clustering=broken))
+    write_compressed_graph(path, replace(store.header, clustering=broken),
+                           store.records)
     with pytest.raises(StorageFormatError, match="cover every node"):
         read_compressed_graph(path)
 
@@ -233,7 +243,7 @@ def test_graph_file_with_decreasing_cluster_offsets_is_rejected(rng, tmp_path):
     broken = Clustering(cl.node_mapping, cl.node_order, offset,
                         cl.max_cluster_size)
     write_compressed_graph(tmp_path / GRAPH_FILE,
-                           replace(store.header, clustering=broken))
+                           replace(store.header, clustering=broken), store.records)
     with pytest.raises(StorageFormatError, match="must split node_order"):
         ClusterStore.open(tmp_path)
 
@@ -246,7 +256,7 @@ def test_graph_file_with_decreasing_record_offsets_is_rejected(rng, tmp_path):
     offset = store.header.record_offset.copy()
     offset[1], offset[2] = offset[2], offset[1]
     write_compressed_graph(tmp_path / GRAPH_FILE,
-                           replace(store.header, record_offset=offset))
+                           replace(store.header, record_offset=offset), store.records)
     with pytest.raises(StorageFormatError, match="never decrease"):
         ClusterStore.open(tmp_path)
 
@@ -280,7 +290,7 @@ def test_read_arrays_are_read_only(rng, tmp_path, n):
     index = read_keyword_index(tmp_path / INDEX_FILE)
     payload = store.read_cluster(0)
     h = store.header
-    arrays = [h.intra_links, h.crossing_links, h.record_offset, h.record_crc,
+    arrays = [h.intra_links, h.crossing_links, h.record_offset,
               store.clustering.node_mapping, store.clustering.node_order,
               store.clustering.cluster_offset, payload.prestige, payload.src,
               payload.dst, payload.w, index.offsets, index.ids]
@@ -307,8 +317,8 @@ def test_member_count_differing_from_graph_file_is_rejected(rng, tmp_path):
     offset = cl.cluster_offset.copy()
     offset[c + 1] -= 1
     shifted = Clustering.from_order(cl.node_order, offset, cl.max_cluster_size)
-    write_compressed_graph(tmp_path / "graph.emb",
-                           replace(store.header, clustering=shifted))
+    write_compressed_graph(tmp_path / GRAPH_FILE,
+                           replace(store.header, clustering=shifted), store.records)
     store = ClusterStore.open(tmp_path)
     for other in range(c):
         store.read_cluster(other)
@@ -321,8 +331,7 @@ def test_member_count_differing_from_graph_file_is_rejected(rng, tmp_path):
 def test_out_of_range_link_end_is_rejected(rng, tmp_path, end):
     """A link from one past the cluster's members, which expansion would
     join to the next cluster's first member, or to one past the last node
-    fails the read, even with offsets and CRCs consistent across
-    clusters.emb and graph.emb."""
+    fails the read, even with the record's offsets and CRC consistent."""
     g, cl, store = built_store(rng, tmp_path, n=24)
     c = next(c for c in range(cl.cluster_count - 1)
              if len(store.read_cluster(c).src))
@@ -331,13 +340,9 @@ def test_out_of_range_link_end_is_rejected(rng, tmp_path, end):
     record = write_cluster(payload)
     start, stop = store.header.record_offset[c:c + 2].tolist()
     assert stop - start == len(record)
-    path = tmp_path / CLUSTERS_FILE
-    packed = path.read_bytes()
-    path.write_bytes(packed[:start] + record + packed[stop:])
-    crc = store.header.record_crc.copy()
-    crc[c] = zlib.crc32(record[:-4])
-    write_compressed_graph(tmp_path / GRAPH_FILE,
-                           replace(store.header, record_crc=crc))
+    packed = bytes(store.records)
+    write_compressed_graph(tmp_path / GRAPH_FILE, store.header,
+                           packed[:start] + record + packed[stop:])
     store = ClusterStore.open(tmp_path)
     with pytest.raises(StorageFormatError, match=f"cluster {c}: a link end lies"):
         store.read_cluster(c)
@@ -507,50 +512,37 @@ def test_corruption_detection(rng, tmp_path):
             read_cluster(restamped(record, version))
 
 
-def first_failure(store_dir):
-    """'open', the first cluster whose read fails, or None if all read."""
-    try:
-        store = ClusterStore.open(store_dir)
-    except StorageFormatError:
-        return "open"
-    for c in range(store.cluster_count):
-        try:
-            store.read_cluster(c)
-        except StorageFormatError:
-            return c
-    return None
+def test_damaged_graph_file_is_rejected(rng, tmp_path):
+    """A flipped byte in graph.emb's section fails the open; one in a
+    record fails the first read of that cluster, naming the file and the
+    cluster; a file cut or extended anywhere fails the open."""
+    g, cl, store = built_store(rng, tmp_path, n=30)
+    path = tmp_path / GRAPH_FILE
+    good = path.read_bytes()
+    section = len(good) - len(store.records)
+    offset = (section + store.header.record_offset).tolist()
 
+    def damaged(data):
+        path.write_bytes(data)
+        return ClusterStore.open(tmp_path)
 
-def test_foreign_or_damaged_cluster_file_is_rejected(rng, tmp_path):
-    g, cl, store = built_store(rng, tmp_path / "a", n=30)
-    k = cl.cluster_count
-    good = (tmp_path / "a" / CLUSTERS_FILE).read_bytes()
-    assert first_failure(tmp_path / "a") is None
-
-    # other builds of the same graph: a coarser clustering, and the same
-    # partition with its ids reversed, which packs to the same length
-    built_store(rng, tmp_path / "b", g=g,
-                cl=grown_clustering(rng, "close1", g, 3))
-    reversed_ids = _from_member_lists(
-        [cl.members(c).tolist() for c in reversed(range(k))],
-        cl.node_count, cl.max_cluster_size)
-    built_store(rng, tmp_path / "c", g=g, cl=reversed_ids)
-    other = (tmp_path / "b" / CLUSTERS_FILE).read_bytes()
-    same_length = (tmp_path / "c" / CLUSTERS_FILE).read_bytes()
-    assert len(other) != len(good)
-    assert len(same_length) == len(good) and same_length != good
-
-    target = tmp_path / "a" / CLUSTERS_FILE
-    offset = store.header.record_offset
-    cases = [(other, "open"), (same_length, 0),
-             (good[:-1], "open"), (good + b"\x00", "open")]
-    for c in range(k):
+    for pos in range(section):
         flipped = bytearray(good)
-        flipped[rng.randrange(int(offset[c]), int(offset[c + 1]))] ^= 0x10
-        cases.append((bytes(flipped), c))
-    for data, expected in cases:
-        target.write_bytes(data)
-        assert first_failure(tmp_path / "a") == expected
+        flipped[pos] ^= 0x10
+        with pytest.raises(StorageFormatError):
+            damaged(bytes(flipped))
+    for data in (good[:-1], good + b"\x00", good[:section], good[:section - 1]):
+        with pytest.raises(StorageFormatError, match=f"^{re.escape(str(path))}: "):
+            damaged(data)
+    for c in range(cl.cluster_count):
+        flipped = bytearray(good)
+        flipped[rng.randrange(offset[c], offset[c + 1])] ^= 0x10
+        store = damaged(bytes(flipped))
+        for other in range(c):
+            store.read_cluster(other)
+        with pytest.raises(StorageFormatError,
+                           match=f"^{re.escape(str(path))} cluster {c}: "):
+            store.read_cluster(c)
 
 
 def test_expand_all_clusters_restores_graph(rng, tmp_path):
