@@ -20,7 +20,7 @@ from .graph import GraphError, build_graph, parse_schema
 from .keywords import build_index, tokenize
 from .scoring import ScoredAnswer
 from .search import COMBOS, NoMatchError, SearchConfig, SearchStats
-from .storage import TUPLES_FILE, ClusterStore, StorageError, read_tuple_graph
+from .storage import ClusterStore, StorageError, read_tuple_graph
 from .synth import SynthSpec, generate_synthetic
 
 _EDGE_COMBINERS = {
@@ -117,7 +117,7 @@ def cmd_baseline(args) -> int:
 def cmd_compare(args) -> int:
     cfg = _engine_config(args)
     store = ClusterStore.open(args.store)
-    g = read_tuple_graph(store.dir / TUPLES_FILE)
+    g = read_tuple_graph(store.dir)
     index = store.keyword_index()
     for line in Path(args.queries).read_text(encoding="utf-8").splitlines():
         line = line.strip()

@@ -22,10 +22,9 @@ from .keywords import KeywordIndex, build_index
 from .scoring import AnswerTree, ScoreConfig, ScoredAnswer, is_acceptable
 from .search import (COMBOS, KeywordSets, SearchConfig, SearchStats,
                      backward_search, bidirectional_search)
-from .storage import (GRAPH_FILE, INDEX_FILE, TUPLES_FILE, ClusterStore,
-                      ExpandedGraph, StorageFormatError, expand_clusters,
-                      read_tuple_graph, write_keyword_index, write_store,
-                      write_tuple_graph)
+from .storage import (INDEX_FILE, ClusterStore, ExpandedGraph,
+                      StorageFormatError, expand_clusters, read_tuple_graph,
+                      write_keyword_index, write_store, write_tuple_graph)
 
 ALGORITHMS = {
     "backward": backward_search,
@@ -99,19 +98,22 @@ class QueryResult:
 def ingest_to_store(schema_path: str | Path, data_dir: str | Path,
                     store_dir: str | Path,
                     prune: bool = True) -> tuple[DataGraph, NodeMeta, list[str]]:
-    """Write the tuple graph and keyword index, deleting any older cluster store.
+    """Write the keyword index, then the tuple graph as a one-cluster
+    graph.emb that answers queries before ``build_store`` clusters it.
 
-    The store keeps no row metadata: the returned ``NodeMeta`` is its only
-    copy.  Node ids follow the data directory's deterministic ingest order,
-    so ingesting the same directory again maps them back to rows.
+    Every ``*.emb`` file, older formats' included, is deleted first, so no
+    old graph stays beside a new index.  The store keeps no row metadata:
+    the returned ``NodeMeta`` is its only copy, and node ids follow the data
+    directory's deterministic ingest order.
     """
     spec = parse_schema(schema_path)
     g, meta, warnings = build_graph(spec, data_dir, prune=prune)
     store_dir = Path(store_dir)
     store_dir.mkdir(parents=True, exist_ok=True)
-    (store_dir / GRAPH_FILE).unlink(missing_ok=True)
-    write_tuple_graph(store_dir / TUPLES_FILE, g)
+    for old in store_dir.glob("*.emb"):
+        old.unlink()
     write_keyword_index(store_dir / INDEX_FILE, build_index(meta))
+    write_tuple_graph(store_dir, g)
     return g, meta, warnings
 
 
@@ -129,9 +131,9 @@ def run_clustering(g: DataGraph, algorithm: str, max_size: int, seed: int = 0):
 def build_store(store_dir: str | Path, algorithm: str = "close1",
                 max_size: int = 100, wcfg: WeightConfig | None = None,
                 seed: int = 0) -> dict:
-    """Cluster the stored tuple graph and write the full cluster store."""
+    """Cluster the store's tuple graph and write the full cluster store."""
     store_dir = Path(store_dir)
-    g = read_tuple_graph(store_dir / TUPLES_FILE)
+    g = read_tuple_graph(store_dir)
     clustering = run_clustering(g, algorithm, max_size, seed)
     cluster_graph = build_cluster_graph(g, clustering, wcfg)
     write_store(store_dir, g, clustering, cluster_graph)

@@ -186,9 +186,9 @@ class GraphBuilder:
 
     def __init__(self) -> None:
         self._prestige: list[float] = []
-        # link columns (u, v, w_fwd, w_bwd), u -> v the FK direction, in
-        # insertion order
-        self._chunks: list[tuple[np.ndarray, ...]] = []
+        # link columns (u, v, w_fwd, w_bwd, positions or None), u -> v the
+        # FK direction, in insertion order
+        self._chunks: list[tuple] = []
 
     def add_node(self, prestige: float = 0.0) -> int:
         self._prestige.append(prestige)
@@ -204,9 +204,11 @@ class GraphBuilder:
                  backward_weight: float) -> None:
         self.add_links([u], [v], [forward_weight], [backward_weight])
 
-    def add_links(self, u, v, w_fwd, w_bwd) -> None:
+    def add_links(self, u, v, w_fwd, w_bwd, positions=None) -> None:
         """Add a link ``u -> v`` for every row of four equal-length columns,
-        in order; nothing is added when a row fails a check."""
+        in order; nothing is added when a row fails a check.  ``positions``
+        rows rank each link's forward slot in ``u``'s span and its backward
+        slot in ``v``'s, for every link of the builder or for none."""
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
         wf = np.asarray(w_fwd, dtype=np.float64)
@@ -214,6 +216,11 @@ class GraphBuilder:
         if not u.shape == v.shape == wf.shape == wb.shape or u.ndim != 1:
             raise GraphError("link columns must be one-dimensional and "
                              "of equal length")
+        pos = None if positions is None else np.asarray(positions, dtype=np.int64)
+        if pos is not None and pos.shape != (len(u), 2) \
+                or self._chunks and (pos is None) != (self._chunks[0][4] is None):
+            raise GraphError("slot positions must be one pair per link, "
+                             "given for every link or for none")
         n = len(self._prestige)
         bad = (u < 0) | (u >= n) | (v < 0) | (v >= n)
         if bad.any():
@@ -223,28 +230,31 @@ class GraphBuilder:
             raise GraphError("link weights must be finite")
         if (wf <= 0).any() or (wb <= 0).any():
             raise GraphError("link weights must be positive")
-        self._chunks.append((u, v, wf, wb))
+        self._chunks.append((u, v, wf, wb, pos))
 
     def build(self) -> DataGraph:
         """Freeze into a DataGraph.
 
         Every link ``i`` is two events, ``2i`` its forward slot at ``u`` and
-        ``2i + 1`` its backward slot at ``v``.  A node's slots are its
-        events in order, so one stable sort of the events by owner lays out
-        every span: links in insertion order, a self-loop's forward slot
-        before its backward one.
+        ``2i + 1`` its backward slot at ``v``.  One sort of the events by
+        (owner, position) lays out every span.  Without positions an event's
+        position is its number: links in insertion order, a self-loop's
+        forward slot before its backward one.
         """
         n = len(self._prestige)
         chunks = self._chunks or [(np.zeros(0, dtype=np.int64),) * 2
-                                  + (np.zeros(0),) * 2]
+                                  + (np.zeros(0),) * 2 + (None,)]
         u, v, wf, wb = (col[0] if len(col) == 1 else np.concatenate(col)
-                        for col in zip(*chunks))
+                        for col in list(zip(*chunks))[:4])
         m = 2 * len(u)
         owner = np.empty(m, dtype=np.int64)        # event -> node
         owner[0::2], owner[1::2] = u, v
         weight = np.empty(m, dtype=np.float32)
         weight[0::2], weight[1::2] = wf, wb
-        order = np.argsort(owner, kind="stable")   # slot -> event
+        position = (np.arange(m) if chunks[0][4] is None
+                    else np.concatenate([c[4] for c in chunks]).reshape(-1))
+        # slot -> event; the keys differ, as positions do within a span
+        order = np.argsort(owner * (int(position.max(initial=0)) + 1) + position)
         slot = np.empty(m, dtype=np.int64)         # event -> slot
         slot[order] = np.arange(m, dtype=np.int64)
         partner = order ^ 1                        # slot -> the link's other event

@@ -1,53 +1,46 @@
-"""On-disk store: one file for the cluster graph and every cluster record.
+"""On-disk store: one file for the graph, in cluster form, and one index.
 
-Layout under a store directory (format 9)::
+Layout under a store directory (format 10)::
 
     graph.emb       a section with the cluster graph, the clustering's node
                     order and cluster offsets, per-cluster link counts and
                     each record's byte offset; then the cluster records: a
                     cluster's member count and prestige, and the links whose
-                    foreign-key source is a member, with both weights
+                    foreign-key source is a member, with both weights and
+                    the positions of both slots in their nodes' spans
     index.kwi       keyword index over the original nodes: its sorted terms,
                     then every term's node ids as one offsets-plus-ids pair
-    tuples.emb      the ingested tuple graph, nothing else: ``cluster``
-                    partitions it and ``compare`` searches it whole
 
-Queries read graph.emb and index.kwi; ``cluster`` and ``compare`` read
-tuples.emb, so the links and prestige values are in both files, each copy
-for its own reader.  The section also keeps the link counts of the
-records, to budget for a record before reading it.  Row texts, keys and
-relations are not stored: node ids follow the deterministic ingest order
-of the data directory (tables in schema order, rows in file order, minus
-pruned rows), so an id maps back to its row by ingesting the same
-directory again.  A graph stores per node only its prestige and per slot
-only its target, weight, direction bit and partner slot.  A cluster's
-members are its span of the node order, and the node-to-cluster mapping
-is rebuilt from that order on read.  All integers are little-endian and
-ids fit 32 bits; weights are 32-bit floats.  Every variable-length list
-(index terms, posting lists) is one column: ``count + 1`` offsets from 0,
-then the bytes or ids they delimit.  Every file, graph.emb's section and
-every cluster record begins with a four-byte magic and the format version
-and ends with a CRC32 of everything before it; the section also holds its
-byte length, and its last record offset fixes the length of the records
-after it.  Any other version is rejected, so a store written by an older
-release must be rebuilt with ``ingest`` then ``cluster``.
+The records are the only copy of the tuple graph: ``ingest`` writes it as
+one cluster of every node, and ``cluster`` and ``compare`` decode every
+record of the current build.  The section keeps the records' link counts,
+to budget for a record before reading it.  Row texts, keys and relations
+are not stored: node ids follow the deterministic ingest order of the data
+directory, so ingesting it again maps an id back to its row.  A graph
+stores per node only its prestige and per slot only its target, weight,
+direction bit and partner slot.  A cluster's members are its span of the
+node order, which rebuilds the node-to-cluster mapping on read.  Integers
+are little-endian and ids fit 32 bits; weights are 32-bit floats.  Every
+variable-length list is one column: ``count + 1`` offsets from 0, then the
+bytes or ids they delimit.  Every file, graph.emb's section and every
+cluster record begins with a magic and the format version and ends with a
+CRC32 of everything before it; the section also holds its byte length, and
+its last record offset fixes the length of the records after it.  Any
+other version is rejected: rebuild with ``ingest`` then ``cluster``.
 
 Readers map each file read-only (a file shorter than one page is read
 instead), check it with one CRC pass (graph.emb: its section), and hand
-out ``np.frombuffer`` views in the stored little-endian dtypes, which are
-read-only; only derived arrays such as the node-to-cluster mapping are
-computed.  ``ClusterStore.open`` maps graph.emb, so an open store reads
-only the records it needs, each checked by its own CRC when first read.
-Writers write a temporary file beside the target, fsync it and rename it
-over the target, so a reader keeps the file it mapped when a store is
-rebuilt, and one ``cluster`` build replaces one file.  Truncating a
-mapped file in place with another tool can instead kill a reader with
-SIGBUS when it touches a page past the new end.
+out read-only ``np.frombuffer`` views in the stored dtypes; only derived
+arrays such as the node-to-cluster mapping are computed.  An open store
+reads only the records it needs, each checked by its own CRC when first
+read.  Writers write a temporary file beside the target, fsync it and
+rename it over the target, so a reader keeps the file it mapped when a
+store is rebuilt.  Truncating a mapped file in place with another tool can
+instead kill a reader with SIGBUS when it touches a page past the new end.
 
-``expand_clusters`` numbers the nodes of the clusters it reads in
-ascending node id, whatever their order in the clustering.  Searches break
-ties by the smallest node id, so a search on the expanded subgraph breaks
-them as it would on the same nodes of the whole graph.
+``expand_clusters`` numbers nodes in ascending id and keeps each node's
+slots in tuple-graph order, so a search, which breaks ties by node id and
+slot order, breaks them there as on those nodes of the whole graph.
 """
 
 from __future__ import annotations
@@ -60,19 +53,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .clustering import Clustering, ClusteringError
+from .clustering import Clustering, ClusteringError, build_cluster_graph
 from .graph import DataGraph, GraphBuilder, estimate_memory
 from .keywords import KeywordIndex
 
 GRAPH_FILE = "graph.emb"
-TUPLES_FILE = "tuples.emb"
 INDEX_FILE = "index.kwi"
 
 MAGIC_GRAPH = b"EMBK"
-MAGIC_TUPLES = b"EMBT"
 MAGIC_CLUSTER = b"EMBC"
 MAGIC_INDEX = b"EMBI"
-FORMAT_VERSION = 9
+FORMAT_VERSION = 10
 
 
 class StorageError(Exception):
@@ -166,24 +157,30 @@ class _Reader:
     A sized section ends where its length word says; ``rest`` holds the
     bytes after it.  Arrays are ``np.frombuffer`` views in the stored
     dtype; the buffer is read-only, so they are too, and they keep it alive.
+    ``name`` may be a function that makes the name, called only for an
+    error message.
     """
 
-    def __init__(self, data: memoryview, magic: bytes, name: str,
+    def __init__(self, data: memoryview, magic: bytes, name,
                  sized: bool = False) -> None:
-        self.name = name
+        self._name = name
         self._body, self._pos = data, 0
         got = bytes(self.raw(4))
         if got != magic:
-            raise StorageFormatError(f"{name}: bad magic {got!r}")
+            raise StorageFormatError(f"{self.name}: bad magic {got!r}")
         version = self.u32()
         if version != FORMAT_VERSION:
-            raise StorageFormatError(f"{name}: unsupported version {version}")
+            raise StorageFormatError(f"{self.name}: unsupported version {version}")
         size = int.from_bytes(self.raw(8), "little") if sized else len(data)
         if not self._pos + 4 <= size <= len(data):
-            raise StorageFormatError(f"{name}: truncated file")
+            raise StorageFormatError(f"{self.name}: truncated file")
         self._body, self.rest = data[:size - 4], data[size:]
         if zlib.crc32(self._body) != int.from_bytes(data[size - 4:size], "little"):
-            raise StorageFormatError(f"{name}: checksum mismatch")
+            raise StorageFormatError(f"{self.name}: checksum mismatch")
+
+    @property
+    def name(self) -> str:
+        return self._name() if callable(self._name) else self._name
 
     def raw(self, n: int) -> memoryview:
         if self._pos + n > len(self._body):
@@ -231,50 +228,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _write_graph_arrays(w: _Writer, g: DataGraph) -> None:
-    w.arr(g.prestige, "<f4")
-    w.arr(g.adjacency_offset, "<u4")
-    w.arr(g.adjacent_nodes, "<u4")
-    w.arr(g.edge_weight, "<f4")
-    w.bits(g.edge_direction)
-    w.arr(g.pair_slot, "<u4")
-
-
-def _read_graph_arrays(r: _Reader, n: int, m: int) -> DataGraph:
-    prestige = r.arr(n, "<f4")
-    offset = r.offsets(n)
-    if offset[-1] != m:
-        raise StorageFormatError(f"{r.name}: adjacency offsets end at "
-                                 f"{offset[-1]}, not at the {m} slots")
-    return DataGraph(
-        node_count=n,
-        prestige=prestige,
-        adjacency_offset=offset,
-        adjacent_nodes=r.arr(m, "<u4"),
-        edge_weight=r.arr(m, "<f4"),
-        edge_direction=r.bits(m),
-        pair_slot=r.arr(m, "<u4"),
-    )
-
-
-# --- tuple graph ------------------------------------------------------------
-
-def write_tuple_graph(path: str | Path, g: DataGraph) -> int:
-    w = _Writer(MAGIC_TUPLES)
-    w.u32(g.node_count)
-    w.u32(g.slot_count)
-    _write_graph_arrays(w, g)
-    return w.finish(Path(path))
-
-
-def read_tuple_graph(path: str | Path) -> DataGraph:
-    r = _Reader(_map_file(Path(path)), MAGIC_TUPLES, str(path))
-    n = r.u32()
-    g = _read_graph_arrays(r, n, r.u32())
-    r.done()
-    return g
-
-
 # --- compressed cluster graph -----------------------------------------------
 
 @dataclass
@@ -293,11 +246,14 @@ def write_compressed_graph(path: str | Path, header: StoreHeader,
     cg = header.cluster_graph
     cl = header.clustering
     w = _Writer(MAGIC_GRAPH, sized=True)
-    w.u32(cg.node_count)
-    w.u32(cg.slot_count)
-    w.u32(cl.node_count)
-    w.u32(cl.max_cluster_size)
-    _write_graph_arrays(w, cg)
+    for count in (cg.node_count, cg.slot_count, cl.node_count, cl.max_cluster_size):
+        w.u32(count)
+    w.arr(cg.prestige, "<f4")
+    w.arr(cg.adjacency_offset, "<u4")
+    w.arr(cg.adjacent_nodes, "<u4")
+    w.arr(cg.edge_weight, "<f4")
+    w.bits(cg.edge_direction)
+    w.arr(cg.pair_slot, "<u4")
     w.arr(cl.node_order, "<u4")
     w.arr(cl.cluster_offset, "<u4")
     w.arr(header.intra_links, "<u4")
@@ -309,11 +265,14 @@ def write_compressed_graph(path: str | Path, header: StoreHeader,
 def read_compressed_graph(path: str | Path) -> tuple[StoreHeader, memoryview]:
     """Check graph.emb's section; return it and the records after it."""
     r = _Reader(_map_file(Path(path)), MAGIC_GRAPH, str(path), sized=True)
-    k = r.u32()
-    m = r.u32()
-    n = r.u32()
-    max_size = r.u32()
-    graph = _read_graph_arrays(r, k, m)
+    k, m, n, max_size = (r.u32() for _ in range(4))
+    prestige = r.arr(k, "<f4")
+    adjacency = r.offsets(k)
+    if adjacency[-1] != m:
+        raise StorageFormatError(f"{path}: adjacency offsets end at "
+                                 f"{adjacency[-1]}, not at the {m} slots")
+    graph = DataGraph(k, prestige, adjacency, r.arr(m, "<u4"), r.arr(m, "<f4"),
+                      r.bits(m), r.arr(m, "<u4"))
     order = r.arr(n, "<u4")
     cluster_offset = r.arr(k + 1, "<u4")
     intra = r.arr(k, "<u4")
@@ -344,6 +303,8 @@ class ClusterPayload:
     the other end.  Links whose other end is a member come first, then those
     leaving the cluster, each run ordered by member and then by slot; a
     reader joining two clusters restores the opposite direction itself.
+    ``pos`` holds the positions of the forward slot in its source's span
+    and of the backward slot in its target's.
     """
 
     cluster_id: int
@@ -351,6 +312,7 @@ class ClusterPayload:
     src: np.ndarray          # uint32 as read, local member index
     dst: np.ndarray          # uint32 as read, global node id
     w: np.ndarray            # float32 [l, 2] forward/backward
+    pos: np.ndarray          # uint32 as read, [l, 2] forward/backward
 
     @property
     def member_count(self) -> int:
@@ -361,17 +323,17 @@ def write_cluster(payload: ClusterPayload) -> bytes:
     words, _ = _encode_records(
         np.array([payload.cluster_id]), payload.prestige,
         np.array([payload.member_count]), payload.src, payload.dst,
-        payload.w, np.array([len(payload.src)]))
+        payload.w, payload.pos, np.array([len(payload.src)]))
     return words.tobytes()
 
 
-def _encode_records(cluster_ids, prestige, sizes, src, dst, w, links
+def _encode_records(cluster_ids, prestige, sizes, src, dst, w, pos, links
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Cluster records end to end, as one column of little-endian words.
 
     Record ``i`` holds cluster ``cluster_ids[i]``: its ``sizes[i]`` members'
-    values of ``prestige`` and its ``links[i]`` rows of ``src``, ``dst``
-    and ``w``, each taken in turn from the front of those columns.  Every
+    values of ``prestige`` and its ``links[i]`` rows of ``src``, ``dst``,
+    ``w`` and ``pos``, each taken in turn from the front of those columns.  Every
     field of a record is one 4-byte word, so each column is scattered into
     place in one pass, and one ``zlib.crc32`` per record fills its trailer.
     Returns the words and the ``len(cluster_ids) + 1`` word offsets of the
@@ -380,7 +342,7 @@ def _encode_records(cluster_ids, prestige, sizes, src, dst, w, links
     sizes = np.asarray(sizes, dtype=np.int64)
     links = np.asarray(links, dtype=np.int64)
     start = np.zeros(len(sizes) + 1, dtype=np.int64)
-    np.cumsum(6 + sizes + 4 * links, out=start[1:])  # 5 head words, 1 CRC
+    np.cumsum(6 + sizes + 6 * links, out=start[1:])  # 5 head words, 1 CRC
     head, end = start[:-1], start[1:] - 1
     words = np.empty(start[-1], dtype="<u4")
     for i, value in enumerate((int.from_bytes(MAGIC_CLUSTER, "little"),
@@ -393,6 +355,8 @@ def _encode_records(cluster_ids, prestige, sizes, src, dst, w, links
     words[at + np.repeat(links, links)] = dst
     words[_spans(head + 5 + sizes + 2 * links, 2 * links)] = \
         np.ascontiguousarray(w, dtype="<f4").reshape(-1).view("<u4")
+    words[_spans(head + 5 + sizes + 4 * links, 2 * links)] = \
+        np.asarray(pos).reshape(-1)
     data = memoryview(words).cast("B")
     words[end] = [zlib.crc32(data[4 * a:4 * b])
                   for a, b in zip(head.tolist(), end.tolist())]
@@ -405,9 +369,9 @@ def _spans(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(counts.sum()) + np.repeat(first - before, counts)
 
 
-def read_cluster(record, name: str = "cluster record") -> ClusterPayload:
+def read_cluster(record, name="cluster record") -> ClusterPayload:
     """Check and decode one record, any bytes-like object; the arrays are
-    read-only views of it."""
+    read-only views of it; ``name`` is as for ``_Reader``."""
     r = _Reader(memoryview(record), MAGIC_CLUSTER, name)
     cid = r.u32()
     nm = r.u32()
@@ -418,6 +382,7 @@ def read_cluster(record, name: str = "cluster record") -> ClusterPayload:
         src=r.arr(links, "<u4"),
         dst=r.arr(links, "<u4"),
         w=r.arr(2 * links, "<f4").reshape(links, 2),
+        pos=r.arr(2 * links, "<u4").reshape(links, 2),
     )
     r.done()
     return payload
@@ -453,10 +418,11 @@ def write_store(store_dir: str | Path, g: DataGraph, clustering: Clustering,
                 cluster_graph: DataGraph) -> None:
     """Write graph.emb, in one rename, for a finished clustering.
 
-    Each link is recorded once, by the cluster of its foreign-key source.
-    One sort of the forward slots by (cluster, intra before boundary,
-    member position, slot) lays out every record's links, and
-    ``_encode_records`` lays out every record at once.
+    Each link is recorded once, by the cluster of its foreign-key source,
+    with the positions of its two slots in their owners' spans.  One sort
+    of the forward slots by (cluster, intra before boundary, member
+    position, slot) lays out every record's links, and ``_encode_records``
+    lays out every record at once.
     """
     k, mapping = clustering.cluster_count, clustering.node_mapping
     sizes = np.diff(clustering.cluster_offset)
@@ -473,11 +439,28 @@ def write_store(store_dir: str | Path, g: DataGraph, clustering: Clustering,
     leaving = np.bincount(cluster[bound], minlength=k)
     crossing = leaving + np.bincount(mapping[dst[bound]], minlength=k)
     local = position[src]
-    w = np.stack([g.edge_weight[fwd], g.edge_weight[g.pair_slot[fwd]]], axis=1)
+    back = g.pair_slot[fwd]
+    w = np.stack([g.edge_weight[fwd], g.edge_weight[back]], axis=1)
+    at = g.adjacency_offset
+    pos = np.stack([fwd - at[src], back - at[dst]], axis=1)
     words, start = _encode_records(np.arange(k), g.prestige[clustering.node_order],
-                                   sizes, local, dst, w, intra + leaving)
+                                   sizes, local, dst, w, pos, intra + leaving)
     header = StoreHeader(cluster_graph, clustering, intra, crossing, 4 * start)
     write_compressed_graph(Path(store_dir) / GRAPH_FILE, header, words)
+
+
+def write_tuple_graph(store_dir: str | Path, g: DataGraph) -> None:
+    """Write ``g`` as graph.emb of one cluster holding every node, or of
+    none when ``g`` is empty; ``read_tuple_graph`` gives ``g`` back."""
+    n = g.node_count
+    clustering = Clustering.from_order(np.arange(n), np.array([0, n] if n else [0]), n)
+    write_store(store_dir, g, clustering, build_cluster_graph(g, clustering))
+
+
+def read_tuple_graph(store_dir: str | Path) -> DataGraph:
+    """The tuple graph of a store, decoded from all of its clusters."""
+    store = ClusterStore.open(store_dir)
+    return expand_clusters(store, range(store.cluster_count)).graph
 
 
 @dataclass
@@ -536,17 +519,20 @@ class ClusterStore:
                                f"the store has {self.cluster_count} clusters")
         start, end = self.header.record_offset[cluster_id:cluster_id + 2].tolist()
         record = self.records[start:end]
-        name = f"{self.dir / GRAPH_FILE} cluster {cluster_id}"
+
+        def name() -> str:
+            return f"{self.dir / GRAPH_FILE} cluster {cluster_id}"
+
         payload = read_cluster(record, name)
         if payload.cluster_id != cluster_id:
-            raise StorageFormatError(f"{name}: holds cluster {payload.cluster_id}")
+            raise StorageFormatError(f"{name()}: holds cluster {payload.cluster_id}")
         members = len(self.clustering.members(cluster_id))
         if payload.member_count != members:
-            raise StorageFormatError(f"{name}: holds {payload.member_count} members, "
-                                     f"the node order has {members}")
+            raise StorageFormatError(f"{name()}: holds {payload.member_count} "
+                                     f"members, the node order has {members}")
         if np.any(payload.src >= members) \
                 or np.any(payload.dst >= self.clustering.node_count):
-            raise StorageFormatError(f"{name}: a link end lies outside the "
+            raise StorageFormatError(f"{name()}: a link end lies outside the "
                                      "cluster's members or the graph")
         self.clusters_read += 1
         self.bytes_read += len(record)
@@ -569,13 +555,13 @@ class ClusterStore:
 def expand_clusters(store: ClusterStore, cluster_ids) -> ExpandedGraph:
     """Materialize the subgraph induced by the given clusters.
 
-    Nodes are numbered in ascending original id, so the subgraph is the
-    induced subgraph renumbered in id order and every tie broken by node id
-    falls as on the whole graph.  Each record adds, in stored order, its
-    links whose far end lies in a requested cluster, as columns; the stored
-    record provides the weights of both directions.  Link ends are looked up
-    among the expanded node ids, so the cost follows the clusters read, not
-    the store's node count.
+    Nodes are numbered in ascending original id and each node's slots keep
+    their tuple-graph order, so every tie broken by node id or by slot
+    falls as on the whole graph, and all clusters give the tuple graph
+    array for array.  Each record adds its links whose far end lies in a
+    requested cluster, as columns, with both weights and slot positions.
+    Link ends are looked up among the expanded node ids, so the cost
+    follows the clusters read, not the store's node count.
     """
     ids = tuple(sorted(set(int(c) for c in cluster_ids)))
     payloads = [store.read_cluster(c) for c in ids]
@@ -591,7 +577,9 @@ def expand_clusters(store: ClusterStore, cluster_ids) -> ExpandedGraph:
             np.concatenate([m[p.src] for m, p in zip(members, payloads)]),
             np.concatenate([p.dst for p in payloads])]).astype(np.int64)
         w = np.concatenate([p.w for p in payloads])
+        pos = np.concatenate([p.pos for p in payloads])
         at = np.minimum(np.searchsorted(global_ids, ends), len(global_ids) - 1)
         kept = global_ids[at[1]] == ends[1]
-        builder.add_links(at[0, kept], at[1, kept], w[kept, 0], w[kept, 1])
+        builder.add_links(at[0, kept], at[1, kept], w[kept, 0], w[kept, 1],
+                          pos[kept])
     return ExpandedGraph(builder.build(), global_ids, ids)

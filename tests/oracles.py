@@ -212,11 +212,13 @@ def graph_adjacency(g):
     return adj
 
 
-def build_graph_reference(prestige, links) -> DataGraph:
+def build_graph_reference(prestige, links, positions=None) -> DataGraph:
     """``GraphBuilder.build`` as a loop over ``(u, v, w_fwd, w_bwd)`` links.
 
     Each link takes the next free slot at ``u`` for its forward direction,
-    then the next free slot at ``v`` for its backward one.
+    then the next free slot at ``v`` for its backward one.  With
+    ``positions``, one ``(forward, backward)`` pair per link, a node's slots
+    go instead in ascending position.
     """
     n, m = len(prestige), 2 * len(links)
     counts = np.zeros(n, dtype=np.int64)
@@ -225,14 +227,26 @@ def build_graph_reference(prestige, links) -> DataGraph:
         counts[v] += 1
     offset = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=offset[1:])
-    fill = offset[:-1].copy()
+    slot_of = {}        # (link, 0 forward / 1 backward) -> slot
+    if positions is None:
+        fill = offset[:-1].copy()
+        for i, (u, v, *_) in enumerate(links):
+            slot_of[i, 0] = int(fill[u]); fill[u] += 1
+            slot_of[i, 1] = int(fill[v]); fill[v] += 1
+    else:
+        events = {}
+        for i, ((u, v, *_), (pf, pb)) in enumerate(zip(links, positions)):
+            events.setdefault(u, []).append((int(pf), i, 0))
+            events.setdefault(v, []).append((int(pb), i, 1))
+        for node, owned in events.items():
+            for j, (_, i, end) in enumerate(sorted(owned)):
+                slot_of[i, end] = int(offset[node]) + j
     adjacent = np.zeros(m, dtype=np.int64)
     weight = np.zeros(m, dtype=np.float32)
     direction = np.zeros(m, dtype=bool)
     pair = np.zeros(m, dtype=np.int64)
-    for u, v, wf, wb in links:
-        jf = int(fill[u]); fill[u] += 1
-        jb = int(fill[v]); fill[v] += 1
+    for i, (u, v, wf, wb) in enumerate(links):
+        jf, jb = slot_of[i, 0], slot_of[i, 1]
         adjacent[jf], weight[jf], direction[jf] = v, wf, True
         adjacent[jb], weight[jb], direction[jb] = u, wb, False
         pair[jf], pair[jb] = jb, jf
@@ -253,7 +267,7 @@ def expand_reference(store, cluster_ids):
     global_ids = sorted(member_prestige)
     prestige = [member_prestige[node] for node in global_ids]
     local = {node: i for i, node in enumerate(global_ids)}
-    links = []
+    links, positions = [], []
     for p in payloads:
         members = store.clustering.members(p.cluster_id)
         for i in range(len(p.src)):
@@ -261,7 +275,29 @@ def expand_reference(store, cluster_ids):
                 links.append((local[int(members[p.src[i]])],
                               local[int(p.dst[i])],
                               float(p.w[i, 0]), float(p.w[i, 1])))
-    return build_graph_reference(prestige, links), global_ids
+                positions.append(tuple(p.pos[i]))
+    return build_graph_reference(prestige, links, positions), global_ids
+
+
+def induced_subgraph(g, ids):
+    """The subgraph of ``g`` on the ascending node ids ``ids``, renumbered
+    in their order, each node keeping its surviving slots in order."""
+    local = {int(node): i for i, node in enumerate(ids)}
+    keep = [j for j in range(g.slot_count)
+            if int(g.slot_source[j]) in local and int(g.adjacent_nodes[j]) in local]
+    new_slot = {j: i for i, j in enumerate(keep)}
+    counts = np.zeros(len(local), dtype=np.int64)
+    for j in keep:
+        counts[local[int(g.slot_source[j])]] += 1
+    offset = np.zeros(len(local) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offset[1:])
+    return DataGraph(
+        len(local), np.asarray(g.prestige, dtype=np.float32)[list(local)],
+        offset,
+        np.array([local[int(g.adjacent_nodes[j])] for j in keep], dtype=np.int64),
+        np.array([g.edge_weight[j] for j in keep], dtype=np.float32),
+        np.array([bool(g.edge_direction[j]) for j in keep], dtype=bool),
+        np.array([new_slot[int(g.pair_slot[j])] for j in keep], dtype=np.int64))
 
 
 def assert_same_graph(got: DataGraph, want: DataGraph) -> None:
@@ -360,28 +396,33 @@ def make_cluster_payload(g, clustering, cluster_id):
         for j, v, w in g.out_edges(u):
             if not g.edge_direction[j]:
                 continue
-            ws = (w, float(g.edge_weight[g.pair_slot[j]]))
+            back = int(g.pair_slot[j])
+            row = (i, v, w, float(g.edge_weight[back]),
+                   j - int(g.adjacency_offset[u]), back - int(g.adjacency_offset[v]))
             if int(clustering.node_mapping[v]) == cluster_id:
-                intra.append((i, v) + ws)
+                intra.append(row)
             else:
-                bound.append((i, v) + ws)
+                bound.append(row)
     rows = intra + bound
     ends = np.array([r[:2] for r in rows], dtype=np.int64).reshape(-1, 2)
-    weights = np.array([r[2:] for r in rows], dtype=np.float32).reshape(-1, 2)
+    weights = np.array([r[2:4] for r in rows], dtype=np.float32).reshape(-1, 2)
+    pos = np.array([r[4:] for r in rows], dtype=np.int64).reshape(-1, 2)
     return ClusterPayload(cluster_id, g.prestige[members], ends[:, 0],
-                          ends[:, 1], weights)
+                          ends[:, 1], weights, pos)
 
 
 def cluster_record_reference(payload) -> bytes:
     """A cluster record packed field by field: magic, version, cluster id,
     member and link counts, each member's prestige, each link's source, each
-    link's target, each link's two weights, then the CRC32 of all that."""
-    body = b"EMBC" + struct.pack("<4I", 9, payload.cluster_id,
+    link's target, each link's two weights, each link's two slot positions,
+    then the CRC32 of all that."""
+    body = b"EMBC" + struct.pack("<4I", 10, payload.cluster_id,
                                  len(payload.prestige), len(payload.src))
     body += b"".join(struct.pack("<f", float(p)) for p in payload.prestige)
     body += b"".join(struct.pack("<I", int(x)) for x in payload.src)
     body += b"".join(struct.pack("<I", int(x)) for x in payload.dst)
     body += b"".join(struct.pack("<2f", float(a), float(b)) for a, b in payload.w)
+    body += b"".join(struct.pack("<2I", int(a), int(b)) for a, b in payload.pos)
     return body + struct.pack("<I", zlib.crc32(body))
 
 

@@ -31,7 +31,7 @@ from embanks.scoring import ScoreConfig
 from embanks.search import (COMBOS_ALL, COMBOS_BEST, NoMatchError,
                             SearchConfig, backward_search, init_activation,
                             spread_activation)
-from embanks.storage import (GRAPH_FILE, INDEX_FILE, TUPLES_FILE,
+from embanks.storage import (GRAPH_FILE, INDEX_FILE,
                              ClusterStore, expand_clusters, read_cluster,
                              read_compressed_graph, read_keyword_index,
                              read_tuple_graph, write_cluster,
@@ -54,7 +54,7 @@ def planted_store(rng, store_dir, n, terms, per_term, max_size):
     meta = NodeMeta(["rel"], np.zeros(n, dtype=np.int32), texts,
                     [f"rel:{i}" for i in range(n)])
     store_dir.mkdir(parents=True, exist_ok=True)
-    write_tuple_graph(store_dir / TUPLES_FILE, g)
+    write_tuple_graph(store_dir, g)
     index = build_index(meta)
     write_keyword_index(store_dir / INDEX_FILE, index)
     build_store(store_dir, algorithm="close1", max_size=max_size)
@@ -191,7 +191,9 @@ def test_criterion_06_activation_conservation():
 
 def test_criterion_07_storage_round_trip(tmp_path):
     """Every store file, graph.emb's section and each of its cluster
-    records reread byte-identically; expansion rebuilds the graph."""
+    records reread byte-identically; expansion rebuilds the graph, and the
+    tuple graph decoded from the store writes the ingest-time graph.emb
+    again."""
     rng = random.Random(707)
     scratch = tmp_path / "rewrite"
     scratch.mkdir()
@@ -203,9 +205,10 @@ def test_criterion_07_storage_round_trip(tmp_path):
             lambda r: r.randint(1, 4), max_size=rng.randint(2, 6))
         d = tmp_path / f"s{trial}"
 
-        write_tuple_graph(scratch / "t.emb", read_tuple_graph(d / TUPLES_FILE))
-        assert (scratch / "t.emb").read_bytes() == \
-            (d / TUPLES_FILE).read_bytes()
+        write_tuple_graph(scratch / "t", read_tuple_graph(d))
+        write_tuple_graph(scratch / "g", g)
+        assert (scratch / "t" / GRAPH_FILE).read_bytes() == \
+            (scratch / "g" / GRAPH_FILE).read_bytes()
 
         header, records = read_compressed_graph(d / GRAPH_FILE)
         offset = header.record_offset
@@ -277,7 +280,7 @@ def test_criterion_09_clustering_quality_ordering(tmp_path):
         for seed in range(10):
             d = tmp_path / f"{algo}{seed}"
             d.mkdir()
-            shutil.copy(base / TUPLES_FILE, d / TUPLES_FILE)
+            shutil.copy(base / GRAPH_FILE, d / GRAPH_FILE)
             shutil.copy(base / INDEX_FILE, d / INDEX_FILE)
             build_store(d, algorithm=algo, max_size=30, seed=seed)
             store = ClusterStore.open(d)

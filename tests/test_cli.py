@@ -221,7 +221,9 @@ def _query_fails(store, capsys):
     return captured.err
 
 
-def test_reingest_needs_cluster_before_query(corpus, tmp_path, capsys):
+def test_reingest_answers_before_cluster(corpus, tmp_path, capsys):
+    """A re-ingested store holds the new corpus as one cluster: it answers
+    at once, and again after ``cluster``."""
     _, store = corpus
     copy = tmp_path / "store"
     shutil.copytree(store, copy)
@@ -232,11 +234,18 @@ def test_reingest_needs_cluster_before_query(corpus, tmp_path, capsys):
     assert cli.main(["synth", "--spec", str(spec), "--out", str(data)]) == 0
     assert cli.main(["ingest", "--schema", str(data / "schema.txt"),
                      "--data", str(data), "--out", str(copy)]) == 0
-    assert "graph.emb" in _query_fails(copy, capsys)
+    assert sorted(p.name for p in copy.iterdir()) == ["graph.emb", "index.kwi"]
+
+    def query():
+        capsys.readouterr()
+        assert cli.main(["query", "--store", str(copy), " ".join(low_pair(0))]) == 0
+        return capsys.readouterr().out
+
+    assert ClusterStore.open(copy).cluster_count == 1
+    assert query().startswith("1\t")
     assert cli.main(["cluster", "--store", str(copy), "--size", "5"]) == 0
-    capsys.readouterr()
-    assert cli.main(["query", "--store", str(copy), " ".join(low_pair(0))]) == 0
-    assert capsys.readouterr().out.startswith("1\t")
+    assert ClusterStore.open(copy).cluster_count > 1
+    assert query().startswith("1\t")
 
 
 def test_damaged_graph_file_errors(corpus, tmp_path, capsys):
@@ -285,7 +294,7 @@ def test_combiner_flags_set_the_stored_cluster_graph(corpus, tmp_path, capsys):
     _, store = corpus
     copy = tmp_path / "store"
     shutil.copytree(store, copy)
-    g = read_tuple_graph(copy / "tuples.emb")
+    g = read_tuple_graph(copy)
     clustering = cluster_close_to_1(g, 5)
     prestiges, weights = set(), set()
     for edge_flag, edge in [("invsum", "inverse-sum"),

@@ -15,21 +15,21 @@ from embanks.engine import (EngineConfig, PrecisionReport, _budget_fill,
                             select_extra_clusters, single_phase_query,
                             two_phase_query)
 from embanks.clustering import WeightConfig
-from embanks.graph import GraphBuilder, NodeMeta
+from embanks.graph import GraphBuilder, NodeMeta, build_graph, parse_schema
 from embanks.keywords import build_index
 from embanks.scoring import AnswerTree, ScoredAnswer
 from embanks.synth import (SynthSpec, generate_synthetic, high_pair,
                            low_pair)
 from embanks.search import (COMBOS, COMBOS_BEST, KeywordSets, NoMatchError,
                             SearchConfig, backward_search)
-from embanks.storage import (GRAPH_FILE, INDEX_FILE, TUPLES_FILE,
-                             ClusterStore, StorageError, expand_clusters,
+from embanks.storage import (GRAPH_FILE, INDEX_FILE, ClusterStore,
+                             expand_clusters, read_tuple_graph,
                              write_keyword_index, write_tuple_graph)
 
 from conftest import WEIGHT_GRID, answers_digest, random_graph
 
 
-THREE = ["graph.emb", "index.kwi", "tuples.emb"]
+TWO = ["graph.emb", "index.kwi"]
 
 
 def make_store(rng, store_dir, n=40, algorithm="close1", max_size=4,
@@ -44,7 +44,7 @@ def make_store(rng, store_dir, n=40, algorithm="close1", max_size=4,
     meta = NodeMeta(["rel"], np.zeros(n, dtype=np.uint16), texts,
                     [str(i) for i in range(n)])
     store_dir.mkdir(parents=True, exist_ok=True)
-    write_tuple_graph(store_dir / TUPLES_FILE, g)
+    write_tuple_graph(store_dir, g)
     write_keyword_index(store_dir / INDEX_FILE, build_index(meta))
     summary = build_store(store_dir, algorithm, max_size, seed=3)
     return g, meta, summary, ClusterStore.open(store_dir)
@@ -323,6 +323,97 @@ def test_whole_component_clusters_give_single_phase_answers(tmp_path):
                 assert answer_rows(r.answers) == answer_rows(ref), (seed, combos, k)
 
 
+def test_bidi_whole_component_clusters_give_single_phase_answers(tmp_path):
+    """When every cluster is a whole connected component, two-phase
+    ``bidi`` search returns exactly the single-phase ``bidi`` answers:
+    phase 2 lays out every node's slots in the tuple graph's order, which
+    bidirectional search follows."""
+    cfg = dict(phase1_algorithm="bidi", phase2_algorithm="bidi")
+    for seed in range(100):
+        rng = random.Random(seed)
+        n = rng.randint(8, 30)
+        g, meta, _, store = make_store(
+            rng, tmp_path / str(seed), n=n, max_size=n, planted=TIED_TERMS,
+            weights=rng.choice(TIED_WEIGHTS), connected=False)
+        index = build_index(meta)
+        for k in (1, 10):
+            r = two_phase_query(store, ["alpha", "beta"], EngineConfig(k=k, **cfg))
+            ref, _ = single_phase_query(g, index, ["alpha", "beta"], "bidi",
+                                        SearchConfig(k=k))
+            assert answer_rows(r.answers) == answer_rows(ref), (seed, k)
+
+
+def test_ingested_store_answers_as_single_phase(tmp_path):
+    """A store straight after ingest is one cluster: phase 1 stops at it
+    and backward phase 2 returns exactly the single-phase answers, under
+    both ``combos`` values."""
+    spec = SynthSpec(papers=120, authors=40, writes=180, cites=60,
+                     rare_pairs=3, seed=4)
+    generate_synthetic(spec, tmp_path / "data")
+    g, meta, _ = ingest_to_store(tmp_path / "data" / "schema.txt",
+                                 tmp_path / "data", tmp_path / "store")
+    store = ClusterStore.open(tmp_path / "store")
+    assert store.cluster_count == 1
+    index = build_index(meta)
+    for terms in (high_pair(0), high_pair(1), low_pair(0), low_pair(1)):
+        for combos in COMBOS:
+            r = two_phase_query(store, list(terms), EngineConfig(combos=combos))
+            ref, _ = single_phase_query(g, index, list(terms), "backward",
+                                        SearchConfig(combos=combos))
+            assert r.phase1_stats.stopped == "one-source"
+            assert r.expanded_clusters == (0,)
+            assert answer_rows(r.answers) == answer_rows(ref), (terms, combos)
+
+
+def test_read_tuple_graph_is_the_ingested_graph(tmp_path):
+    """Decoding every cluster of a store gives the graph ``build_graph``
+    makes, array for array, pruned or not, as ingested and after the
+    store is clustered and clustered again another way."""
+    spec = SynthSpec(papers=60, authors=20, writes=90, cites=30,
+                     rare_pairs=2, seed=5)
+    data = tmp_path / "data"
+    generate_synthetic(spec, data)
+    names = ("prestige", "adjacency_offset", "adjacent_nodes", "edge_weight",
+             "edge_direction", "pair_slot")
+    for prune in (True, False):
+        store_dir = tmp_path / f"store{prune}"
+        ingest_to_store(data / "schema.txt", data, store_dir, prune=prune)
+        want, _, _ = build_graph(parse_schema(data / "schema.txt"), data,
+                                 prune=prune)
+        for algorithm, size in ((None, None), ("close1", 5), ("greedymin", 9),
+                                ("adjacency", 3)):
+            if algorithm:
+                build_store(store_dir, algorithm, size)
+            got = read_tuple_graph(store_dir)
+            assert got.node_count == want.node_count
+            for name in names:
+                assert np.array_equal(getattr(got, name), getattr(want, name)), \
+                    (prune, algorithm, name)
+
+
+def test_empty_graph_store(tmp_path):
+    """Tables of a header only give a graph of no nodes: ingest writes a
+    graph.emb of no clusters, the store opens and clusters, and a query
+    finds no match instead of crashing."""
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "schema.txt").write_text("table paper text=title\n"
+                                     "table writes\n"
+                                     "fk writes.paper -> paper.id\n")
+    (data / "paper.tsv").write_text("id\ttitle\n")
+    (data / "writes.tsv").write_text("id\tpaper\n")
+    store_dir = tmp_path / "store"
+    g, _, _ = ingest_to_store(data / "schema.txt", data, store_dir)
+    assert g.node_count == 0
+    assert sorted(p.name for p in store_dir.iterdir()) == TWO
+    assert ClusterStore.open(store_dir).cluster_count == 0
+    assert build_store(store_dir, "close1", 5)["clusters"] == 0
+    store = ClusterStore.open(store_dir)
+    assert store.cluster_count == 0
+    with pytest.raises(NoMatchError):
+        two_phase_query(store, ["graph"])
+
+
 def test_stats_track_disk_traffic(rng, tmp_path):
     _, _, _, store = make_store(rng, tmp_path, n=30, max_size=3)
     result = two_phase_query(store, ["alpha", "beta"], EngineConfig())
@@ -354,11 +445,11 @@ def test_build_store_summary(rng, tmp_path):
     assert summary["links"] == g.slot_count // 2
     assert summary["clusters"] == store.cluster_count
     assert summary["algorithm"] == "close1"
-    assert sorted(p.name for p in tmp_path.iterdir()) == THREE
+    assert sorted(p.name for p in tmp_path.iterdir()) == TWO
     # re-clustering into fewer clusters leaves no stale cluster data
     fewer = build_store(tmp_path, "close1", 15)
     assert fewer["clusters"] < summary["clusters"]
-    assert sorted(p.name for p in tmp_path.iterdir()) == THREE
+    assert sorted(p.name for p in tmp_path.iterdir()) == TWO
     store = ClusterStore.open(tmp_path)
     assert len(store.records) == store.header.record_offset[-1]
     sub = expand_clusters(store, range(store.cluster_count))
@@ -387,7 +478,7 @@ def test_store_opened_before_a_rebuild_keeps_its_build(rng, tmp_path):
     assert answers_digest(two_phase_query(old, ["alpha", "beta"]).answers) == want
     assert old.cluster_count == summary["clusters"]
     assert ClusterStore.open(tmp_path).cluster_count == rebuilt["clusters"]
-    assert sorted(p.name for p in tmp_path.iterdir()) == THREE
+    assert sorted(p.name for p in tmp_path.iterdir()) == TWO
 
 
 def test_cluster_build_replaces_one_file(rng, tmp_path, monkeypatch):
@@ -413,7 +504,7 @@ def test_cluster_build_replaces_one_file(rng, tmp_path, monkeypatch):
     store = ClusterStore.open(tmp_path)
     assert store.cluster_count == previous["clusters"]
     assert answers_digest(two_phase_query(store, ["alpha", "beta"]).answers) == want
-    assert sorted(p.name for p in tmp_path.iterdir()) == THREE
+    assert sorted(p.name for p in tmp_path.iterdir()) == TWO
 
 
 def test_package_exports_resolve():
@@ -462,12 +553,28 @@ def test_ingest_to_store_end_to_end(rng, tmp_path):
     names = [meta.node_text[n] for n in top.tree.nodes]
     assert any("alice" in t for t in names)
     assert any("paris" in t for t in names)
-    # re-ingesting drops the cluster store built from the old tuples
+    # re-ingesting replaces the clustered build with one cluster of the
+    # whole tuple graph, which answers alike
     ingest_to_store(data / "schema.txt", data, store_dir)
-    assert sorted(p.name for p in store_dir.iterdir()) == \
-        ["index.kwi", "tuples.emb"]
-    with pytest.raises(StorageError):
-        ClusterStore.open(store_dir)
+    assert sorted(p.name for p in store_dir.iterdir()) == TWO
+    store = ClusterStore.open(store_dir)
+    assert store.cluster_count == 1
+    assert two_phase_query(store, ["alice", "paris"]).answers == result.answers
+
+
+def test_reingest_removes_older_formats_files(tmp_path):
+    """Re-ingesting over a store that still holds the separate tuple and
+    cluster files of older formats leaves exactly graph.emb and index.kwi."""
+    spec = SynthSpec(papers=20, authors=8, writes=30, cites=10,
+                     rare_pairs=2, seed=3)
+    generate_synthetic(spec, tmp_path / "data")
+    store_dir = tmp_path / "store"
+    store_dir.mkdir()
+    for name in ("graph.emb", "index.kwi", "tuples.emb", "clusters.emb"):
+        (store_dir / name).write_bytes(b"an older build")
+    ingest_to_store(tmp_path / "data" / "schema.txt", tmp_path / "data", store_dir)
+    assert sorted(p.name for p in store_dir.iterdir()) == TWO
+    assert ClusterStore.open(store_dir).cluster_count == 1
 
 
 def test_bidi_two_phase_regression_pin(tmp_path):
@@ -497,7 +604,7 @@ def test_bidi_two_phase_regression_pin(tmp_path):
         (144, 2.9529411764705884), (194, 2.9272727272727277),
         (196, 2.8400000000000003), (188, 2.7466666666666666),
         (92, 2.7111111111111112)]
-    assert answers_digest(answers) == "fef5f73426816125"
+    assert answers_digest(answers) == "931c7eeee81a60fe"
     assert counts == (86, 86, 178, 178, 0)
 
     answers, counts = run(low_pair(0))
@@ -583,19 +690,20 @@ def test_two_phase_grid_regression_pin(tmp_path):
     digests = {name: hashlib.sha256(repr(r).encode()).hexdigest()[:16]
                for name, r in rows.items()}
     assert refetches["all"] == 579
-    assert digests["all"] == "babdfe719eabcb57"
+    assert digests["all"] == "4abd838294a8795b"
     assert refetches["default"] == 588
-    assert digests["default"] == "986d2860b5c43da1"
+    assert digests["default"] == "dc569f34d0f990f6"
 
 
 @pytest.fixture(scope="module")
 def synth_store(tmp_path_factory):
-    """A pruned store over one small fixed synth corpus, not yet clustered."""
+    """A pruned store over one small fixed synth corpus, and the digest of
+    the one-cluster graph.emb that ingest wrote, before any clustering."""
     root = tmp_path_factory.mktemp("pinned")
     generate_synthetic(SynthSpec(papers=120, authors=40, writes=180, cites=60,
                                  rare_pairs=3, seed=1), root / "data")
     ingest_to_store(root / "data" / "schema.txt", root / "data", root / "store")
-    return root / "store"
+    return root / "store", file_digest(root / "store" / GRAPH_FILE)
 
 
 def file_digest(path):
@@ -604,27 +712,30 @@ def file_digest(path):
 
 STORE_PINS = {
     # (algorithm, edge combiner, prestige combiner): graph.emb
-    ("close1", "inverse-sum", "sum"): "92715ba8061b1527",
-    ("close1", "harmonic-mean", "max"): "d33a6b3a73329729",
-    ("close1", "min", "avg"): "d6db1240e1b0f054",
-    ("greedymin", "inverse-sum", "sum"): "a38a0283f921aa3b",
-    ("greedymin", "harmonic-mean", "max"): "4a3e08dd683839db",
-    ("greedymin", "min", "avg"): "76ae77c5f0519f43",
-    ("connection", "inverse-sum", "sum"): "66094b0fe06b702c",
-    ("connection", "harmonic-mean", "max"): "344f2a90e0796d35",
-    ("connection", "min", "avg"): "0269589d09d9fae9",
-    ("adjacency", "inverse-sum", "sum"): "267a1828051d5b9e",
-    ("adjacency", "harmonic-mean", "max"): "36d9e696b1ab84f5",
-    ("adjacency", "min", "avg"): "81b57f22df88a48a",
+    ("close1", "inverse-sum", "sum"): "55ea50109e771563",
+    ("close1", "harmonic-mean", "max"): "520bdbdacd714967",
+    ("close1", "min", "avg"): "8eaa4d8d7dc30105",
+    ("greedymin", "inverse-sum", "sum"): "a188d618fbddddfc",
+    ("greedymin", "harmonic-mean", "max"): "24e184679005b3e5",
+    ("greedymin", "min", "avg"): "13506efeae7d2701",
+    ("connection", "inverse-sum", "sum"): "08110140e316b7fb",
+    ("connection", "harmonic-mean", "max"): "931bbf12fd59a4ae",
+    ("connection", "min", "avg"): "5d89ea1de94bcf33",
+    ("adjacency", "inverse-sum", "sum"): "11b04f9c713be21f",
+    ("adjacency", "harmonic-mean", "max"): "460927498d7e3ad9",
+    ("adjacency", "min", "avg"): "3cafa3537edabd0f",
 }
 
 
 @pytest.mark.parametrize("algorithm,edge,prestige", sorted(STORE_PINS))
 def test_store_bytes_pin(synth_store, algorithm, edge, prestige):
-    """Every byte of the store, under each clustering algorithm and three
-    combiner pairs, as of store format 9."""
-    assert file_digest(synth_store / TUPLES_FILE) == "32ae3764e36e1c15"
-    assert file_digest(synth_store / INDEX_FILE) == "19ec18ac9f6b15cf"
-    build_store(synth_store, algorithm, 8, WeightConfig(edge, prestige))
-    assert file_digest(synth_store / GRAPH_FILE) == \
+    """Every byte of the store, as ingest writes it and after clustering
+    under each algorithm and three combiner pairs, as of store format 10.
+    Each case clusters the build the case before it wrote, so each also
+    checks that the tuple graph decodes from any build as ingested."""
+    store, ingested = synth_store
+    assert ingested == "5d201b765076c43f"
+    assert file_digest(store / INDEX_FILE) == "74da9780da90148f"
+    build_store(store, algorithm, 8, WeightConfig(edge, prestige))
+    assert file_digest(store / GRAPH_FILE) == \
         STORE_PINS[(algorithm, edge, prestige)]

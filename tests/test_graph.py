@@ -15,7 +15,7 @@ from embanks.graph import (BYTES_PER_EDGE, BYTES_PER_NODE, DataGraph,
 
 from embanks.keywords import build_index
 
-from conftest import WEIGHT_GRID, random_graph
+from conftest import WEIGHT_GRID, random_graph, with_self_loops
 from oracles import (assert_same_graph, build_graph_reference,
                      build_index_reference, dijkstra_oracle, graph_adjacency,
                      ingest_reference, prune_transitive_reference)
@@ -96,6 +96,42 @@ def test_empty_builder_matches_reference():
     b.add_node(2.0)
     b.add_links([], [], [], [])
     assert_same_graph(b.build(), build_graph_reference([2.0], []))
+
+
+def test_builder_lays_slots_out_by_position(rng):
+    """With slot positions, every node's slots go in ascending position,
+    whatever order and chunks the links come in; positions must be one
+    pair per link, given for all links or for none."""
+    for trial in range(40):
+        g = random_graph(rng, rng.randint(1, 15), extra_links=rng.randint(0, 8))
+        if trial % 2:
+            g = with_self_loops(rng, g, 2)
+        links = list(g.links())
+        fwd = np.flatnonzero(g.edge_direction)
+        back = g.pair_slot[fwd]
+        at = g.adjacency_offset
+        pos = np.stack([fwd - at[g.slot_source[fwd]],
+                        back - at[g.adjacent_nodes[fwd]]], axis=1)
+        shuffled = rng.sample(range(len(links)), len(links))
+        b = GraphBuilder()
+        b.add_nodes(g.prestige)
+        while shuffled:
+            take = rng.randint(1, 4)
+            chunk, shuffled = shuffled[:take], shuffled[take:]
+            b.add_links(*(np.array([links[i][c] for i in chunk]) for c in range(4)),
+                        pos[chunk])
+        got = b.build()
+        assert_same_graph(got, build_graph_reference(g.prestige, links, pos))
+        for name in ("adjacency_offset", "adjacent_nodes", "edge_weight",
+                     "edge_direction", "pair_slot"):
+            assert np.array_equal(getattr(got, name), getattr(g, name)), name
+    b = GraphBuilder()
+    b.add_nodes(np.ones(3))
+    with pytest.raises(GraphError, match="one pair per link"):
+        b.add_links([0, 1], [1, 2], [1.0, 1.0], [1.0, 1.0], [[0, 0]])
+    b.add_links([0], [1], [1.0], [1.0], [[0, 0]])
+    with pytest.raises(GraphError, match="for every link or for none"):
+        b.add_links([1], [2], [1.0], [1.0])
 
 
 def test_add_links_rejects_like_add_link():

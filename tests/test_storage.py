@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from embanks.clustering import (Clustering, WeightConfig, build_cluster_graph,
-                                cluster_adjacency_naive)
+                                cluster_adjacency_naive, identity_clustering)
 from embanks.graph import GraphBuilder, NodeMeta
 from embanks.keywords import KeywordIndex, build_index
 from embanks.storage import (FORMAT_VERSION, GRAPH_FILE,
@@ -25,7 +25,7 @@ from embanks.graph import BYTES_PER_EDGE, BYTES_PER_NODE
 
 from conftest import random_graph, with_self_loops
 from oracles import (assert_same_graph, cluster_record_reference,
-                     expand_reference, make_cluster_payload)
+                     expand_reference, induced_subgraph, make_cluster_payload)
 from test_clustering import GROWN, grown_clustering, random_clustering
 
 
@@ -58,32 +58,39 @@ def built_store(rng, tmp_path, n=24, cl=None, g=None):
 
 
 def test_tuple_graph_round_trip(rng, tmp_path):
-    g = random_graph(rng, 15, extra_links=6)
-    p1, p2 = tmp_path / "a.emb", tmp_path / "b.emb"
-    write_tuple_graph(p1, g)
-    g2 = read_tuple_graph(p1)
-    assert g2.node_count == g.node_count
-    for name in ("prestige", "adjacency_offset", "adjacent_nodes",
-                 "edge_weight", "edge_direction", "pair_slot"):
-        assert np.array_equal(getattr(g2, name), getattr(g, name)), name
-    write_tuple_graph(p2, g2)
-    assert p1.read_bytes() == p2.read_bytes()
+    """A tuple graph written as a one-cluster store reads back array for
+    array, self-loops included, and writes the same bytes again."""
+    for trial in range(8):
+        g = random_graph(rng, rng.randint(1, 20), extra_links=6)
+        if trial % 2:
+            g = with_self_loops(rng, g, 2)
+        d1, d2 = tmp_path / f"a{trial}", tmp_path / f"b{trial}"
+        write_tuple_graph(d1, g)
+        g2 = read_tuple_graph(d1)
+        assert g2.node_count == g.node_count
+        for name in ("prestige", "adjacency_offset", "adjacent_nodes",
+                     "edge_weight", "edge_direction", "pair_slot"):
+            assert np.array_equal(getattr(g2, name), getattr(g, name)), name
+        write_tuple_graph(d2, g2)
+        assert (d1 / GRAPH_FILE).read_bytes() == (d2 / GRAPH_FILE).read_bytes()
 
 
 def test_tuple_graph_byte_length(rng, tmp_path):
-    """tuples.emb holds the header, the graph arrays and the CRC, and a
-    cluster record its header, member prestige, links and CRC: no row
-    metadata, node types, member ids or target clusters."""
+    """The tuple graph's graph.emb is a section with a one-node cluster
+    graph and one record; a cluster record holds its header, member
+    prestige, links with two weights and two slot positions, and its CRC:
+    no row metadata, node types, member ids or target clusters."""
     for trial in range(12):
         n = rng.randint(1, 30)
         g = random_graph(rng, n, extra_links=rng.randint(0, n))
         if trial % 3 == 0:
             g = with_self_loops(rng, g, 2)
-        m = g.slot_count
-        path = tmp_path / f"t{trial}.emb"
-        write_tuple_graph(path, g)
-        assert path.stat().st_size == \
-            16 + 4 * n + 4 * (n + 1) + 12 * m + (m + 7) // 8 + 4
+        links = g.slot_count // 2
+        d = tmp_path / f"t{trial}"
+        write_tuple_graph(d, g)
+        section = 32 + 4 + 8 + 4 * n + 8 + 8 + 16 + 4
+        assert (d / GRAPH_FILE).stat().st_size == \
+            section + 24 + 4 * n + 24 * links
         cl = grown_clustering(rng, "close1", g, rng.randint(1, 5))
         _, _, store = built_store(rng, tmp_path / str(trial), g=g, cl=cl)
         # a record's links: the forward slots whose source is a member
@@ -91,7 +98,7 @@ def test_tuple_graph_byte_length(rng, tmp_path):
                             minlength=cl.cluster_count)
         members = np.diff(cl.cluster_offset)
         assert np.array_equal(np.diff(store.header.record_offset),
-                              24 + 4 * members + 16 * links)
+                              24 + 4 * members + 24 * links)
 
 
 def test_compressed_graph_round_trip(rng, tmp_path):
@@ -148,7 +155,7 @@ def test_cluster_payload_round_trip(rng):
         record = write_cluster(payload)
         back = read_cluster(record)
         assert back.cluster_id == c
-        for name in ("prestige", "src", "dst", "w"):
+        for name in ("prestige", "src", "dst", "w", "pos"):
             assert np.array_equal(getattr(back, name), getattr(payload, name)), name
         assert write_cluster(back) == record
 
@@ -156,7 +163,7 @@ def test_cluster_payload_round_trip(rng):
 def test_cluster_record_matches_field_by_field_packing(rng):
     """The word-column encoder writes each record as a field-by-field
     packer does: empty records, records without links, float64 prestige."""
-    assert FORMAT_VERSION == 9
+    assert FORMAT_VERSION == 10
     for trial in range(30):
         members, links = rng.randint(0, 6), rng.choice([0, 0, 1, 5])
         payload = ClusterPayload(
@@ -165,7 +172,9 @@ def test_cluster_record_matches_field_by_field_packing(rng):
             np.array([rng.randrange(max(members, 1)) for _ in range(links)]),
             np.array([rng.randrange(2**32) for _ in range(links)], dtype=np.uint32),
             np.array([[rng.uniform(0.1, 4), rng.uniform(0.1, 4)]
-                      for _ in range(links)], dtype=np.float32).reshape(-1, 2))
+                      for _ in range(links)], dtype=np.float32).reshape(-1, 2),
+            np.array([[rng.randrange(2**32), rng.randrange(9)]
+                      for _ in range(links)], dtype=np.int64).reshape(-1, 2))
         assert write_cluster(payload) == cluster_record_reference(payload), trial
 
 
@@ -262,40 +271,45 @@ def test_graph_file_with_decreasing_record_offsets_is_rejected(rng, tmp_path):
 
 
 def test_graph_with_misplaced_adjacency_offsets_is_rejected(tmp_path):
-    """Adjacency offsets are an offsets column too: from 0, never
-    decreasing, and ending at the slot count."""
+    """The cluster graph's adjacency offsets are an offsets column too:
+    from 0, never decreasing, and ending at the slot count."""
     b = GraphBuilder()
     b.add_nodes(np.ones(2))
     b.add_links([0, 1], [1, 0], [1.0, 2.0], [1.0, 2.0])
     g = b.build()
-    path = tmp_path / "t.emb"
+    write_store(tmp_path, g, identity_clustering(2), g)
+    header, records = read_compressed_graph(tmp_path / GRAPH_FILE)
     for offset, message in (([0, 3, 2], "never decrease"),
                             ([0, 1, 2], "not at the 4 slots")):
-        write_tuple_graph(path, replace(g, adjacency_offset=np.array(offset)))
+        bad = replace(g, adjacency_offset=np.array(offset))
+        write_compressed_graph(tmp_path / GRAPH_FILE,
+                               replace(header, cluster_graph=bad), records)
         with pytest.raises(StorageFormatError, match=message):
-            read_tuple_graph(path)
+            read_tuple_graph(tmp_path)
 
 
 @pytest.mark.parametrize("n", [24, 600])
 def test_read_arrays_are_read_only(rng, tmp_path, n):
-    """Every array an opened store, a read cluster, a read tuple graph and
-    a read index hand out is read-only, whether its file was read whole
-    (24 nodes: every file is shorter than a page) or mapped (600 nodes)."""
-    g, cl, store = built_store(rng, tmp_path, n=n)
-    write_keyword_index(tmp_path / INDEX_FILE,
+    """Every array an opened store, a read cluster and a read index hand
+    out is read-only, whether its file was read whole (24 nodes: every file
+    is shorter than a page) or mapped (600 nodes), for a clustered store
+    and for a tuple graph's one-cluster store."""
+    g, cl, store = built_store(rng, tmp_path / "s", n=n)
+    write_keyword_index(tmp_path / "s" / INDEX_FILE,
                         build_index(random_meta(rng, n)))
-    write_tuple_graph(tmp_path / "t.emb", g)
-    sizes = {p.stat().st_size >= mmap.PAGESIZE for p in tmp_path.iterdir()}
-    assert sizes == {n == 600}
-    index = read_keyword_index(tmp_path / INDEX_FILE)
-    payload = store.read_cluster(0)
-    h = store.header
-    arrays = [h.intra_links, h.crossing_links, h.record_offset,
-              store.clustering.node_mapping, store.clustering.node_order,
-              store.clustering.cluster_offset, payload.prestige, payload.src,
-              payload.dst, payload.w, index.offsets, index.ids]
-    for graph in (store.cluster_graph, read_tuple_graph(tmp_path / "t.emb")):
-        arrays += [graph.prestige, graph.adjacency_offset, graph.adjacent_nodes,
+    write_tuple_graph(tmp_path / "t", g)
+    files = [*(tmp_path / "s").iterdir(), *(tmp_path / "t").iterdir()]
+    assert {p.stat().st_size >= mmap.PAGESIZE for p in files} == {n == 600}
+    index = read_keyword_index(tmp_path / "s" / INDEX_FILE)
+    arrays = [index.offsets, index.ids]
+    for store in (store, ClusterStore.open(tmp_path / "t")):
+        payload = store.read_cluster(0)
+        h, graph = store.header, store.cluster_graph
+        arrays += [h.intra_links, h.crossing_links, h.record_offset,
+                   store.clustering.node_mapping, store.clustering.node_order,
+                   store.clustering.cluster_offset, payload.prestige,
+                   payload.src, payload.dst, payload.w, payload.pos,
+                   graph.prestige, graph.adjacency_offset, graph.adjacent_nodes,
                    graph.edge_weight, graph.edge_direction, graph.pair_slot]
     assert [a.flags.writeable for a in arrays] == [False] * len(arrays)
 
@@ -467,30 +481,35 @@ def test_keyword_index_terms_must_ascend(tmp_path, terms):
 
 
 def test_corruption_detection(rng, tmp_path):
+    """A tuple graph's graph.emb with a flipped byte in its section or its
+    record, cut, extended, of another magic or of another version fails
+    ``read_tuple_graph``."""
     g = random_graph(rng, 12, extra_links=4)
-    path = tmp_path / "t.emb"
-    write_tuple_graph(path, g)
+    write_tuple_graph(tmp_path, g)
+    path = tmp_path / GRAPH_FILE
     raw = bytearray(path.read_bytes())
+    section = int.from_bytes(raw[8:16], "little")
 
-    flipped = bytearray(raw)
-    flipped[len(raw) // 2] ^= 0x40
-    path.write_bytes(flipped)
-    with pytest.raises(StorageFormatError):
-        read_tuple_graph(path)
+    for pos in (section // 2, (section + len(raw)) // 2):
+        flipped = bytearray(raw)
+        flipped[pos] ^= 0x40
+        path.write_bytes(flipped)
+        with pytest.raises(StorageFormatError):
+            read_tuple_graph(tmp_path)
 
     path.write_bytes(raw[:-9])
     with pytest.raises(StorageError):
-        read_tuple_graph(path)
+        read_tuple_graph(tmp_path)
 
     path.write_bytes(raw + b"\x00")
     with pytest.raises(StorageError):
-        read_tuple_graph(path)
+        read_tuple_graph(tmp_path)
 
     wrong = bytearray(raw)
     wrong[0:4] = b"EMBI"
     path.write_bytes(wrong)
     with pytest.raises(StorageFormatError):
-        read_tuple_graph(path)
+        read_tuple_graph(tmp_path)
 
     def restamped(blob, version):
         versioned = bytearray(blob)
@@ -498,12 +517,12 @@ def test_corruption_detection(rng, tmp_path):
         return _resealed(bytes(versioned[:-4]))
 
     others = (*range(1, FORMAT_VERSION), 99)
-    path.write_bytes(restamped(raw, FORMAT_VERSION))
-    read_tuple_graph(path)
+    path.write_bytes(restamped(raw[:section], FORMAT_VERSION) + raw[section:])
+    read_tuple_graph(tmp_path)
     for version in others:
-        path.write_bytes(restamped(raw, version))
+        path.write_bytes(restamped(raw[:section], version) + raw[section:])
         with pytest.raises(StorageFormatError, match="unsupported version"):
-            read_tuple_graph(path)
+            read_tuple_graph(tmp_path)
 
     record = write_cluster(make_cluster_payload(g, random_clustering(rng, 12, 4), 0))
     read_cluster(restamped(record, FORMAT_VERSION))
@@ -571,6 +590,37 @@ def test_expand_subset_keeps_internal_links_only(rng, tmp_path):
         if int(cl.node_mapping[u]) in wanted and int(cl.node_mapping[v]) in wanted:
             expected[(u, v, wf, wb)] += 1
     assert link_multiset(exp.graph, exp.global_ids) == expected
+
+
+def test_expand_subset_is_the_induced_subgraph_in_slot_order(rng, tmp_path):
+    """Expanding any set of clusters gives the tuple graph's induced
+    subgraph array for array: nodes in ascending id, each node's slots in
+    their tuple-graph order, under every clustering algorithm, self-loops
+    included; all clusters give the tuple graph itself."""
+    algorithms = ["random", "adjacency"] + GROWN
+    for trial in range(40):
+        n = rng.randint(1, 30)
+        g = random_graph(rng, n, extra_links=rng.randint(0, n),
+                         connected=rng.random() < 0.7)
+        if trial % 3 == 0:
+            g = with_self_loops(rng, g, 2)
+        name = algorithms[trial % len(algorithms)]
+        size = rng.randint(1, 6)
+        if name == "random":
+            cl = random_clustering(rng, n, size)
+        elif name == "adjacency":
+            cl = cluster_adjacency_naive(g, size)
+        else:
+            cl = grown_clustering(rng, name, g, size)
+        _, _, store = built_store(rng, tmp_path / str(trial), g=g, cl=cl)
+        k = cl.cluster_count
+        for ids in (rng.sample(range(k), rng.randint(1, k)), range(k)):
+            exp = expand_clusters(store, ids)
+            nodes = sorted(int(x) for c in ids for x in cl.members(c))
+            assert_same_graph(exp.graph, induced_subgraph(g, nodes))
+        for name in ("adjacency_offset", "adjacent_nodes", "edge_weight",
+                     "edge_direction", "pair_slot", "prestige"):
+            assert np.array_equal(getattr(exp.graph, name), getattr(g, name))
 
 
 def test_expand_clusters_matches_reference(rng, tmp_path):
