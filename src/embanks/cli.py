@@ -7,7 +7,9 @@ and arguments; progress and statistics go to stderr.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 from .clustering import (CLUSTER_ALGORITHMS, EDGE_HARMONIC_MEAN,
@@ -137,6 +139,41 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def cmd_inspect(args) -> int:
+    """One JSON line: each file's bytes, each integer column's stored width
+    (per record columns, how many records store it in each width), and the
+    clusters' count, singletons and size histogram."""
+    store = ClusterStore.open(args.store)
+    h, cg = store.header, store.cluster_graph
+    index = store.keyword_index()
+    records = [store.read_cluster(c) for c in range(store.cluster_count)]
+    offset = store.clustering.cluster_offset.tolist()
+    sizes = Counter(b - a for a, b in zip(offset, offset[1:]))
+    print(json.dumps({
+        "files": {p.name: p.stat().st_size
+                  for p in sorted(store.dir.iterdir()) if p.is_file()},
+        "widths": {
+            "graph": {name: a.dtype.itemsize for name, a in (
+                ("adjacency_offset", cg.adjacency_offset),
+                ("adjacent_nodes", cg.adjacent_nodes),
+                ("pair_slot", cg.pair_slot),
+                ("node_order", store.clustering.node_order),
+                ("cluster_offset", store.clustering.cluster_offset),
+                ("intra_links", h.intra_links),
+                ("crossing_links", h.crossing_links),
+                ("record_offset", h.record_offset))},
+            "records": {name: {str(w): n for w, n in sorted(Counter(
+                getattr(r, name).dtype.itemsize for r in records).items())}
+                for name in ("src", "dst", "pos")},
+            "index": {"offsets": index.offsets.dtype.itemsize,
+                      "ids": index.ids.dtype.itemsize}},
+        "clusters": store.cluster_count,
+        "singletons": sizes[1],
+        "cluster_sizes": {str(n): c for n, c in sorted(sizes.items())},
+    }))
+    return 0
+
+
 def cmd_synth(args) -> int:
     info = generate_synthetic(SynthSpec.from_json(args.spec), args.out)
     print(f"tuples={info['tuples']}\tpaper={info['paper']}\t"
@@ -223,6 +260,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="file with one query per line")
     _add_query_flags(p)
     p.set_defaults(func=cmd_compare)
+
+    p = sub.add_parser("inspect",
+                       help="file bytes, column widths and cluster sizes of a store, as JSON")
+    p.add_argument("--store", required=True)
+    p.set_defaults(func=cmd_inspect)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")
     p.add_argument("--spec", required=True, help="JSON size spec")

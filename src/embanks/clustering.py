@@ -75,8 +75,8 @@ class Clustering:
     """
 
     node_mapping: np.ndarray   # int64 [n]
-    node_order: np.ndarray     # integer [n]; a read store keeps uint32
-    cluster_offset: np.ndarray  # integer [k + 1]; a read store keeps uint32
+    node_order: np.ndarray     # integer [n]; a read store keeps its stored width
+    cluster_offset: np.ndarray  # integer [k + 1]; a read store keeps its stored width
     max_cluster_size: int
 
     @classmethod

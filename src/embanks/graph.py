@@ -82,7 +82,8 @@ class DataGraph:
     weight is ``edge_weight[j]``; ``edge_direction[j]`` is True when the
     traversal follows the foreign-key direction.  ``pair_slot[j]`` is the
     slot of the same link seen from the other endpoint.  The integer
-    arrays are int64 in a built graph and uint32, as stored, in a read one.
+    arrays are int64 in a built graph and unsigned, in their stored widths,
+    in a read one.
     """
 
     node_count: int
@@ -92,6 +93,8 @@ class DataGraph:
     edge_weight: np.ndarray     # float32 [m]
     edge_direction: np.ndarray  # bool [m], True = forward
     pair_slot: np.ndarray       # integer [m]
+    _lists: AdjacencyLists | None = field(default=None, init=False,
+                                          repr=False, compare=False)
 
     @property
     def slot_count(self) -> int:
@@ -130,12 +133,23 @@ class DataGraph:
         ``range(offset[x], offset[x + 1])``, and slot ``j`` is the edge
         ``x -> target[j]`` of weight ``w_out[j]`` whose opposite direction
         ``target[j] -> x`` weighs ``w_in[j]``.  The weights are the same
-        float64 values ``out_edges`` and ``in_edges`` yield.  The lists are
-        a snapshot: they do not follow later changes to the arrays.
+        float64 values ``out_edges`` and ``in_edges`` yield.
+
+        When all four arrays are read-only, as a read store's views of its
+        read-only mapping are, they cannot change: the lists are built on
+        the first call and the same lists are returned after it, so callers
+        must not change them.  Otherwise each call builds a snapshot, which
+        does not follow later changes to the arrays.
         """
-        return (self.adjacency_offset.tolist(), self.adjacent_nodes.tolist(),
-                self.edge_weight.tolist(),
-                self.edge_weight[self.pair_slot].tolist())
+        if self._lists is not None:
+            return self._lists
+        arrays = (self.adjacency_offset, self.adjacent_nodes, self.edge_weight,
+                  self.pair_slot)
+        lists = (arrays[0].tolist(), arrays[1].tolist(), arrays[2].tolist(),
+                 self.edge_weight[self.pair_slot].tolist())
+        if not any(a.flags.writeable for a in arrays):
+            self._lists = lists
+        return lists
 
     def links(self):
         """Yield each stored link once as (u, v, w_fwd, w_bwd).

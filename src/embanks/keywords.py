@@ -26,14 +26,14 @@ class KeywordIndex:
 
     ``terms`` ascend strictly; the ids of ``terms[i]`` are
     ``ids[offsets[i]:offsets[i + 1]]``, ascending and duplicate-free.  Both
-    arrays are uint32, the form ``index.kwi`` stores them in, so a read
-    index is the stored arrays and a lookup turns only its own list into
-    ids.
+    arrays are unsigned: uint32 when built, and in a read index the stored
+    arrays in their ``index.kwi`` widths, so a lookup turns only its own
+    list into ids.
     """
 
     terms: list[str]
-    offsets: np.ndarray  # uint32 [len(terms) + 1], from 0
-    ids: np.ndarray      # uint32 [offsets[-1]]
+    offsets: np.ndarray  # unsigned [len(terms) + 1], from 0
+    ids: np.ndarray      # unsigned [offsets[-1]]
 
     @classmethod
     def from_postings(cls, postings: dict[str, Iterable[int]]) -> KeywordIndex:

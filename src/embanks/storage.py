@@ -1,6 +1,6 @@
 """On-disk store: one file for the graph, in cluster form, and one index.
 
-Layout under a store directory (format 10)::
+Layout under a store directory (format 11)::
 
     graph.emb       a section with the cluster graph, the clustering's node
                     order and cluster offsets, per-cluster link counts and
@@ -20,12 +20,19 @@ directory, so ingesting it again maps an id back to its row.  A graph
 stores per node only its prestige and per slot only its target, weight,
 direction bit and partner slot.  A cluster's members are its span of the
 node order, which rebuilds the node-to-cluster mapping on read.  Integers
-are little-endian and ids fit 32 bits; weights are 32-bit floats.  Every
+are little-endian and unsigned; weights are 32-bit floats.  Every integer
+column is written in the narrowest of 1, 2, 4 and 8 bytes that holds its
+largest value, and that width is one byte in a row of widths written
+before the columns: one row for the section's integer columns, one for
+index.kwi's, and one in each record's header for its own columns, so a
+record decodes alone.  Float columns come before the integer columns, and
+the section and every record are padded to a multiple of 4 bytes before
+their CRC, so every float32 column is 4-byte aligned in the file.  Every
 variable-length list is one column: ``count + 1`` offsets from 0, then the
 bytes or ids they delimit.  Every file, graph.emb's section and every
 cluster record begins with a magic and the format version and ends with a
-CRC32 of everything before it; the section also holds its byte length, and
-its last record offset fixes the length of the records after it.  Any
+CRC32 of everything before it; the section also holds its byte length,
+and its last record offset fixes the length of the records after it.  Any
 other version is rejected: rebuild with ``ingest`` then ``cluster``.
 
 Readers map each file read-only (a file shorter than one page is read
@@ -63,7 +70,7 @@ INDEX_FILE = "index.kwi"
 MAGIC_GRAPH = b"EMBK"
 MAGIC_CLUSTER = b"EMBC"
 MAGIC_INDEX = b"EMBI"
-FORMAT_VERSION = 10
+FORMAT_VERSION = 11
 
 
 class StorageError(Exception):
@@ -81,31 +88,38 @@ class _Writer:
     def __init__(self, magic: bytes, sized: bool = False) -> None:
         self._parts = [magic, FORMAT_VERSION.to_bytes(4, "little")]
         self._sized = sized
+        self._size = 16 if sized else 8     # the size word included
 
     def raw(self, data: bytes) -> None:
         self._parts.append(data)
+        self._size += len(data)
 
     def u32(self, v: int) -> None:
         self.raw(int(v).to_bytes(4, "little"))
 
-    def arr(self, values: np.ndarray, dtype: str) -> None:
+    def arr(self, values: np.ndarray, dtype) -> None:
         self.raw(np.ascontiguousarray(values, dtype=np.dtype(dtype)).tobytes())
 
     def bits(self, flags: np.ndarray) -> None:
         self.raw(np.packbits(np.asarray(flags, dtype=bool)).tobytes())
 
-    def strings(self, texts: list[str]) -> None:
-        """A string column: ``len(texts) + 1`` byte offsets, then the bytes."""
-        blobs = [t.encode("utf-8") for t in texts]
-        offsets = np.zeros(len(blobs) + 1, dtype=np.int64)
-        offsets[1:] = np.cumsum([len(b) for b in blobs])
-        self.arr(offsets, "<u4")
-        self.raw(b"".join(blobs))
+    def widths(self, columns) -> list[np.dtype]:
+        """Write one width byte per integer column, the narrowest that
+        holds its largest value, then pad to 4 bytes; return the dtypes to
+        write the columns in."""
+        widths = _widths([int(np.max(c, initial=0)) for c in columns])
+        self.raw(widths.astype(np.uint8).tobytes())
+        self.align()
+        return [np.dtype(f"<u{w}") for w in widths.tolist()]
+
+    def align(self) -> None:
+        """Zero bytes up to a multiple of 4 from the magic."""
+        self.raw(bytes(-self._size % 4))
 
     def blob(self) -> bytes:
         parts = self._parts
         if self._sized:
-            size = sum(map(len, parts)) + 12
+            size = self._size + 4
             parts = [*parts[:2], size.to_bytes(8, "little"), *parts[2:]]
         body = b"".join(parts)
         return body + zlib.crc32(body).to_bytes(4, "little")
@@ -114,6 +128,14 @@ class _Writer:
         blob = self.blob()
         _replace_file(path, [blob])
         return len(blob)
+
+
+def _widths(top) -> np.ndarray:
+    """Bytes per value (1, 2, 4 or 8) of the narrowest unsigned column that
+    holds values up to ``top``, for every entry of ``top``."""
+    top = np.asarray(top, dtype=np.uint64)
+    return 1 << ((top > 0xFF).astype(np.int64) + (top > 0xFFFF)
+                 + (top > 0xFFFFFFFF))
 
 
 def _replace_file(path: Path, parts) -> None:
@@ -192,7 +214,7 @@ class _Reader:
     def u32(self) -> int:
         return int.from_bytes(self.raw(4), "little")
 
-    def arr(self, count: int, dtype: str) -> np.ndarray:
+    def arr(self, count: int, dtype) -> np.ndarray:
         dt = np.dtype(dtype)
         return np.frombuffer(self.raw(count * dt.itemsize), dtype=dt)
 
@@ -200,7 +222,20 @@ class _Reader:
         packed = np.frombuffer(self.raw((count + 7) // 8), dtype=np.uint8)
         return _read_only(np.unpackbits(packed, count=count).view(bool))
 
-    def offsets(self, count: int, dtype: str = "<u4") -> np.ndarray:
+    def widths(self, count: int) -> list[np.dtype]:
+        """The dtypes of ``count`` integer columns, as ``_Writer.widths``
+        wrote them."""
+        widths = self.raw(count).tolist()
+        if not set(widths) <= {1, 2, 4, 8}:
+            raise StorageFormatError(f"{self.name}: column widths {widths} "
+                                     "are not 1, 2, 4 or 8 bytes")
+        self.align()
+        return [np.dtype(f"<u{w}") for w in widths]
+
+    def align(self) -> None:
+        self.raw(-self._pos % 4)
+
+    def offsets(self, count: int, dtype) -> np.ndarray:
         """``count + 1`` offsets into the column or file they delimit."""
         offsets = self.arr(count + 1, dtype)
         if offsets[0] != 0 or np.any(offsets[1:] < offsets[:-1]):
@@ -208,8 +243,8 @@ class _Reader:
                                      "at 0 and never decrease")
         return offsets
 
-    def strings(self, count: int) -> list[str]:
-        ends = self.offsets(count).tolist()
+    def strings(self, count: int, dtype) -> list[str]:
+        ends = self.offsets(count, dtype).tolist()
         blob = bytes(self.raw(ends[-1]))
         pairs = zip(ends, ends[1:])
         if blob.isascii():          # one decode; byte offsets are char offsets
@@ -249,16 +284,14 @@ def write_compressed_graph(path: str | Path, header: StoreHeader,
     for count in (cg.node_count, cg.slot_count, cl.node_count, cl.max_cluster_size):
         w.u32(count)
     w.arr(cg.prestige, "<f4")
-    w.arr(cg.adjacency_offset, "<u4")
-    w.arr(cg.adjacent_nodes, "<u4")
     w.arr(cg.edge_weight, "<f4")
+    columns = (cg.adjacency_offset, cg.adjacent_nodes, cg.pair_slot,
+               cl.node_order, cl.cluster_offset, header.intra_links,
+               header.crossing_links, header.record_offset)
+    for values, dtype in zip(columns, w.widths(columns)):
+        w.arr(values, dtype)
     w.bits(cg.edge_direction)
-    w.arr(cg.pair_slot, "<u4")
-    w.arr(cl.node_order, "<u4")
-    w.arr(cl.cluster_offset, "<u4")
-    w.arr(header.intra_links, "<u4")
-    w.arr(header.crossing_links, "<u4")
-    w.arr(header.record_offset, "<u8")
+    w.align()
     _replace_file(Path(path), [w.blob(), records])
 
 
@@ -267,17 +300,22 @@ def read_compressed_graph(path: str | Path) -> tuple[StoreHeader, memoryview]:
     r = _Reader(_map_file(Path(path)), MAGIC_GRAPH, str(path), sized=True)
     k, m, n, max_size = (r.u32() for _ in range(4))
     prestige = r.arr(k, "<f4")
-    adjacency = r.offsets(k)
+    weight = r.arr(m, "<f4")
+    (adjacency_dt, target_dt, partner_dt, order_dt, cluster_dt, intra_dt,
+     crossing_dt, record_dt) = r.widths(8)
+    adjacency = r.offsets(k, adjacency_dt)
     if adjacency[-1] != m:
         raise StorageFormatError(f"{path}: adjacency offsets end at "
                                  f"{adjacency[-1]}, not at the {m} slots")
-    graph = DataGraph(k, prestige, adjacency, r.arr(m, "<u4"), r.arr(m, "<f4"),
-                      r.bits(m), r.arr(m, "<u4"))
-    order = r.arr(n, "<u4")
-    cluster_offset = r.arr(k + 1, "<u4")
-    intra = r.arr(k, "<u4")
-    crossing = r.arr(k, "<u4")
-    offset = r.offsets(k, "<u8")
+    target = r.arr(m, target_dt)
+    partner = r.arr(m, partner_dt)
+    order = r.arr(n, order_dt)
+    cluster_offset = r.arr(k + 1, cluster_dt)
+    intra = r.arr(k, intra_dt)
+    crossing = r.arr(k, crossing_dt)
+    offset = r.offsets(k, record_dt)
+    graph = DataGraph(k, prestige, adjacency, target, weight, r.bits(m), partner)
+    r.align()
     r.done()
     if len(r.rest) != offset[-1]:
         raise StorageFormatError(f"{path}: the cluster records take "
@@ -309,10 +347,10 @@ class ClusterPayload:
 
     cluster_id: int
     prestige: np.ndarray     # float32, one per member
-    src: np.ndarray          # uint32 as read, local member index
-    dst: np.ndarray          # uint32 as read, global node id
+    src: np.ndarray          # unsigned as read, local member index
+    dst: np.ndarray          # unsigned as read, global node id
     w: np.ndarray            # float32 [l, 2] forward/backward
-    pos: np.ndarray          # uint32 as read, [l, 2] forward/backward
+    pos: np.ndarray          # unsigned as read, [l, 2] forward/backward
 
     @property
     def member_count(self) -> int:
@@ -320,47 +358,68 @@ class ClusterPayload:
 
 
 def write_cluster(payload: ClusterPayload) -> bytes:
-    words, _ = _encode_records(
+    data, _ = _encode_records(
         np.array([payload.cluster_id]), payload.prestige,
         np.array([payload.member_count]), payload.src, payload.dst,
         payload.w, payload.pos, np.array([len(payload.src)]))
-    return words.tobytes()
+    return data.tobytes()
 
 
 def _encode_records(cluster_ids, prestige, sizes, src, dst, w, pos, links
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Cluster records end to end, as one column of little-endian words.
+    """Cluster records end to end, as one column of bytes.
 
     Record ``i`` holds cluster ``cluster_ids[i]``: its ``sizes[i]`` members'
     values of ``prestige`` and its ``links[i]`` rows of ``src``, ``dst``,
-    ``w`` and ``pos``, each taken in turn from the front of those columns.  Every
-    field of a record is one 4-byte word, so each column is scattered into
-    place in one pass, and one ``zlib.crc32`` per record fills its trailer.
-    Returns the words and the ``len(cluster_ids) + 1`` word offsets of the
-    records.
+    ``w`` and ``pos``, each taken in turn from the front of those columns.
+    A record is five header words; the byte widths of its ``src``, ``dst``
+    and ``pos`` columns, each the narrowest that holds the record's largest
+    value, and a zero byte; the float32 prestige and weights; the three
+    integer columns; zero bytes up to a multiple of 4; and a CRC32 word.
+    Every column is scattered into place in one pass, an integer column as
+    the low bytes of its little-endian values, and one ``zlib.crc32`` per
+    record fills its trailer.  Returns the bytes and the
+    ``len(cluster_ids) + 1`` byte offsets of the records.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     links = np.asarray(links, dtype=np.int64)
+    src, dst = (np.asarray(c, dtype=np.int64) for c in (src, dst))
+    pos = np.asarray(pos, dtype=np.int64).reshape(-1, 2)
+    # per link, its source, its target and its larger slot position; their
+    # largest per record fix the record's three widths
+    rows = np.column_stack([src, dst, np.maximum(pos[:, 0], pos[:, 1])])
+    top = np.zeros((len(links), 3), dtype=np.int64)
+    full = links > 0
+    if full.any():
+        top[full] = np.maximum.reduceat(rows, (np.cumsum(links) - links)[full])
+    widths = _widths(top)
+    columns = ((src, links), (dst, links), (pos.reshape(-1), 2 * links))
+    body = 24 + 4 * sizes + 8 * links + widths @ [1, 1, 2] * links
     start = np.zeros(len(sizes) + 1, dtype=np.int64)
-    np.cumsum(6 + sizes + 6 * links, out=start[1:])  # 5 head words, 1 CRC
-    head, end = start[:-1], start[1:] - 1
-    words = np.empty(start[-1], dtype="<u4")
+    np.cumsum(body + -body % 4 + 4, out=start[1:])
+    head, end = start[:-1], start[1:] - 4
+    data = np.zeros(start[-1], dtype=np.uint8)
+    words = data.view("<u4")                   # records start 4-aligned
     for i, value in enumerate((int.from_bytes(MAGIC_CLUSTER, "little"),
                                FORMAT_VERSION, cluster_ids, sizes, links)):
-        words[head + i] = value
-    at = _spans(head + 5, sizes)
-    words[at] = np.ascontiguousarray(prestige, dtype="<f4").view("<u4")
-    at = _spans(head + 5 + sizes, links)
-    words[at] = src
-    words[at + np.repeat(links, links)] = dst
-    words[_spans(head + 5 + sizes + 2 * links, 2 * links)] = \
+        words[head // 4 + i] = value
+    data[(head + 20)[:, None] + np.arange(3)] = widths
+    at = head // 4 + 6
+    words[_spans(at, sizes)] = np.ascontiguousarray(prestige, dtype="<f4").view("<u4")
+    words[_spans(at + sizes, 2 * links)] = \
         np.ascontiguousarray(w, dtype="<f4").reshape(-1).view("<u4")
-    words[_spans(head + 5 + sizes + 4 * links, 2 * links)] = \
-        np.asarray(pos).reshape(-1)
-    data = memoryview(words).cast("B")
-    words[end] = [zlib.crc32(data[4 * a:4 * b])
-                  for a, b in zip(head.tolist(), end.tolist())]
-    return words, start
+    at = head + 24 + 4 * sizes + 8 * links
+    for (values, n), wd in zip(columns, widths.T):
+        most = int(wd.max(initial=1))
+        low = values.astype(f"<u{most}").view(np.uint8)
+        if wd.min(initial=most) < most:      # each value's low ``wd`` bytes
+            low = low.reshape(-1, most)[np.arange(most) < np.repeat(wd, n)[:, None]]
+        data[_spans(at, wd * n)] = low
+        at = at + wd * n
+    view = memoryview(data)
+    words[end // 4] = [zlib.crc32(view[a:b])
+                       for a, b in zip(head.tolist(), end.tolist())]
+    return data, start
 
 
 def _spans(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -371,19 +430,22 @@ def _spans(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 def read_cluster(record, name="cluster record") -> ClusterPayload:
     """Check and decode one record, any bytes-like object; the arrays are
-    read-only views of it; ``name`` is as for ``_Reader``."""
+    read-only views of it, in the stored widths; ``name`` is as for
+    ``_Reader``."""
     r = _Reader(memoryview(record), MAGIC_CLUSTER, name)
     cid = r.u32()
     nm = r.u32()
     links = r.u32()
+    src_dt, dst_dt, pos_dt = r.widths(3)
     payload = ClusterPayload(
         cluster_id=cid,
         prestige=r.arr(nm, "<f4"),
-        src=r.arr(links, "<u4"),
-        dst=r.arr(links, "<u4"),
         w=r.arr(2 * links, "<f4").reshape(links, 2),
-        pos=r.arr(2 * links, "<u4").reshape(links, 2),
+        src=r.arr(links, src_dt),
+        dst=r.arr(links, dst_dt),
+        pos=r.arr(2 * links, pos_dt).reshape(links, 2),
     )
+    r.align()
     r.done()
     return payload
 
@@ -391,11 +453,19 @@ def read_cluster(record, name="cluster record") -> ClusterPayload:
 # --- keyword index ------------------------------------------------------------
 
 def write_keyword_index(path: str | Path, index: KeywordIndex) -> int:
+    """The term count; the widths of the term text offsets, the posting
+    offsets and the ids; the term column; then the postings."""
+    texts = [t.encode("utf-8") for t in index.terms]
+    ends = np.zeros(len(texts) + 1, dtype=np.int64)
+    ends[1:] = np.cumsum([len(t) for t in texts])
     w = _Writer(MAGIC_INDEX)
-    w.u32(len(index.terms))
-    w.strings(index.terms)
-    w.arr(index.offsets, "<u4")
-    w.arr(index.ids, "<u4")
+    w.u32(len(texts))
+    columns = (ends, index.offsets, index.ids)
+    ends_dt, offsets_dt, ids_dt = w.widths(columns)
+    w.arr(ends, ends_dt)
+    w.raw(b"".join(texts))
+    w.arr(index.offsets, offsets_dt)
+    w.arr(index.ids, ids_dt)
     return w.finish(Path(path))
 
 
@@ -403,9 +473,11 @@ def read_keyword_index(path: str | Path) -> KeywordIndex:
     """Check the whole file and keep its posting ids as stored; a lookup
     turns only its own list into ids."""
     r = _Reader(_map_file(Path(path)), MAGIC_INDEX, str(path))
-    terms = r.strings(r.u32())
-    offsets = r.offsets(len(terms))
-    ids = r.arr(int(offsets[-1]), "<u4")
+    count = r.u32()
+    ends_dt, offsets_dt, ids_dt = r.widths(3)
+    terms = r.strings(count, ends_dt)
+    offsets = r.offsets(len(terms), offsets_dt)
+    ids = r.arr(int(offsets[-1]), ids_dt)
     r.done()
     if len(set(terms)) != len(terms) or terms != sorted(terms):
         raise StorageFormatError(f"{path}: terms are not strictly ascending")
@@ -443,10 +515,10 @@ def write_store(store_dir: str | Path, g: DataGraph, clustering: Clustering,
     w = np.stack([g.edge_weight[fwd], g.edge_weight[back]], axis=1)
     at = g.adjacency_offset
     pos = np.stack([fwd - at[src], back - at[dst]], axis=1)
-    words, start = _encode_records(np.arange(k), g.prestige[clustering.node_order],
-                                   sizes, local, dst, w, pos, intra + leaving)
-    header = StoreHeader(cluster_graph, clustering, intra, crossing, 4 * start)
-    write_compressed_graph(Path(store_dir) / GRAPH_FILE, header, words)
+    records, start = _encode_records(np.arange(k), g.prestige[clustering.node_order],
+                                     sizes, local, dst, w, pos, intra + leaving)
+    header = StoreHeader(cluster_graph, clustering, intra, crossing, start)
+    write_compressed_graph(Path(store_dir) / GRAPH_FILE, header, records)
 
 
 def write_tuple_graph(store_dir: str | Path, g: DataGraph) -> None:

@@ -413,16 +413,25 @@ def make_cluster_payload(g, clustering, cluster_id):
 
 def cluster_record_reference(payload) -> bytes:
     """A cluster record packed field by field: magic, version, cluster id,
-    member and link counts, each member's prestige, each link's source, each
-    link's target, each link's two weights, each link's two slot positions,
-    then the CRC32 of all that."""
-    body = b"EMBC" + struct.pack("<4I", 10, payload.cluster_id,
+    member and link counts; the byte widths of the source, target and
+    position columns, each the narrowest of 1, 2 and 4 that holds the
+    column's largest value, and a zero byte; each member's prestige; each
+    link's two weights; each link's source, each link's target and each
+    link's two slot positions, in their widths; zero bytes up to a multiple
+    of 4; then the CRC32 of all that."""
+    columns = ([int(x) for x in payload.src], [int(x) for x in payload.dst],
+               [int(x) for row in payload.pos for x in row])
+    widths = [1 if max(c, default=0) < 1 << 8 else
+              2 if max(c, default=0) < 1 << 16 else 4 for c in columns]
+    body = b"EMBC" + struct.pack("<4I", 11, payload.cluster_id,
                                  len(payload.prestige), len(payload.src))
+    body += bytes(widths) + b"\0"
     body += b"".join(struct.pack("<f", float(p)) for p in payload.prestige)
-    body += b"".join(struct.pack("<I", int(x)) for x in payload.src)
-    body += b"".join(struct.pack("<I", int(x)) for x in payload.dst)
     body += b"".join(struct.pack("<2f", float(a), float(b)) for a, b in payload.w)
-    body += b"".join(struct.pack("<2I", int(a), int(b)) for a, b in payload.pos)
+    for values, width in zip(columns, widths):
+        code = {1: "<B", 2: "<H", 4: "<I"}[width]
+        body += b"".join(struct.pack(code, x) for x in values)
+    body += bytes(-len(body) % 4)
     return body + struct.pack("<I", zlib.crc32(body))
 
 

@@ -221,6 +221,36 @@ def _query_fails(store, capsys):
     return captured.err
 
 
+def test_inspect_prints_the_store_as_one_json_line(corpus, capsys):
+    """``inspect`` prints one JSON line: every file's bytes as the file
+    system gives them, the stored width of each integer column, and the
+    clusters' count, singletons and size histogram."""
+    _, store = corpus
+    capsys.readouterr()
+    assert cli.main(["inspect", "--store", str(store)]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    info = json.loads(out)
+    assert info["files"] == {p.name: p.stat().st_size for p in store.iterdir()}
+    opened = ClusterStore.open(store)
+    k = opened.cluster_count
+    sizes, counts = np.unique(np.diff(opened.clustering.cluster_offset),
+                              return_counts=True)
+    assert info["clusters"] == k
+    assert info["cluster_sizes"] == {str(n): c for n, c in
+                                     zip(sizes.tolist(), counts.tolist())}
+    assert info["singletons"] == info["cluster_sizes"].get("1", 0)
+    widths = info["widths"]
+    assert widths["graph"]["node_order"] == \
+        opened.clustering.node_order.dtype.itemsize
+    assert widths["index"]["ids"] == opened.keyword_index().ids.dtype.itemsize
+    assert {w for w in widths["graph"].values()} | set(widths["index"].values()) \
+        <= {1, 2, 4, 8}
+    for name in ("src", "dst", "pos"):
+        assert sum(widths["records"][name].values()) == k
+        assert set(widths["records"][name]) <= {"1", "2", "4", "8"}
+
+
 def test_reingest_answers_before_cluster(corpus, tmp_path, capsys):
     """A re-ingested store holds the new corpus as one cluster: it answers
     at once, and again after ``cluster``."""

@@ -647,6 +647,55 @@ def test_one_cluster_pairs_stop_phase1_at_their_cluster(tmp_path):
         "cfc40d56daac3e4a"
 
 
+def test_store_builds_cluster_graph_lists_once(tmp_path):
+    """An open store turns its cluster graph into adjacency lists on the
+    first query that sweeps it and hands the same lists to every later
+    search; a query whose keyword nodes share one cluster (phase 1 stops
+    ``one-source``) never builds them.  Answers and stats are those of a
+    freshly opened store."""
+    spec = SynthSpec(papers=150, authors=50, writes=225, cites=75,
+                     rare_pairs=20, seed=2)
+    generate_synthetic(spec, tmp_path / "data")
+    ingest_to_store(tmp_path / "data" / "schema.txt", tmp_path / "data",
+                    tmp_path / "store")
+    build_store(tmp_path / "store", "close1", 10)
+    store = ClusterStore.open(tmp_path / "store")
+    mapping = store.clustering.node_mapping
+
+    def clusters(terms):
+        return {int(mapping[n]) for t in terms
+                for n in store.keyword_index().lookup(t)}
+
+    pairs = [list(low_pair(i)) for i in range(spec.rare_pairs)]
+    one = [t for t in pairs if len(clusters(t)) == 1]
+    split = [t for t in pairs if len(clusters(t)) > 1]
+    assert one and split
+    graph = store.cluster_graph
+
+    def check(terms, cfg):
+        r = two_phase_query(store, terms, cfg)
+        fresh = two_phase_query(ClusterStore.open(tmp_path / "store"), terms, cfg)
+        assert answers_digest(r.answers) == answers_digest(fresh.answers)
+        assert r.stats.nodes_explored == fresh.stats.nodes_explored
+        return r
+
+    for terms in one:
+        assert check(terms, EngineConfig()).phase1_stats.stopped == "one-source"
+    assert graph._lists is None
+    check(split[0], EngineConfig())
+    lists = graph._lists
+    assert lists is not None
+    for terms in split + [list(high_pair(0))]:
+        for cfg in (EngineConfig(), EngineConfig(phase1_algorithm="bidi",
+                                                 phase2_algorithm="bidi")):
+            check(terms, cfg)
+            assert graph._lists is lists
+    # a built graph's arrays can change, so its lists are built every call
+    built = read_tuple_graph(tmp_path / "store")
+    assert built.adjacency_lists() is not built.adjacency_lists()
+    assert built._lists is None
+
+
 def test_two_phase_grid_regression_pin(tmp_path):
     """Answers, clusters, refetch rounds and per-phase counts over a grid
     of engine settings on 30 seeded random stores hash to the recorded
@@ -690,9 +739,9 @@ def test_two_phase_grid_regression_pin(tmp_path):
     digests = {name: hashlib.sha256(repr(r).encode()).hexdigest()[:16]
                for name, r in rows.items()}
     assert refetches["all"] == 579
-    assert digests["all"] == "4abd838294a8795b"
+    assert digests["all"] == "504e8c34f1627bad"
     assert refetches["default"] == 588
-    assert digests["default"] == "dc569f34d0f990f6"
+    assert digests["default"] == "b9bafca16a1e11d4"
 
 
 @pytest.fixture(scope="module")
@@ -712,30 +761,30 @@ def file_digest(path):
 
 STORE_PINS = {
     # (algorithm, edge combiner, prestige combiner): graph.emb
-    ("close1", "inverse-sum", "sum"): "55ea50109e771563",
-    ("close1", "harmonic-mean", "max"): "520bdbdacd714967",
-    ("close1", "min", "avg"): "8eaa4d8d7dc30105",
-    ("greedymin", "inverse-sum", "sum"): "a188d618fbddddfc",
-    ("greedymin", "harmonic-mean", "max"): "24e184679005b3e5",
-    ("greedymin", "min", "avg"): "13506efeae7d2701",
-    ("connection", "inverse-sum", "sum"): "08110140e316b7fb",
-    ("connection", "harmonic-mean", "max"): "931bbf12fd59a4ae",
-    ("connection", "min", "avg"): "5d89ea1de94bcf33",
-    ("adjacency", "inverse-sum", "sum"): "11b04f9c713be21f",
-    ("adjacency", "harmonic-mean", "max"): "460927498d7e3ad9",
-    ("adjacency", "min", "avg"): "3cafa3537edabd0f",
+    ("close1", "inverse-sum", "sum"): "3bd18cb62fdf7436",
+    ("close1", "harmonic-mean", "max"): "db81ad5444a46ef1",
+    ("close1", "min", "avg"): "b42711eee12100b6",
+    ("greedymin", "inverse-sum", "sum"): "072245db3f8bec76",
+    ("greedymin", "harmonic-mean", "max"): "548dd5ed5823957a",
+    ("greedymin", "min", "avg"): "fa2cd0545732f3d7",
+    ("connection", "inverse-sum", "sum"): "106aad5cefceeea1",
+    ("connection", "harmonic-mean", "max"): "e7616753e5fdb61e",
+    ("connection", "min", "avg"): "f3dcd9cbdc8a67c5",
+    ("adjacency", "inverse-sum", "sum"): "b0c0d5eaef216563",
+    ("adjacency", "harmonic-mean", "max"): "ef65894356a77107",
+    ("adjacency", "min", "avg"): "90ee95b711975a0c",
 }
 
 
 @pytest.mark.parametrize("algorithm,edge,prestige", sorted(STORE_PINS))
 def test_store_bytes_pin(synth_store, algorithm, edge, prestige):
     """Every byte of the store, as ingest writes it and after clustering
-    under each algorithm and three combiner pairs, as of store format 10.
+    under each algorithm and three combiner pairs, as of store format 11.
     Each case clusters the build the case before it wrote, so each also
     checks that the tuple graph decodes from any build as ingested."""
     store, ingested = synth_store
-    assert ingested == "5d201b765076c43f"
-    assert file_digest(store / INDEX_FILE) == "74da9780da90148f"
+    assert ingested == "ecc82523d72dec0c"
+    assert file_digest(store / INDEX_FILE) == "cc36ac3de639cd24"
     build_store(store, algorithm, 8, WeightConfig(edge, prestige))
     assert file_digest(store / GRAPH_FILE) == \
         STORE_PINS[(algorithm, edge, prestige)]

@@ -75,11 +75,18 @@ def test_tuple_graph_round_trip(rng, tmp_path):
         assert (d1 / GRAPH_FILE).read_bytes() == (d2 / GRAPH_FILE).read_bytes()
 
 
+def width(top):
+    """Bytes per value of the narrowest unsigned column holding ``top``."""
+    return 1 if top < 1 << 8 else 2 if top < 1 << 16 else 4
+
+
 def test_tuple_graph_byte_length(rng, tmp_path):
     """The tuple graph's graph.emb is a section with a one-node cluster
-    graph and one record; a cluster record holds its header, member
-    prestige, links with two weights and two slot positions, and its CRC:
-    no row metadata, node types, member ids or target clusters."""
+    graph and one record; a cluster record holds its header, column widths,
+    member prestige, links with two weights and two slot positions, and its
+    CRC: no row metadata, node types, member ids or target clusters.  Every
+    id, position and count of these graphs fits one byte, so a record's
+    links take 12 bytes each and need no padding."""
     for trial in range(12):
         n = rng.randint(1, 30)
         g = random_graph(rng, n, extra_links=rng.randint(0, n))
@@ -88,9 +95,12 @@ def test_tuple_graph_byte_length(rng, tmp_path):
         links = g.slot_count // 2
         d = tmp_path / f"t{trial}"
         write_tuple_graph(d, g)
-        section = 32 + 4 + 8 + 4 * n + 8 + 8 + 16 + 4
-        assert (d / GRAPH_FILE).stat().st_size == \
-            section + 24 + 4 * n + 24 * links
+        record = 28 + 4 * n + 12 * links
+        # header, prestige, widths, adjacency offsets, node order, cluster
+        # offsets, link counts, record offsets; no slots, so no bits
+        body = 32 + 4 + 8 + 2 + n + 2 + 2 + 2 * width(record)
+        section = body + -body % 4 + 4
+        assert (d / GRAPH_FILE).stat().st_size == section + record
         cl = grown_clustering(rng, "close1", g, rng.randint(1, 5))
         _, _, store = built_store(rng, tmp_path / str(trial), g=g, cl=cl)
         # a record's links: the forward slots whose source is a member
@@ -98,7 +108,7 @@ def test_tuple_graph_byte_length(rng, tmp_path):
                             minlength=cl.cluster_count)
         members = np.diff(cl.cluster_offset)
         assert np.array_equal(np.diff(store.header.record_offset),
-                              24 + 4 * members + 24 * links)
+                              28 + 4 * members + 12 * links)
 
 
 def test_compressed_graph_round_trip(rng, tmp_path):
@@ -114,13 +124,15 @@ def test_compressed_graph_round_trip(rng, tmp_path):
     records = bytes(rng.randrange(256) for _ in range(3 * k))
     p1, p2 = tmp_path / "a.emb", tmp_path / "b.emb"
     write_compressed_graph(p1, header, records)
-    # the section holds its header, arrays and CRC only: no per-cluster or
-    # per-superedge cost bounds, no node types, no node-to-cluster mapping
-    # and no record CRCs; the records follow it unchanged
-    graph_arrays = 4 * k + 4 * (k + 1) + 12 * m + (m + 7) // 8
-    clustering_arrays = 4 * cl.node_count + 4 * (k + 1)
-    record_arrays = 8 * k + 8 * (k + 1)
-    section = 32 + graph_arrays + clustering_arrays + record_arrays + 4
+    # the section holds its header, column widths, arrays and CRC only: no
+    # per-cluster or per-superedge cost bounds, no node types, no
+    # node-to-cluster mapping and no record CRCs; every integer column
+    # fits one byte; the records follow it unchanged
+    graph_arrays = 4 * k + (k + 1) + 6 * m + (m + 7) // 8
+    clustering_arrays = cl.node_count + (k + 1)
+    record_arrays = 2 * k + (k + 1)
+    body = 32 + 8 + graph_arrays + clustering_arrays + record_arrays
+    section = body + -body % 4 + 4
     raw = p1.read_bytes()
     assert len(raw) == section + len(records)
     assert int.from_bytes(raw[8:16], "little") == section
@@ -128,7 +140,11 @@ def test_compressed_graph_round_trip(rng, tmp_path):
         int.from_bytes(raw[section - 4:section], "little")
     h2, rest = read_compressed_graph(p1)
     assert bytes(rest) == records
-    assert h2.record_offset.dtype == np.dtype("<u8")
+    h = h2.cluster_graph
+    for a in (h.adjacency_offset, h.adjacent_nodes, h.pair_slot,
+              h2.clustering.node_order, h2.clustering.cluster_offset,
+              h2.intra_links, h2.crossing_links, h2.record_offset):
+        assert a.dtype == np.uint8
     assert np.array_equal(h2.cluster_graph.adjacent_nodes,
                           cg.adjacent_nodes)
     assert np.array_equal(h2.cluster_graph.edge_weight,
@@ -161,19 +177,21 @@ def test_cluster_payload_round_trip(rng):
 
 
 def test_cluster_record_matches_field_by_field_packing(rng):
-    """The word-column encoder writes each record as a field-by-field
-    packer does: empty records, records without links, float64 prestige."""
-    assert FORMAT_VERSION == 10
-    for trial in range(30):
+    """The byte-column encoder writes each record as a field-by-field
+    packer does: empty records, records without links, float64 prestige,
+    and target and position columns one, two and four bytes wide."""
+    assert FORMAT_VERSION == 11
+    for trial in range(60):
         members, links = rng.randint(0, 6), rng.choice([0, 0, 1, 5])
+        dst_top, pos_top = rng.choice([2**8, 2**16, 2**32]), rng.choice([9, 2**16, 2**32])
         payload = ClusterPayload(
             rng.randrange(1000),
             np.array([rng.uniform(0, 9) for _ in range(members)]),
             np.array([rng.randrange(max(members, 1)) for _ in range(links)]),
-            np.array([rng.randrange(2**32) for _ in range(links)], dtype=np.uint32),
+            np.array([rng.randrange(dst_top) for _ in range(links)], dtype=np.uint32),
             np.array([[rng.uniform(0.1, 4), rng.uniform(0.1, 4)]
                       for _ in range(links)], dtype=np.float32).reshape(-1, 2),
-            np.array([[rng.randrange(2**32), rng.randrange(9)]
+            np.array([[rng.randrange(pos_top), rng.randrange(9)]
                       for _ in range(links)], dtype=np.int64).reshape(-1, 2))
         assert write_cluster(payload) == cluster_record_reference(payload), trial
 
@@ -293,7 +311,8 @@ def test_read_arrays_are_read_only(rng, tmp_path, n):
     """Every array an opened store, a read cluster and a read index hand
     out is read-only, whether its file was read whole (24 nodes: every file
     is shorter than a page) or mapped (600 nodes), for a clustered store
-    and for a tuple graph's one-cluster store."""
+    and for a tuple graph's one-cluster store; every float32 array is
+    4-byte aligned."""
     g, cl, store = built_store(rng, tmp_path / "s", n=n)
     write_keyword_index(tmp_path / "s" / INDEX_FILE,
                         build_index(random_meta(rng, n)))
@@ -312,6 +331,8 @@ def test_read_arrays_are_read_only(rng, tmp_path, n):
                    graph.prestige, graph.adjacency_offset, graph.adjacent_nodes,
                    graph.edge_weight, graph.edge_direction, graph.pair_slot]
     assert [a.flags.writeable for a in arrays] == [False] * len(arrays)
+    floats = [a for a in arrays if a.dtype.kind == "f"]
+    assert len(floats) == 8 and all(a.flags.aligned for a in floats)
 
 
 def test_empty_files_fail_as_truncated(rng, tmp_path):
@@ -385,13 +406,15 @@ def test_empty_keyword_index_round_trips(tmp_path):
 
 
 def _assert_index_round_trips(index, tmp_path):
-    """A read index holds the written one's terms and ids, in the stored
-    32-bit form, answers every lookup the same, and writes the same bytes."""
+    """A read index holds the written one's terms and ids, each column in
+    the narrowest width that holds it, answers every lookup the same, and
+    writes the same bytes."""
     p1, p2 = tmp_path / "a.kwi", tmp_path / "b.kwi"
     write_keyword_index(p1, index)
     back = read_keyword_index(p1)
     assert back.terms == index.terms and len(back) == len(index)
-    assert back.offsets.dtype == back.ids.dtype == np.uint32
+    for a in (back.offsets, back.ids):
+        assert a.dtype.itemsize == width(int(a.max(initial=0)))
     write_keyword_index(p2, back)
     assert p1.read_bytes() == p2.read_bytes()
     for term in index.terms:
@@ -452,10 +475,12 @@ def _u32s(values):
 ])
 def test_keyword_index_offsets_are_checked(tmp_path, term_offsets,
                                            posting_offsets, message):
-    """index.kwi: magic, version, term count, the term column, the posting
-    offsets, then the ids; offsets that would misplace a list are rejected
-    even under a valid checksum."""
-    body = (b"EMBI" + _u32s([FORMAT_VERSION, 2] + term_offsets) + b"applepear"
+    """index.kwi: magic, version, term count, the widths of its three
+    integer columns (here all four bytes) and a pad byte, the term column,
+    the posting offsets, then the ids; offsets that would misplace a list
+    are rejected even under a valid checksum."""
+    body = (b"EMBI" + _u32s([FORMAT_VERSION, 2]) + bytes([4, 4, 4, 0])
+            + _u32s(term_offsets) + b"applepear"
             + _u32s(posting_offsets) + _u32s([0, 2, 9, 1, 70_000]))
     path = tmp_path / "i.kwi"
     path.write_bytes(_resealed(body))
@@ -682,3 +707,80 @@ def test_cluster_cost_accounting(rng, tmp_path):
         expected = BYTES_PER_NODE * members \
             + BYTES_PER_EDGE * (2 * int(intra[c]) + 2 * int(crossing[c]))
         assert store.cluster_cost(c) == expected
+
+
+def induced_arrays(g, nodes):
+    """``oracles.induced_subgraph`` as whole-array steps, for graphs too
+    large for its per-slot loop: the subgraph on the ascending ``nodes``,
+    each node keeping its surviving slots in order."""
+    inside = np.zeros(g.node_count, dtype=bool)
+    inside[nodes] = True
+    local = np.cumsum(inside) - 1
+    source = g.slot_source
+    keep = inside[source] & inside[g.adjacent_nodes]
+    new_slot = np.cumsum(keep) - 1
+    offset = np.zeros(len(nodes) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(local[source[keep]], minlength=len(nodes)),
+              out=offset[1:])
+    return replace(g, node_count=len(nodes), prestige=g.prestige[nodes],
+                   adjacency_offset=offset,
+                   adjacent_nodes=local[g.adjacent_nodes[keep]],
+                   edge_weight=g.edge_weight[keep],
+                   edge_direction=g.edge_direction[keep],
+                   pair_slot=new_slot[g.pair_slot[keep]])
+
+
+@pytest.mark.parametrize("n", [256, 257, 65_536, 65_537])
+def test_columns_at_their_width_boundaries(tmp_path, n):
+    """Columns whose largest value is 255 or 256, 65,535 or 65,536 are
+    stored one, two or four bytes wide and read back as written: node ids
+    up to ``n - 1``, cluster offsets up to ``n``, a hub node with 256 or 257
+    slots (positions up to 255 or 256), clusters of up to 257 members, and
+    posting ids and offsets up to ``n - 1`` and ``n``.  The graph comes back
+    from ``read_tuple_graph`` and from expanding cluster subsets, and the
+    index from ``read_keyword_index``."""
+    slots = 256 + n % 2
+    # a chain through every node, a link back from the last one, and
+    # ``slots - 1`` links into node 0 from the nodes after 1, some twice
+    u = np.concatenate([np.arange(n - 1), [n - 1], 2 + np.arange(slots - 1) % (n - 2)])
+    v = np.concatenate([np.arange(1, n), [n - 2], np.zeros(slots - 1, dtype=np.int64)])
+    b = GraphBuilder()
+    b.add_nodes(np.arange(n) % 7)
+    b.add_links(u, v, 1.0 + u % 3, 2.0 + v % 5)
+    g = b.build()
+    assert int(np.diff(g.adjacency_offset).max()) == slots
+
+    write_tuple_graph(tmp_path / "t", g)
+    tuple_store = ClusterStore.open(tmp_path / "t")
+    record = tuple_store.read_cluster(0)
+    order = tuple_store.clustering
+    assert order.node_order.dtype.itemsize == width(n - 1)
+    assert order.cluster_offset.dtype.itemsize == width(n)
+    assert record.src.dtype.itemsize == record.dst.dtype.itemsize == width(n - 1)
+    assert record.pos.dtype.itemsize == width(slots - 1)
+    assert_same_graph(read_tuple_graph(tmp_path / "t"), g)
+
+    offset = np.append(np.arange(0, n, 257), n)
+    cl = Clustering.from_order(np.arange(n), offset, 257)
+    write_store(tmp_path / "c", g, cl, build_cluster_graph(g, cl))
+    store = ClusterStore.open(tmp_path / "c")
+    assert len(store.read_cluster(0).src) > 256 or n < 257
+    assert store.read_cluster(0).src.dtype.itemsize == width(min(n, 257) - 1)
+    assert_same_graph(read_tuple_graph(tmp_path / "c"), g)
+    k = cl.cluster_count
+    for ids in ({0}, {k - 1}, {0, k - 1}, set(range(0, k, 2))):
+        ids = sorted(ids)
+        nodes = np.concatenate([cl.members(c) for c in ids])
+        exp = expand_clusters(store, ids)
+        assert exp.global_ids.tolist() == nodes.tolist()
+        assert_same_graph(exp.graph, induced_arrays(g, nodes))
+
+    index = KeywordIndex.from_postings({"every": range(n - 1), "last": [n - 1]})
+    write_keyword_index(tmp_path / INDEX_FILE, index)
+    back = read_keyword_index(tmp_path / INDEX_FILE)
+    assert back.offsets.dtype.itemsize == width(n)
+    assert back.ids.dtype.itemsize == width(n - 1)
+    assert back.terms == index.terms
+    assert np.array_equal(back.offsets, index.offsets)
+    assert np.array_equal(back.ids, index.ids)
+    assert back.lookup("last") == [n - 1]
