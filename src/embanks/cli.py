@@ -22,7 +22,8 @@ from .graph import GraphError, build_graph, parse_schema
 from .keywords import build_index, tokenize
 from .scoring import ScoredAnswer
 from .search import COMBOS, NoMatchError, SearchConfig, SearchStats
-from .storage import ClusterStore, StorageError, read_tuple_graph
+from .storage import (ClusterStore, StorageError, read_tuple_graph,
+                      value_index_width)
 from .synth import SynthSpec, generate_synthetic
 
 _EDGE_COMBINERS = {
@@ -140,31 +141,44 @@ def cmd_compare(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    """One JSON line: each file's bytes, each integer column's stored width
-    (per record columns, how many records store it in each width), and the
-    clusters' count, singletons and size histogram."""
+    """One JSON line: each file's bytes, the length of each value table,
+    each integer column's stored width (per record columns, how many
+    records store it in each width; a record's prestige and weight indexes
+    share one width), and the clusters' count, singletons and size
+    histogram."""
     store = ClusterStore.open(args.store)
     h, cg = store.header, store.cluster_graph
     index = store.keyword_index()
     records = [store.read_cluster(c) for c in range(store.cluster_count)]
     offset = store.clustering.cluster_offset.tolist()
     sizes = Counter(b - a for a, b in zip(offset, offset[1:]))
+
+    def histogram(column: str) -> dict:
+        return {str(w): n for w, n in sorted(Counter(
+            getattr(r, column).dtype.itemsize for r in records).items())}
+
     print(json.dumps({
         "files": {p.name: p.stat().st_size
                   for p in sorted(store.dir.iterdir()) if p.is_file()},
+        "values": {"prestige": len(h.prestige_values),
+                   "weight": len(h.weight_values)},
         "widths": {
-            "graph": {name: a.dtype.itemsize for name, a in (
-                ("adjacency_offset", cg.adjacency_offset),
-                ("adjacent_nodes", cg.adjacent_nodes),
-                ("pair_slot", cg.pair_slot),
-                ("node_order", store.clustering.node_order),
-                ("cluster_offset", store.clustering.cluster_offset),
-                ("intra_links", h.intra_links),
-                ("crossing_links", h.crossing_links),
-                ("record_offset", h.record_offset))},
-            "records": {name: {str(w): n for w, n in sorted(Counter(
-                getattr(r, name).dtype.itemsize for r in records).items())}
-                for name in ("src", "dst", "pos")},
+            "graph": {
+                "prestige_index": value_index_width(h.prestige_values, cg.prestige),
+                "edge_weight_index": value_index_width(h.weight_values,
+                                                       cg.edge_weight),
+                **{name: a.dtype.itemsize for name, a in (
+                    ("adjacency_offset", cg.adjacency_offset),
+                    ("adjacent_nodes", cg.adjacent_nodes),
+                    ("pair_slot", cg.pair_slot),
+                    ("node_order", store.clustering.node_order),
+                    ("cluster_offset", store.clustering.cluster_offset),
+                    ("intra_links", h.intra_links),
+                    ("crossing_links", h.crossing_links),
+                    ("record_offset", h.record_offset))}},
+            "records": {"src": histogram("src"), "dst": histogram("dst"),
+                        "pos": histogram("pos"),
+                        "value_index": histogram("prestige_index")},
             "index": {"offsets": index.offsets.dtype.itemsize,
                       "ids": index.ids.dtype.itemsize}},
         "clusters": store.cluster_count,

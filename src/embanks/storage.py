@@ -1,10 +1,11 @@
 """On-disk store: one file for the graph, in cluster form, and one index.
 
-Layout under a store directory (format 11)::
+Layout under a store directory (format 12)::
 
-    graph.emb       a section with the cluster graph, the clustering's node
-                    order and cluster offsets, per-cluster link counts and
-                    each record's byte offset; then the cluster records: a
+    graph.emb       a section with the prestige and weight value tables,
+                    the cluster graph, the clustering's node order and
+                    cluster offsets, per-cluster link counts and each
+                    record's byte offset; then the cluster records: a
                     cluster's member count and prestige, and the links whose
                     foreign-key source is a member, with both weights and
                     the positions of both slots in their nodes' spans
@@ -20,30 +21,41 @@ directory, so ingesting it again maps an id back to its row.  A graph
 stores per node only its prestige and per slot only its target, weight,
 direction bit and partner slot.  A cluster's members are its span of the
 node order, which rebuilds the node-to-cluster mapping on read.  Integers
-are little-endian and unsigned; weights are 32-bit floats.  Every integer
-column is written in the narrowest of 1, 2, 4 and 8 bytes that holds its
-largest value, and that width is one byte in a row of widths written
-before the columns: one row for the section's integer columns, one for
-index.kwi's, and one in each record's header for its own columns, so a
-record decodes alone.  Float columns come before the integer columns, and
+are little-endian and unsigned.  Each distinct float32 prestige (members
+and clusters) and weight (links and superedges) is stored once, in one of
+the section's two value tables, sorted by bit pattern so that -0.0 and 0.0
+stay apart and every value round-trips exactly; every prestige and weight
+column holds indexes into its table.  A record therefore decodes only with
+its store's tables: ``read_cluster`` returns indexes, which a
+``ClusterStore`` resolves.  In the worst case, all prestige values
+distinct, the table costs what a float32 column did and each node adds an
+index of up to 4 bytes.  Every integer column, value indexes included, is
+written in the narrowest of 1, 2, 4 and 8 bytes that holds its largest
+value, and that width is one byte in a row of widths written before the
+columns: one row for the section's integer columns, one for index.kwi's,
+and one in each record's header for its own columns, the prestige and
+weight indexes sharing one width, so a record decodes alone given the
+tables.  The tables follow the section's counts at a 4-byte boundary, and
 the section and every record are padded to a multiple of 4 bytes before
-their CRC, so every float32 column is 4-byte aligned in the file.  Every
-variable-length list is one column: ``count + 1`` offsets from 0, then the
-bytes or ids they delimit.  Every file, graph.emb's section and every
-cluster record begins with a magic and the format version and ends with a
-CRC32 of everything before it; the section also holds its byte length,
-and its last record offset fixes the length of the records after it.  Any
-other version is rejected: rebuild with ``ingest`` then ``cluster``.
+their CRC.  Every variable-length list is one column: ``count + 1``
+offsets from 0, then the bytes or ids they delimit.  Every file,
+graph.emb's section and every cluster record begins with a magic and the
+format version and ends with a CRC32 of everything before it; the section
+also holds its byte length, and its last record offset fixes the length of
+the records after it.  Any other version is rejected: rebuild with
+``ingest`` then ``cluster``.
 
 Readers map each file read-only (a file shorter than one page is read
 instead), check it with one CRC pass (graph.emb: its section), and hand
 out read-only ``np.frombuffer`` views in the stored dtypes; only derived
-arrays such as the node-to-cluster mapping are computed.  An open store
-reads only the records it needs, each checked by its own CRC when first
-read.  Writers write a temporary file beside the target, fsync it and
-rename it over the target, so a reader keeps the file it mapped when a
-store is rebuilt.  Truncating a mapped file in place with another tool can
-instead kill a reader with SIGBUS when it touches a page past the new end.
+arrays are computed, such as the node-to-cluster mapping and the cluster
+graph's prestige and weights gathered from the tables, and they are
+read-only too.  An open store reads only the records it needs, each
+checked by its own CRC when first read.  Writers write a temporary file beside the
+target, fsync it and rename it over the target, so a reader keeps the file
+it mapped when a store is rebuilt.  Truncating a mapped file in place with
+another tool can instead kill a reader with SIGBUS when it touches a page
+past the new end.
 
 ``expand_clusters`` numbers nodes in ascending id and keeps each node's
 slots in tuple-graph order, so a search, which breaks ties by node id and
@@ -70,7 +82,7 @@ INDEX_FILE = "index.kwi"
 MAGIC_GRAPH = b"EMBK"
 MAGIC_CLUSTER = b"EMBC"
 MAGIC_INDEX = b"EMBI"
-FORMAT_VERSION = 11
+FORMAT_VERSION = 12
 
 
 class StorageError(Exception):
@@ -258,6 +270,12 @@ class _Reader:
                                      "trailing bytes")
 
 
+def _reaches(column: np.ndarray, end: int) -> bool:
+    """Whether an unsigned column holds ``end`` or more; one reduction,
+    cheaper than a comparison array on a record's short columns."""
+    return len(column) > 0 and int(column.max()) >= end
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -272,6 +290,33 @@ class StoreHeader:
     intra_links: np.ndarray     # per cluster, link records inside it
     crossing_links: np.ndarray  # per cluster, crossing links incident to it
     record_offset: np.ndarray   # [k + 1] byte offsets of the records after it
+    prestige_values: np.ndarray  # float32, every distinct prestige, by bits
+    weight_values: np.ndarray    # float32, every distinct weight, by bits
+
+
+def _value_table(*columns) -> np.ndarray:
+    """Every distinct float32 value of ``columns``, ordered by bit pattern,
+    so -0.0 and 0.0 stay apart and every value round-trips exactly."""
+    bits = [np.ascontiguousarray(c, dtype="<f4").reshape(-1).view("<u4")
+            for c in columns]
+    return np.unique(np.concatenate(bits)).view("<f4")
+
+
+def _value_indexes(table: np.ndarray, values) -> np.ndarray:
+    """The index in ``table``, a ``_value_table``, of every float32 value of
+    ``values``, in the shape of ``values``."""
+    bits = np.ascontiguousarray(values, dtype="<f4").view("<u4")
+    keys = table.view("<u4")
+    at = np.searchsorted(keys, bits)
+    if np.any(keys.take(at, mode="clip") != bits):
+        raise ValueError("a value is missing from its value table")
+    return at
+
+
+def value_index_width(table: np.ndarray, values) -> int:
+    """Bytes per index of the section column that stores ``values`` as
+    indexes into ``table``."""
+    return int(_widths(np.max(_value_indexes(table, values), initial=0)))
 
 
 def write_compressed_graph(path: str | Path, header: StoreHeader,
@@ -280,12 +325,16 @@ def write_compressed_graph(path: str | Path, header: StoreHeader,
     bytes of every cluster record end to end."""
     cg = header.cluster_graph
     cl = header.clustering
+    prestige, weight = header.prestige_values, header.weight_values
     w = _Writer(MAGIC_GRAPH, sized=True)
-    for count in (cg.node_count, cg.slot_count, cl.node_count, cl.max_cluster_size):
+    for count in (cg.node_count, cg.slot_count, cl.node_count,
+                  cl.max_cluster_size, len(prestige), len(weight)):
         w.u32(count)
-    w.arr(cg.prestige, "<f4")
-    w.arr(cg.edge_weight, "<f4")
-    columns = (cg.adjacency_offset, cg.adjacent_nodes, cg.pair_slot,
+    w.arr(prestige, "<f4")
+    w.arr(weight, "<f4")
+    columns = (_value_indexes(prestige, cg.prestige),
+               _value_indexes(weight, cg.edge_weight),
+               cg.adjacency_offset, cg.adjacent_nodes, cg.pair_slot,
                cl.node_order, cl.cluster_offset, header.intra_links,
                header.crossing_links, header.record_offset)
     for values, dtype in zip(columns, w.widths(columns)):
@@ -298,11 +347,16 @@ def write_compressed_graph(path: str | Path, header: StoreHeader,
 def read_compressed_graph(path: str | Path) -> tuple[StoreHeader, memoryview]:
     """Check graph.emb's section; return it and the records after it."""
     r = _Reader(_map_file(Path(path)), MAGIC_GRAPH, str(path), sized=True)
-    k, m, n, max_size = (r.u32() for _ in range(4))
-    prestige = r.arr(k, "<f4")
-    weight = r.arr(m, "<f4")
-    (adjacency_dt, target_dt, partner_dt, order_dt, cluster_dt, intra_dt,
-     crossing_dt, record_dt) = r.widths(8)
+    k, m, n, max_size, values, weights = (r.u32() for _ in range(6))
+    prestige_values = r.arr(values, "<f4")
+    weight_values = r.arr(weights, "<f4")
+    (prestige_dt, weight_dt, adjacency_dt, target_dt, partner_dt, order_dt,
+     cluster_dt, intra_dt, crossing_dt, record_dt) = r.widths(10)
+    prestige = r.arr(k, prestige_dt)
+    weight = r.arr(m, weight_dt)
+    if _reaches(prestige, values) or _reaches(weight, weights):
+        raise StorageFormatError(f"{path}: a cluster-graph value index lies "
+                                 "past its value table")
     adjacency = r.offsets(k, adjacency_dt)
     if adjacency[-1] != m:
         raise StorageFormatError(f"{path}: adjacency offsets end at "
@@ -314,7 +368,9 @@ def read_compressed_graph(path: str | Path) -> tuple[StoreHeader, memoryview]:
     intra = r.arr(k, intra_dt)
     crossing = r.arr(k, crossing_dt)
     offset = r.offsets(k, record_dt)
-    graph = DataGraph(k, prestige, adjacency, target, weight, r.bits(m), partner)
+    graph = DataGraph(k, _read_only(prestige_values.take(prestige)), adjacency,
+                      target, _read_only(weight_values.take(weight)), r.bits(m),
+                      partner)
     r.align()
     r.done()
     if len(r.rest) != offset[-1]:
@@ -325,14 +381,16 @@ def read_compressed_graph(path: str | Path) -> tuple[StoreHeader, memoryview]:
     except ClusteringError as exc:
         raise StorageFormatError(f"{path}: {exc}") from exc
     _read_only(clustering.node_mapping)
-    return StoreHeader(graph, clustering, intra, crossing, offset), r.rest
+    return StoreHeader(graph, clustering, intra, crossing, offset,
+                       prestige_values, weight_values), r.rest
 
 
 # --- cluster records --------------------------------------------------------
 
 @dataclass
 class ClusterPayload:
-    """Member prestige and links of one cluster.
+    """Member prestige and links of one cluster, values as indexes into the
+    value tables of the store's section.
 
     The members themselves are ``Clustering.members(cluster_id)``: local
     member index ``i`` is the ``i``-th of them.  A record holds each link
@@ -346,70 +404,68 @@ class ClusterPayload:
     """
 
     cluster_id: int
-    prestige: np.ndarray     # float32, one per member
-    src: np.ndarray          # unsigned as read, local member index
-    dst: np.ndarray          # unsigned as read, global node id
-    w: np.ndarray            # float32 [l, 2] forward/backward
-    pos: np.ndarray          # unsigned as read, [l, 2] forward/backward
+    prestige_index: np.ndarray  # unsigned as read, one per member
+    src: np.ndarray             # unsigned as read, local member index
+    dst: np.ndarray             # unsigned as read, global node id
+    weight_index: np.ndarray    # unsigned as read, [l, 2] forward/backward
+    pos: np.ndarray             # unsigned as read, [l, 2] forward/backward
 
     @property
     def member_count(self) -> int:
-        return len(self.prestige)
+        return len(self.prestige_index)
 
 
 def write_cluster(payload: ClusterPayload) -> bytes:
     data, _ = _encode_records(
-        np.array([payload.cluster_id]), payload.prestige,
+        np.array([payload.cluster_id]), payload.prestige_index,
         np.array([payload.member_count]), payload.src, payload.dst,
-        payload.w, payload.pos, np.array([len(payload.src)]))
+        payload.weight_index, payload.pos, np.array([len(payload.src)]))
     return data.tobytes()
 
 
-def _encode_records(cluster_ids, prestige, sizes, src, dst, w, pos, links
+def _encode_records(cluster_ids, prestige, sizes, src, dst, weight, pos, links
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Cluster records end to end, as one column of bytes.
 
     Record ``i`` holds cluster ``cluster_ids[i]``: its ``sizes[i]`` members'
-    values of ``prestige`` and its ``links[i]`` rows of ``src``, ``dst``,
-    ``w`` and ``pos``, each taken in turn from the front of those columns.
-    A record is five header words; the byte widths of its ``src``, ``dst``
-    and ``pos`` columns, each the narrowest that holds the record's largest
-    value, and a zero byte; the float32 prestige and weights; the three
-    integer columns; zero bytes up to a multiple of 4; and a CRC32 word.
-    Every column is scattered into place in one pass, an integer column as
-    the low bytes of its little-endian values, and one ``zlib.crc32`` per
-    record fills its trailer.  Returns the bytes and the
+    prestige indexes and its ``links[i]`` rows of ``src``, ``dst``,
+    ``weight`` indexes and ``pos``, each taken in turn from the front of
+    those columns.  A record is five header words; the byte widths of its
+    ``src``, ``dst`` and ``pos`` columns and of its two value-index columns,
+    each the narrowest that holds the record's largest value; the prestige
+    and weight indexes; ``src``, ``dst`` and ``pos``; zero bytes up to a
+    multiple of 4; and a CRC32 word.  Every column is scattered into place
+    in one pass, as the low bytes of its little-endian values, and one
+    ``zlib.crc32`` per record fills its trailer.  Returns the bytes and the
     ``len(cluster_ids) + 1`` byte offsets of the records.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     links = np.asarray(links, dtype=np.int64)
-    src, dst = (np.asarray(c, dtype=np.int64) for c in (src, dst))
+    prestige, src, dst = (np.asarray(c, dtype=np.int64) for c in (prestige, src, dst))
+    weight = np.asarray(weight, dtype=np.int64).reshape(-1, 2)
     pos = np.asarray(pos, dtype=np.int64).reshape(-1, 2)
-    # per link, its source, its target and its larger slot position; their
-    # largest per record fix the record's three widths
-    rows = np.column_stack([src, dst, np.maximum(pos[:, 0], pos[:, 1])])
-    top = np.zeros((len(links), 3), dtype=np.int64)
-    full = links > 0
-    if full.any():
-        top[full] = np.maximum.reduceat(rows, (np.cumsum(links) - links)[full])
+    # the largest source, target, slot position and value index of each
+    # record fix its four widths
+    top = _record_max(np.column_stack([src, dst, pos.max(1, initial=0),
+                                       weight.max(1, initial=0)]), links)
+    top[:, 3] = np.maximum(top[:, 3], _record_max(prestige, sizes))
     widths = _widths(top)
-    columns = ((src, links), (dst, links), (pos.reshape(-1), 2 * links))
-    body = 24 + 4 * sizes + 8 * links + widths @ [1, 1, 2] * links
+    value = widths[:, 3]
+    columns = ((prestige, sizes, value), (weight.reshape(-1), 2 * links, value),
+               (src, links, widths[:, 0]), (dst, links, widths[:, 1]),
+               (pos.reshape(-1), 2 * links, widths[:, 2]))
+    body = 24 + sum(wd * n for _, n, wd in columns)
     start = np.zeros(len(sizes) + 1, dtype=np.int64)
     np.cumsum(body + -body % 4 + 4, out=start[1:])
     head, end = start[:-1], start[1:] - 4
     data = np.zeros(start[-1], dtype=np.uint8)
     words = data.view("<u4")                   # records start 4-aligned
-    for i, value in enumerate((int.from_bytes(MAGIC_CLUSTER, "little"),
-                               FORMAT_VERSION, cluster_ids, sizes, links)):
-        words[head // 4 + i] = value
-    data[(head + 20)[:, None] + np.arange(3)] = widths
-    at = head // 4 + 6
-    words[_spans(at, sizes)] = np.ascontiguousarray(prestige, dtype="<f4").view("<u4")
-    words[_spans(at + sizes, 2 * links)] = \
-        np.ascontiguousarray(w, dtype="<f4").reshape(-1).view("<u4")
-    at = head + 24 + 4 * sizes + 8 * links
-    for (values, n), wd in zip(columns, widths.T):
+    for i, v in enumerate((int.from_bytes(MAGIC_CLUSTER, "little"),
+                           FORMAT_VERSION, cluster_ids, sizes, links)):
+        words[head // 4 + i] = v
+    data[(head + 20)[:, None] + np.arange(4)] = widths
+    at = head + 24
+    for values, n, wd in columns:
         most = int(wd.max(initial=1))
         low = values.astype(f"<u{most}").view(np.uint8)
         if wd.min(initial=most) < most:      # each value's low ``wd`` bytes
@@ -420,6 +476,16 @@ def _encode_records(cluster_ids, prestige, sizes, src, dst, w, pos, links
     words[end // 4] = [zlib.crc32(view[a:b])
                        for a, b in zip(head.tolist(), end.tolist())]
     return data, start
+
+
+def _record_max(rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The largest of each record's ``counts[i]`` rows, taken in turn from
+    the front of ``rows``; 0 for a record of none."""
+    top = np.zeros((len(counts), *rows.shape[1:]), dtype=np.int64)
+    full = counts > 0
+    if full.any():
+        top[full] = np.maximum.reduceat(rows, (np.cumsum(counts) - counts)[full])
+    return top
 
 
 def _spans(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -436,11 +502,11 @@ def read_cluster(record, name="cluster record") -> ClusterPayload:
     cid = r.u32()
     nm = r.u32()
     links = r.u32()
-    src_dt, dst_dt, pos_dt = r.widths(3)
+    src_dt, dst_dt, pos_dt, value_dt = r.widths(4)
     payload = ClusterPayload(
         cluster_id=cid,
-        prestige=r.arr(nm, "<f4"),
-        w=r.arr(2 * links, "<f4").reshape(links, 2),
+        prestige_index=r.arr(nm, value_dt),
+        weight_index=r.arr(2 * links, value_dt).reshape(links, 2),
         src=r.arr(links, src_dt),
         dst=r.arr(links, dst_dt),
         pos=r.arr(2 * links, pos_dt).reshape(links, 2),
@@ -491,10 +557,12 @@ def write_store(store_dir: str | Path, g: DataGraph, clustering: Clustering,
     """Write graph.emb, in one rename, for a finished clustering.
 
     Each link is recorded once, by the cluster of its foreign-key source,
-    with the positions of its two slots in their owners' spans.  One sort
-    of the forward slots by (cluster, intra before boundary, member
-    position, slot) lays out every record's links, and ``_encode_records``
-    lays out every record at once.
+    with the positions of its two slots in their owners' spans.  Every
+    prestige and weight of ``g`` and of ``cluster_graph`` goes into the
+    value tables, and the records and the section store indexes into them.
+    One sort of the forward slots by (cluster, intra before boundary,
+    member position, slot) lays out every record's links, and
+    ``_encode_records`` lays out every record at once.
     """
     k, mapping = clustering.cluster_count, clustering.node_mapping
     sizes = np.diff(clustering.cluster_offset)
@@ -512,12 +580,16 @@ def write_store(store_dir: str | Path, g: DataGraph, clustering: Clustering,
     crossing = leaving + np.bincount(mapping[dst[bound]], minlength=k)
     local = position[src]
     back = g.pair_slot[fwd]
-    w = np.stack([g.edge_weight[fwd], g.edge_weight[back]], axis=1)
+    prestige_values = _value_table(g.prestige, cluster_graph.prestige)
+    weight_values = _value_table(g.edge_weight, cluster_graph.edge_weight)
+    prestige = _value_indexes(prestige_values, g.prestige)[clustering.node_order]
+    weight = _value_indexes(weight_values, g.edge_weight)[np.stack([fwd, back], 1)]
     at = g.adjacency_offset
     pos = np.stack([fwd - at[src], back - at[dst]], axis=1)
-    records, start = _encode_records(np.arange(k), g.prestige[clustering.node_order],
-                                     sizes, local, dst, w, pos, intra + leaving)
-    header = StoreHeader(cluster_graph, clustering, intra, crossing, start)
+    records, start = _encode_records(np.arange(k), prestige, sizes, local, dst,
+                                     weight, pos, intra + leaving)
+    header = StoreHeader(cluster_graph, clustering, intra, crossing, start,
+                         prestige_values, weight_values)
     write_compressed_graph(Path(store_dir) / GRAPH_FILE, header, records)
 
 
@@ -602,10 +674,14 @@ class ClusterStore:
         if payload.member_count != members:
             raise StorageFormatError(f"{name()}: holds {payload.member_count} "
                                      f"members, the node order has {members}")
-        if np.any(payload.src >= members) \
-                or np.any(payload.dst >= self.clustering.node_count):
+        if _reaches(payload.src, members) \
+                or _reaches(payload.dst, self.clustering.node_count):
             raise StorageFormatError(f"{name()}: a link end lies outside the "
                                      "cluster's members or the graph")
+        if _reaches(payload.prestige_index, len(self.header.prestige_values)) \
+                or _reaches(payload.weight_index, len(self.header.weight_values)):
+            raise StorageFormatError(f"{name()}: a value index lies past its "
+                                     "value table")
         self.clusters_read += 1
         self.bytes_read += len(record)
         self._cache[cluster_id] = payload
@@ -631,7 +707,9 @@ def expand_clusters(store: ClusterStore, cluster_ids) -> ExpandedGraph:
     their tuple-graph order, so every tie broken by node id or by slot
     falls as on the whole graph, and all clusters give the tuple graph
     array for array.  Each record adds its links whose far end lies in a
-    requested cluster, as columns, with both weights and slot positions.
+    requested cluster, as columns, with both weights and slot positions;
+    prestige and weights are looked up in the store's value tables once
+    for all the records.
     Link ends are looked up among the expanded node ids, so the cost
     follows the clusters read, not the store's node count.
     """
@@ -644,14 +722,15 @@ def expand_clusters(store: ClusterStore, cluster_ids) -> ExpandedGraph:
         flat = np.concatenate(members, dtype=np.int64)
         by_id = np.argsort(flat)
         global_ids = flat[by_id]
-        builder.add_nodes(np.concatenate([p.prestige for p in payloads])[by_id])
+        prestige = np.concatenate([p.prestige_index for p in payloads])
+        builder.add_nodes(store.header.prestige_values[prestige[by_id]])
         ends = np.stack([  # both ends of every stored link, as node ids
             np.concatenate([m[p.src] for m, p in zip(members, payloads)]),
             np.concatenate([p.dst for p in payloads])]).astype(np.int64)
-        w = np.concatenate([p.w for p in payloads])
+        weight = np.concatenate([p.weight_index for p in payloads])
         pos = np.concatenate([p.pos for p in payloads])
         at = np.minimum(np.searchsorted(global_ids, ends), len(global_ids) - 1)
         kept = global_ids[at[1]] == ends[1]
-        builder.add_links(at[0, kept], at[1, kept], w[kept, 0], w[kept, 1],
-                          pos[kept])
+        w = store.header.weight_values[weight[kept]]
+        builder.add_links(at[0, kept], at[1, kept], w[:, 0], w[:, 1], pos[kept])
     return ExpandedGraph(builder.build(), global_ids, ids)

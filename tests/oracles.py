@@ -260,10 +260,12 @@ def expand_reference(store, cluster_ids):
     ids = sorted(set(int(c) for c in cluster_ids))
     mapping = store.clustering.node_mapping
     payloads = [store.read_cluster(c) for c in ids]
+    prestige_values, weight_values = (store.header.prestige_values,
+                                      store.header.weight_values)
     member_prestige = {}
     for p in payloads:
         for i, node in enumerate(store.clustering.members(p.cluster_id)):
-            member_prestige[int(node)] = float(p.prestige[i])
+            member_prestige[int(node)] = float(prestige_values[p.prestige_index[i]])
     global_ids = sorted(member_prestige)
     prestige = [member_prestige[node] for node in global_ids]
     local = {node: i for i, node in enumerate(global_ids)}
@@ -274,7 +276,8 @@ def expand_reference(store, cluster_ids):
             if int(mapping[p.dst[i]]) in ids:
                 links.append((local[int(members[p.src[i]])],
                               local[int(p.dst[i])],
-                              float(p.w[i, 0]), float(p.w[i, 1])))
+                              float(weight_values[p.weight_index[i, 0]]),
+                              float(weight_values[p.weight_index[i, 1]])))
                 positions.append(tuple(p.pos[i]))
     return build_graph_reference(prestige, links, positions), global_ids
 
@@ -382,14 +385,29 @@ def prune_transitive_reference(g, spec, node_relation):
     return build_graph_reference(prestige, out), remap
 
 
-def make_cluster_payload(g, clustering, cluster_id):
+def value_table_reference(*columns) -> np.ndarray:
+    """Every distinct float32 value of ``columns``, one value at a time,
+    ordered by its bit pattern: -0.0 and 0.0 are two entries."""
+    bits = {struct.unpack("<I", struct.pack("<f", float(x)))[0]
+            for column in columns for x in np.asarray(column).reshape(-1)}
+    return np.array(sorted(bits), dtype="<u4").view("<f4")
+
+
+def make_cluster_payload(g, clustering, cluster_id, prestige_values,
+                         weight_values):
     """One cluster record's payload, walking each member's slots in order.
 
     Every link whose foreign-key source node lives in the cluster is
     recorded once, source as member position and target as global id, with
     its forward and backward weights: links with both ends in the cluster
-    first, then the ones leaving it.
+    first, then the ones leaving it.  Prestige and weights are stored as
+    their positions in ``prestige_values`` and ``weight_values``, matched
+    by bit pattern.
     """
+    def positions(table):
+        return {struct.pack("<f", float(x)): i for i, x in enumerate(table)}
+
+    prestige_at, weight_at = positions(prestige_values), positions(weight_values)
     members = [int(x) for x in clustering.members(cluster_id)]
     intra, bound = [], []
     for i, u in enumerate(members):
@@ -397,38 +415,39 @@ def make_cluster_payload(g, clustering, cluster_id):
             if not g.edge_direction[j]:
                 continue
             back = int(g.pair_slot[j])
-            row = (i, v, w, float(g.edge_weight[back]),
+            row = (i, v, weight_at[struct.pack("<f", w)],
+                   weight_at[struct.pack("<f", float(g.edge_weight[back]))],
                    j - int(g.adjacency_offset[u]), back - int(g.adjacency_offset[v]))
             if int(clustering.node_mapping[v]) == cluster_id:
                 intra.append(row)
             else:
                 bound.append(row)
-    rows = intra + bound
-    ends = np.array([r[:2] for r in rows], dtype=np.int64).reshape(-1, 2)
-    weights = np.array([r[2:4] for r in rows], dtype=np.float32).reshape(-1, 2)
-    pos = np.array([r[4:] for r in rows], dtype=np.int64).reshape(-1, 2)
-    return ClusterPayload(cluster_id, g.prestige[members], ends[:, 0],
-                          ends[:, 1], weights, pos)
+    rows = np.array(intra + bound, dtype=np.int64).reshape(-1, 6)
+    prestige = [prestige_at[struct.pack("<f", float(g.prestige[u]))] for u in members]
+    return ClusterPayload(cluster_id, np.array(prestige, dtype=np.int64),
+                          rows[:, 0], rows[:, 1], rows[:, 2:4], rows[:, 4:])
 
 
 def cluster_record_reference(payload) -> bytes:
     """A cluster record packed field by field: magic, version, cluster id,
     member and link counts; the byte widths of the source, target and
-    position columns, each the narrowest of 1, 2 and 4 that holds the
-    column's largest value, and a zero byte; each member's prestige; each
-    link's two weights; each link's source, each link's target and each
-    link's two slot positions, in their widths; zero bytes up to a multiple
-    of 4; then the CRC32 of all that."""
-    columns = ([int(x) for x in payload.src], [int(x) for x in payload.dst],
-               [int(x) for row in payload.pos for x in row])
-    widths = [1 if max(c, default=0) < 1 << 8 else
-              2 if max(c, default=0) < 1 << 16 else 4 for c in columns]
-    body = b"EMBC" + struct.pack("<4I", 11, payload.cluster_id,
-                                 len(payload.prestige), len(payload.src))
-    body += bytes(widths) + b"\0"
-    body += b"".join(struct.pack("<f", float(p)) for p in payload.prestige)
-    body += b"".join(struct.pack("<2f", float(a), float(b)) for a, b in payload.w)
-    for values, width in zip(columns, widths):
+    position columns and of the two value-index columns, each the narrowest
+    of 1, 2 and 4 that holds the largest value it covers; each member's
+    prestige index; each link's two weight indexes; each link's source,
+    each link's target and each link's two slot positions, in their widths;
+    zero bytes up to a multiple of 4; then the CRC32 of all that."""
+    prestige = [int(x) for x in payload.prestige_index]
+    weight = [int(x) for row in payload.weight_index for x in row]
+    src, dst = [int(x) for x in payload.src], [int(x) for x in payload.dst]
+    pos = [int(x) for row in payload.pos for x in row]
+    src_w, dst_w, pos_w, value_w = (
+        1 if max(c, default=0) < 1 << 8 else 2 if max(c, default=0) < 1 << 16 else 4
+        for c in (src, dst, pos, prestige + weight))
+    body = b"EMBC" + struct.pack("<4I", 12, payload.cluster_id,
+                                 len(prestige), len(src))
+    body += bytes([src_w, dst_w, pos_w, value_w])
+    for values, width in ((prestige, value_w), (weight, value_w), (src, src_w),
+                          (dst, dst_w), (pos, pos_w)):
         code = {1: "<B", 2: "<H", 4: "<I"}[width]
         body += b"".join(struct.pack(code, x) for x in values)
     body += bytes(-len(body) % 4)

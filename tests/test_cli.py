@@ -2,6 +2,7 @@
 
 import json
 import shutil
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -223,8 +224,9 @@ def _query_fails(store, capsys):
 
 def test_inspect_prints_the_store_as_one_json_line(corpus, capsys):
     """``inspect`` prints one JSON line: every file's bytes as the file
-    system gives them, the stored width of each integer column, and the
-    clusters' count, singletons and size histogram."""
+    system gives them, the length of each value table, the stored width of
+    each integer column, value indexes included, and the clusters' count,
+    singletons and size histogram."""
     _, store = corpus
     capsys.readouterr()
     assert cli.main(["inspect", "--store", str(store)]) == 0
@@ -246,9 +248,21 @@ def test_inspect_prints_the_store_as_one_json_line(corpus, capsys):
     assert widths["index"]["ids"] == opened.keyword_index().ids.dtype.itemsize
     assert {w for w in widths["graph"].values()} | set(widths["index"].values()) \
         <= {1, 2, 4, 8}
-    for name in ("src", "dst", "pos"):
+    for name in ("src", "dst", "pos", "value_index"):
         assert sum(widths["records"][name].values()) == k
         assert set(widths["records"][name]) <= {"1", "2", "4", "8"}
+    prestige, weight = opened.header.prestige_values, opened.header.weight_values
+    assert info["values"] == {"prestige": len(prestige), "weight": len(weight)}
+    # the section's index columns are as wide as their largest index
+    cg = opened.cluster_graph
+    for name, table, values in (("prestige_index", prestige, cg.prestige),
+                                ("edge_weight_index", weight, cg.edge_weight)):
+        top = int(np.searchsorted(table.view("<u4"), values.view("<u4")).max())
+        assert widths["graph"][name] == (1 if top < 256 else 2)
+    assert widths["records"]["value_index"] == {
+        str(w): n for w, n in Counter(
+            opened.read_cluster(c).weight_index.dtype.itemsize
+            for c in range(k)).items()}
 
 
 def test_reingest_answers_before_cluster(corpus, tmp_path, capsys):

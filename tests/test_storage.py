@@ -18,14 +18,15 @@ from embanks.storage import (FORMAT_VERSION, GRAPH_FILE,
                              INDEX_FILE, ClusterPayload, ClusterStore, StorageError,
                              StorageFormatError, expand_clusters, read_cluster,
                              read_compressed_graph, read_keyword_index,
-                             read_tuple_graph, write_cluster,
+                             read_tuple_graph, value_index_width, write_cluster,
                              write_compressed_graph, write_keyword_index,
                              write_store, write_tuple_graph, StoreHeader)
 from embanks.graph import BYTES_PER_EDGE, BYTES_PER_NODE
 
 from conftest import random_graph, with_self_loops
 from oracles import (assert_same_graph, cluster_record_reference,
-                     expand_reference, induced_subgraph, make_cluster_payload)
+                     expand_reference, induced_subgraph, make_cluster_payload,
+                     value_table_reference)
 from test_clustering import GROWN, grown_clustering, random_clustering
 
 
@@ -46,6 +47,20 @@ def link_multiset(g, ids=None):
         gv = v if ids is None else int(ids[v])
         out[(gu, gv, wf, wb)] += 1
     return out
+
+
+def tables(store):
+    """The value tables a store's records index into."""
+    return store.header.prestige_values, store.header.weight_values
+
+
+def graph_tables(g):
+    """Value tables holding every prestige and weight of ``g``."""
+    return value_table_reference(g.prestige), value_table_reference(g.edge_weight)
+
+
+def bits(a):
+    return np.asarray(a, dtype="<f4").view("<u4")
 
 
 def built_store(rng, tmp_path, n=24, cl=None, g=None):
@@ -81,12 +96,13 @@ def width(top):
 
 
 def test_tuple_graph_byte_length(rng, tmp_path):
-    """The tuple graph's graph.emb is a section with a one-node cluster
-    graph and one record; a cluster record holds its header, column widths,
-    member prestige, links with two weights and two slot positions, and its
-    CRC: no row metadata, node types, member ids or target clusters.  Every
-    id, position and count of these graphs fits one byte, so a record's
-    links take 12 bytes each and need no padding."""
+    """The tuple graph's graph.emb is a section with the value tables, a
+    one-node cluster graph and one record; a cluster record holds its
+    header, column widths, member prestige indexes, links with two weight
+    indexes and two slot positions, padding and its CRC: no floats, row
+    metadata, node types, member ids or target clusters.  Every id,
+    position, value index and count of these graphs fits one byte, so a
+    record's members take a byte each and its links 6 bytes each."""
     for trial in range(12):
         n = rng.randint(1, 30)
         g = random_graph(rng, n, extra_links=rng.randint(0, n))
@@ -95,10 +111,13 @@ def test_tuple_graph_byte_length(rng, tmp_path):
         links = g.slot_count // 2
         d = tmp_path / f"t{trial}"
         write_tuple_graph(d, g)
-        record = 28 + 4 * n + 12 * links
-        # header, prestige, widths, adjacency offsets, node order, cluster
-        # offsets, link counts, record offsets; no slots, so no bits
-        body = 32 + 4 + 8 + 2 + n + 2 + 2 + 2 * width(record)
+        record = 24 + n + 6 * links
+        record += -record % 4 + 4
+        values = sum(len(t) for t in tables(ClusterStore.open(d)))
+        # header and table lengths, value tables, widths, prestige index,
+        # adjacency offsets, node order, cluster offsets, link counts,
+        # record offsets; no slots, so no weight indexes and no bits
+        body = 40 + 4 * values + 12 + 1 + 2 + n + 2 + 2 + 2 * width(record)
         section = body + -body % 4 + 4
         assert (d / GRAPH_FILE).stat().st_size == section + record
         cl = grown_clustering(rng, "close1", g, rng.randint(1, 5))
@@ -106,9 +125,9 @@ def test_tuple_graph_byte_length(rng, tmp_path):
         # a record's links: the forward slots whose source is a member
         links = np.bincount(cl.node_mapping[g.slot_source[g.edge_direction]],
                             minlength=cl.cluster_count)
-        members = np.diff(cl.cluster_offset)
+        body = 24 + np.diff(cl.cluster_offset) + 6 * links
         assert np.array_equal(np.diff(store.header.record_offset),
-                              28 + 4 * members + 12 * links)
+                              body + -body % 4 + 4)
 
 
 def test_compressed_graph_round_trip(rng, tmp_path):
@@ -120,18 +139,20 @@ def test_compressed_graph_round_trip(rng, tmp_path):
     header = StoreHeader(cg, cl,
                          np.arange(k, dtype=np.int64),
                          np.arange(k, dtype=np.int64) * 2,
-                         np.arange(k + 1, dtype=np.int64) * 3)
+                         np.arange(k + 1, dtype=np.int64) * 3,
+                         *graph_tables(cg))
+    values = len(header.prestige_values) + len(header.weight_values)
     records = bytes(rng.randrange(256) for _ in range(3 * k))
     p1, p2 = tmp_path / "a.emb", tmp_path / "b.emb"
     write_compressed_graph(p1, header, records)
-    # the section holds its header, column widths, arrays and CRC only: no
-    # per-cluster or per-superedge cost bounds, no node types, no
-    # node-to-cluster mapping and no record CRCs; every integer column
-    # fits one byte; the records follow it unchanged
-    graph_arrays = 4 * k + (k + 1) + 6 * m + (m + 7) // 8
+    # the section holds its header, value tables, column widths, arrays and
+    # CRC only: no per-cluster or per-superedge cost bounds, no node types,
+    # no node-to-cluster mapping and no record CRCs; every integer column,
+    # value indexes included, fits one byte; the records follow it unchanged
+    graph_arrays = k + (k + 1) + 3 * m + (m + 7) // 8
     clustering_arrays = cl.node_count + (k + 1)
     record_arrays = 2 * k + (k + 1)
-    body = 32 + 8 + graph_arrays + clustering_arrays + record_arrays
+    body = 40 + 4 * values + 12 + graph_arrays + clustering_arrays + record_arrays
     section = body + -body % 4 + 4
     raw = p1.read_bytes()
     assert len(raw) == section + len(records)
@@ -147,8 +168,12 @@ def test_compressed_graph_round_trip(rng, tmp_path):
         assert a.dtype == np.uint8
     assert np.array_equal(h2.cluster_graph.adjacent_nodes,
                           cg.adjacent_nodes)
-    assert np.array_equal(h2.cluster_graph.edge_weight,
-                          cg.edge_weight)
+    for name in ("prestige", "edge_weight"):
+        stored = getattr(h2.cluster_graph, name)
+        assert stored.dtype == np.float32 and not stored.flags.writeable
+        assert np.array_equal(bits(stored), bits(getattr(cg, name))), name
+    assert np.array_equal(bits(h2.prestige_values), bits(header.prestige_values))
+    assert np.array_equal(bits(h2.weight_values), bits(header.weight_values))
     assert np.array_equal(h2.clustering.node_mapping, cl.node_mapping)
     assert np.array_equal(h2.clustering.node_order, cl.node_order)
     assert np.array_equal(h2.clustering.cluster_offset, cl.cluster_offset)
@@ -164,33 +189,37 @@ def test_cluster_payload_round_trip(rng):
     g = random_graph(rng, 18, extra_links=9)
     cl = random_clustering(rng, 18, 5)
     for c in range(cl.cluster_count):
-        payload = make_cluster_payload(g, cl, c)
+        payload = make_cluster_payload(g, cl, c, *graph_tables(g))
         assert payload.member_count == len(cl.members(c))
         inside = cl.node_mapping[payload.dst] == c
         assert np.all(inside[:-1] >= inside[1:])    # intra links first
         record = write_cluster(payload)
         back = read_cluster(record)
         assert back.cluster_id == c
-        for name in ("prestige", "src", "dst", "w", "pos"):
+        for name in ("prestige_index", "src", "dst", "weight_index", "pos"):
             assert np.array_equal(getattr(back, name), getattr(payload, name)), name
         assert write_cluster(back) == record
 
 
 def test_cluster_record_matches_field_by_field_packing(rng):
     """The byte-column encoder writes each record as a field-by-field
-    packer does: empty records, records without links, float64 prestige,
-    and target and position columns one, two and four bytes wide."""
-    assert FORMAT_VERSION == 11
-    for trial in range(60):
+    packer does: empty records, records without links, and target,
+    position and value-index columns one, two and four bytes wide, the
+    value-index width set by the prestige or by the weight indexes."""
+    assert FORMAT_VERSION == 12
+    for trial in range(90):
         members, links = rng.randint(0, 6), rng.choice([0, 0, 1, 5])
         dst_top, pos_top = rng.choice([2**8, 2**16, 2**32]), rng.choice([9, 2**16, 2**32])
+        value_top = rng.choice([2**8, 2**16, 2**32])
+        prestige_top, weight_top = rng.choice([(value_top, 9), (9, value_top)])
         payload = ClusterPayload(
             rng.randrange(1000),
-            np.array([rng.uniform(0, 9) for _ in range(members)]),
+            np.array([rng.randrange(prestige_top) for _ in range(members)],
+                     dtype=np.uint32),
             np.array([rng.randrange(max(members, 1)) for _ in range(links)]),
             np.array([rng.randrange(dst_top) for _ in range(links)], dtype=np.uint32),
-            np.array([[rng.uniform(0.1, 4), rng.uniform(0.1, 4)]
-                      for _ in range(links)], dtype=np.float32).reshape(-1, 2),
+            np.array([[rng.randrange(weight_top), rng.randrange(weight_top)]
+                      for _ in range(links)], dtype=np.int64).reshape(-1, 2),
             np.array([[rng.randrange(pos_top), rng.randrange(9)]
                       for _ in range(links)], dtype=np.int64).reshape(-1, 2))
         assert write_cluster(payload) == cluster_record_reference(payload), trial
@@ -216,11 +245,17 @@ def test_cluster_payload_matches_slot_walk(rng, tmp_path):
         else:
             cl = grown_clustering(rng, name, g, size)
         _, _, store = built_store(rng, tmp_path / str(trial), g=g, cl=cl)
+        cg = build_cluster_graph(g, cl)
+        prestige, weight = tables(store)
+        assert np.array_equal(bits(prestige),
+                              bits(value_table_reference(g.prestige, cg.prestige)))
+        assert np.array_equal(bits(weight),
+                              bits(value_table_reference(g.edge_weight, cg.edge_weight)))
         blob = bytes(store.records)
         offset = store.header.record_offset.tolist()
         assert offset[-1] == len(blob)
         for c in range(cl.cluster_count):
-            record = write_cluster(make_cluster_payload(g, cl, c))
+            record = write_cluster(make_cluster_payload(g, cl, c, prestige, weight))
             assert blob[offset[c]:offset[c + 1]] == record, (trial, name, c)
 
 
@@ -311,8 +346,9 @@ def test_read_arrays_are_read_only(rng, tmp_path, n):
     """Every array an opened store, a read cluster and a read index hand
     out is read-only, whether its file was read whole (24 nodes: every file
     is shorter than a page) or mapped (600 nodes), for a clustered store
-    and for a tuple graph's one-cluster store; every float32 array is
-    4-byte aligned."""
+    and for a tuple graph's one-cluster store, the value tables and the
+    cluster graph's prestige and weights gathered from them included; every
+    float32 array is 4-byte aligned."""
     g, cl, store = built_store(rng, tmp_path / "s", n=n)
     write_keyword_index(tmp_path / "s" / INDEX_FILE,
                         build_index(random_meta(rng, n)))
@@ -326,8 +362,9 @@ def test_read_arrays_are_read_only(rng, tmp_path, n):
         h, graph = store.header, store.cluster_graph
         arrays += [h.intra_links, h.crossing_links, h.record_offset,
                    store.clustering.node_mapping, store.clustering.node_order,
-                   store.clustering.cluster_offset, payload.prestige,
-                   payload.src, payload.dst, payload.w, payload.pos,
+                   store.clustering.cluster_offset, h.prestige_values,
+                   h.weight_values, payload.prestige_index, payload.src,
+                   payload.dst, payload.weight_index, payload.pos,
                    graph.prestige, graph.adjacency_offset, graph.adjacent_nodes,
                    graph.edge_weight, graph.edge_direction, graph.pair_slot]
     assert [a.flags.writeable for a in arrays] == [False] * len(arrays)
@@ -362,16 +399,21 @@ def test_member_count_differing_from_graph_file_is_rejected(rng, tmp_path):
         store.read_cluster(c)
 
 
-@pytest.mark.parametrize("end", ["src", "dst"])
+@pytest.mark.parametrize("end", ["src", "dst", "prestige_index", "weight_index"])
 def test_out_of_range_link_end_is_rejected(rng, tmp_path, end):
     """A link from one past the cluster's members, which expansion would
-    join to the next cluster's first member, or to one past the last node
-    fails the read, even with the record's offsets and CRC consistent."""
+    join to the next cluster's first member, to one past the last node, or
+    a prestige or weight index one past its value table fails the read as
+    a format error naming the file and the cluster, not as an IndexError at
+    expansion, even with the record's offsets and CRC consistent."""
     g, cl, store = built_store(rng, tmp_path, n=24)
     c = next(c for c in range(cl.cluster_count - 1)
              if len(store.read_cluster(c).src))
-    payload = make_cluster_payload(g, cl, c)
-    getattr(payload, end)[0] = {"src": len(cl.members(c)), "dst": g.node_count}[end]
+    prestige, weight = tables(store)
+    payload = make_cluster_payload(g, cl, c, prestige, weight)
+    getattr(payload, end).flat[0] = {
+        "src": len(cl.members(c)), "dst": g.node_count,
+        "prestige_index": len(prestige), "weight_index": len(weight)}[end]
     record = write_cluster(payload)
     start, stop = store.header.record_offset[c:c + 2].tolist()
     assert stop - start == len(record)
@@ -379,8 +421,75 @@ def test_out_of_range_link_end_is_rejected(rng, tmp_path, end):
     write_compressed_graph(tmp_path / GRAPH_FILE, store.header,
                            packed[:start] + record + packed[stop:])
     store = ClusterStore.open(tmp_path)
-    with pytest.raises(StorageFormatError, match=f"cluster {c}: a link end lies"):
-        store.read_cluster(c)
+    message = "a link end lies" if end in ("src", "dst") else \
+        "a value index lies past its value table"
+    with pytest.raises(StorageFormatError,
+                       match=f"^{re.escape(str(tmp_path / GRAPH_FILE))} "
+                             f"cluster {c}: {message}"):
+        expand_clusters(store, [c])
+
+
+@pytest.mark.parametrize("column", [0, 1])
+def test_section_value_index_past_its_table_is_rejected(rng, tmp_path, column):
+    """The cluster graph's first prestige index (column 0) or first weight
+    index (column 1) set one past its value table, under a recomputed
+    section CRC, fails the open as a format error naming graph.emb."""
+    built_store(rng, tmp_path, n=24)
+    path = tmp_path / GRAPH_FILE
+    raw = bytearray(path.read_bytes())
+    section = int.from_bytes(raw[8:16], "little")
+    # header, then six counts: clusters, superedge slots, nodes, the largest
+    # cluster size and the two table lengths; the tables; the width row
+    k, m, _, _, values, weights = np.frombuffer(raw[16:40], dtype="<u4").tolist()
+    widths = 40 + 4 * (values + weights)
+    assert m > 0 and raw[widths:widths + 2] == b"\x01\x01"
+    raw[widths + 12 + column * k] = (values, weights)[column]
+    raw[section - 4:section] = zlib.crc32(raw[:section - 4]).to_bytes(4, "little")
+    path.write_bytes(raw)
+    with pytest.raises(StorageFormatError,
+                       match=f"^{re.escape(str(path))}: a cluster-graph value "
+                             "index lies past its value table"):
+        ClusterStore.open(tmp_path)
+
+
+def test_explicit_prestige_round_trips_bit_for_bit(rng, tmp_path):
+    """Prestige -0.0 and 0.0, a subnormal and two values one ulp apart, and
+    weights one ulp apart, come back bit for bit from a tuple graph's store,
+    from a clustered store's cluster graph and from any set of its
+    clusters; -0.0 and 0.0 are two entries of the prestige table."""
+    one = np.float32(1.5)
+    next_up = np.nextafter(one, np.float32(2))
+    values = [-0.0, 0.0, np.finfo(np.float32).smallest_subnormal, one, next_up]
+    prestige = np.array(values * 3, dtype=np.float32)
+    n = len(prestige)
+    u = np.arange(n - 1)
+    b = GraphBuilder()
+    b.add_nodes(prestige)
+    b.add_links(u, u + 1, np.where(u % 2, one, next_up), np.where(u % 3, next_up, one))
+    g = b.build()
+    assert np.array_equal(bits(g.prestige), bits(prestige))
+
+    write_tuple_graph(tmp_path / "t", g)
+    assert {0, 0x80000000} <= set(bits(tables(ClusterStore.open(tmp_path / "t"))[0]).tolist())
+    back = read_tuple_graph(tmp_path / "t")
+    for name in ("prestige", "edge_weight"):
+        assert np.array_equal(bits(getattr(back, name)), bits(getattr(g, name))), name
+
+    cl = Clustering.from_order(np.array(rng.sample(range(n), n)),
+                               np.array([0, 4, 9, 13, n]), 5)
+    cg = build_cluster_graph(g, cl, WeightConfig("min", "max"))
+    write_store(tmp_path / "c", g, cl, cg)
+    store = ClusterStore.open(tmp_path / "c")
+    for name in ("prestige", "edge_weight"):
+        assert np.array_equal(bits(getattr(store.cluster_graph, name)),
+                              bits(getattr(cg, name))), name
+    for ids in ([0], [1, 3], [0, 2, 3], range(4)):
+        nodes = np.sort(np.concatenate([cl.members(c) for c in ids]))
+        exp = expand_clusters(store, ids)
+        want = induced_arrays(g, nodes)
+        for name in ("prestige", "edge_weight"):
+            assert np.array_equal(bits(getattr(exp.graph, name)),
+                                  bits(getattr(want, name))), (ids, name)
 
 
 def test_keyword_index_round_trip(tmp_path):
@@ -549,7 +658,8 @@ def test_corruption_detection(rng, tmp_path):
         with pytest.raises(StorageFormatError, match="unsupported version"):
             read_tuple_graph(tmp_path)
 
-    record = write_cluster(make_cluster_payload(g, random_clustering(rng, 12, 4), 0))
+    record = write_cluster(make_cluster_payload(g, random_clustering(rng, 12, 4), 0,
+                                                *graph_tables(g)))
     read_cluster(restamped(record, FORMAT_VERSION))
     for version in others:
         with pytest.raises(StorageFormatError, match="unsupported version"):
@@ -735,17 +845,18 @@ def test_columns_at_their_width_boundaries(tmp_path, n):
     """Columns whose largest value is 255 or 256, 65,535 or 65,536 are
     stored one, two or four bytes wide and read back as written: node ids
     up to ``n - 1``, cluster offsets up to ``n``, a hub node with 256 or 257
-    slots (positions up to 255 or 256), clusters of up to 257 members, and
+    slots (positions up to 255 or 256), clusters of up to 257 members, 256
+    or 257 distinct prestige values (value indexes up to 255 or 256), and
     posting ids and offsets up to ``n - 1`` and ``n``.  The graph comes back
     from ``read_tuple_graph`` and from expanding cluster subsets, and the
     index from ``read_keyword_index``."""
-    slots = 256 + n % 2
+    slots = distinct = 256 + n % 2
     # a chain through every node, a link back from the last one, and
     # ``slots - 1`` links into node 0 from the nodes after 1, some twice
     u = np.concatenate([np.arange(n - 1), [n - 1], 2 + np.arange(slots - 1) % (n - 2)])
     v = np.concatenate([np.arange(1, n), [n - 2], np.zeros(slots - 1, dtype=np.int64)])
     b = GraphBuilder()
-    b.add_nodes(np.arange(n) % 7)
+    b.add_nodes(np.arange(n) % distinct)
     b.add_links(u, v, 1.0 + u % 3, 2.0 + v % 5)
     g = b.build()
     assert int(np.diff(g.adjacency_offset).max()) == slots
@@ -758,14 +869,23 @@ def test_columns_at_their_width_boundaries(tmp_path, n):
     assert order.cluster_offset.dtype.itemsize == width(n)
     assert record.src.dtype.itemsize == record.dst.dtype.itemsize == width(n - 1)
     assert record.pos.dtype.itemsize == width(slots - 1)
+    assert record.prestige_index.dtype.itemsize == width(distinct - 1)
     assert_same_graph(read_tuple_graph(tmp_path / "t"), g)
 
     offset = np.append(np.arange(0, n, 257), n)
     cl = Clustering.from_order(np.arange(n), offset, 257)
-    write_store(tmp_path / "c", g, cl, build_cluster_graph(g, cl))
+    # a cluster's prestige is its largest member's, so the table holds
+    # exactly the members' distinct values
+    cg = build_cluster_graph(g, cl, WeightConfig("min", "max"))
+    write_store(tmp_path / "c", g, cl, cg)
     store = ClusterStore.open(tmp_path / "c")
     assert len(store.read_cluster(0).src) > 256 or n < 257
     assert store.read_cluster(0).src.dtype.itemsize == width(min(n, 257) - 1)
+    prestige = tables(store)[0]
+    assert len(prestige) == distinct
+    assert value_index_width(prestige, store.cluster_graph.prestige) == \
+        store.read_cluster(0).prestige_index.dtype.itemsize == width(distinct - 1)
+    assert np.array_equal(store.cluster_graph.prestige, cg.prestige)
     assert_same_graph(read_tuple_graph(tmp_path / "c"), g)
     k = cl.cluster_count
     for ids in ({0}, {k - 1}, {0, k - 1}, set(range(0, k, 2))):
